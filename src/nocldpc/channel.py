@@ -10,22 +10,24 @@ LLR = 2 y / sigma^2.
 Reproducibility: frame f of a run draws its unit noise from a generator
 seeded with (seed, f), and the same unit noise is rescaled for every SNR
 point and quantization format (paired comparisons).  Frames are consumed in
-fixed-size blocks with the stop rule evaluated between blocks, so results
-are identical for any worker count.
+fixed blocks of 32 with the stop rule evaluated between blocks.  Layered NMS
+decodes each block in one frame-batched call (decode_layered_nms_batch,
+bit-exact with the single-frame golden); flooding SPA decodes it frame by
+frame.  The ``threads`` argument is kept for callers but changes neither the
+counts nor the speed: decoding runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes.matrix import ParityCheckMatrix
-from .decoder import CodeLayout, DecodeParams, decode_flooding_spa, decode_layered_nms
+from .decoder import CodeLayout, DecodeParams, decode_flooding_spa, decode_layered_nms_batch
 from .fixedpoint import QFormat
 
-_BLOCK = 32  # frames per scheduling block; fixed so threading cannot change results
+_BLOCK = 32  # frames per block; fixed so the stop rule sees the same boundaries
 
 ALGORITHMS = ("layered-nms", "flooding-spa")
 
@@ -92,18 +94,6 @@ def awgn_llrs(n: int, rate: float, snr_db: float, seed: int, frame: int = 0) -> 
     return 2.0 * y / (sigma * sigma)
 
 
-def _decode_one(h, layout, params, algorithm, unit_noise, sigma):
-    llrs = 2.0 * (1.0 + sigma * unit_noise) / (sigma * sigma)
-    if algorithm == "layered-nms":
-        res = decode_layered_nms(h, llrs, params, layout)
-    elif algorithm == "flooding-spa":
-        res = decode_flooding_spa(h, llrs, params, layout)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    errs = int(res.hard_bits.sum())
-    return errs, res.iterations_run
-
-
 def run_ber(
     h: ParityCheckMatrix,
     params: DecodeParams,
@@ -119,16 +109,20 @@ def run_ber(
 
     Frames are decoded until min_bit_errors bit errors are seen or
     max_frames is reached, whichever first (checked between fixed blocks).
+    threads must be >= 1 and has no effect on the counts or the speed.
     """
     if isinstance(stop, dict):
         stop = StopRule(**stop)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if layout is None:
         layout = CodeLayout.build(h)
     if rate is None:
         rate = 1.0 - h.n_rows / h.n_cols
     n = h.n_cols
+    llrs = np.empty((min(_BLOCK, stop.max_frames), n))
 
     points = []
     for snr_db in snr_list:
@@ -138,32 +132,24 @@ def run_ber(
         iters_total = 0
         frame = 0
         while frame < stop.max_frames and bit_errors < stop.min_bit_errors:
-            block = min(_BLOCK, stop.max_frames - frame)
-            frames = range(frame, frame + block)
-            if threads > 1:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(
-                        pool.map(
-                            lambda f: _decode_one(
-                                h, layout, params, algorithm,
-                                _frame_rng(seed, f).standard_normal(n), sigma,
-                            ),
-                            frames,
-                        )
-                    )
+            block = llrs[: min(_BLOCK, stop.max_frames - frame)]
+            for i, row in enumerate(block):
+                _frame_rng(seed, frame + i).standard_normal(out=row)
+            # in place, in the operation order of awgn_llrs, so bit-identical
+            block *= sigma
+            block += 1.0
+            block *= 2.0
+            block /= sigma * sigma
+            if algorithm == "layered-nms":
+                results = decode_layered_nms_batch(h, block, params, layout)
             else:
-                results = [
-                    _decode_one(
-                        h, layout, params, algorithm,
-                        _frame_rng(seed, f).standard_normal(n), sigma,
-                    )
-                    for f in frames
-                ]
-            for errs, iters in results:
+                results = [decode_flooding_spa(h, row, params, layout) for row in block]
+            for res in results:
+                errs = int(res.hard_bits.sum())
                 bit_errors += errs
                 frame_errors += int(errs > 0)
-                iters_total += iters
-            frame += block
+                iters_total += res.iterations_run
+            frame += len(block)
         points.append(
             BerPoint(
                 snr_db=float(snr_db),
@@ -190,7 +176,10 @@ def quantization_sweep(
     threads: int = 1,
     layout: CodeLayout | None = None,
 ) -> list[BerPoint]:
-    """BER of several fixed-point formats at one SNR with shared noise."""
+    """BER of several fixed-point formats at one SNR with shared noise.
+
+    threads is passed to run_ber, which rejects values below 1.
+    """
     if len(formats) < 2:
         raise ValueError("need at least two formats to compare")
     if layout is None:

@@ -112,7 +112,8 @@ def _add_decode_args(p):
     p.add_argument("--itmax", type=int, default=10)
     p.add_argument("--quant", default="8_1", help="fixed-point format n_m")
     p.add_argument("--no-early-stop", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for scripts; changes neither BER counts nor speed (must be >= 1)")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from .nms import (
     DecodeParams,
     DecodeResult,
     decode_layered_nms,
+    decode_layered_nms_batch,
     layer_update,
-    min2,
     syndrome_check,
 )
 from .spa import decode_flooding_spa
@@ -17,7 +17,7 @@ __all__ = [
     "DecodeResult",
     "decode_flooding_spa",
     "decode_layered_nms",
+    "decode_layered_nms_batch",
     "layer_update",
-    "min2",
     "syndrome_check",
 ]

@@ -14,14 +14,33 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix, compute_layers
 
 
+@dataclass(frozen=True)
+class LayerMap:
+    """Slot-major gather/scatter map of one layer for the batched decoder.
+
+    ``idx`` is (W, rows) with W = max(N_d, 2): entry (k, i) is the variable
+    in slot k of the layer's row i, and padded slots point at the spare
+    variable row N, so a layer reads and writes its variables with one fancy
+    index each.  ``pad`` is True at padded slots, shaped (W, rows, 1) to
+    broadcast over frames, or None when the layer has no padded slot.
+    ``span`` is the layer's block of rows in the batched extrinsic store,
+    which keeps the layers contiguous in sweep order.
+    """
+
+    idx: np.ndarray
+    pad: np.ndarray | None
+    span: slice
+
+
 @dataclass
 class CodeLayout:
     h: ParityCheckMatrix
     n_d: int
     idx: np.ndarray  # (M, N_d) variable index per (row, position), 0-padded
     mask: np.ndarray  # (M, N_d) validity of each position
-    deg: np.ndarray  # (M,) row degrees
     layer_rows: list[np.ndarray]  # rows of each layer, ascending
+    layer_maps: list[LayerMap]  # batched-decoder maps, one per layer
+    check_idx: np.ndarray  # (W, M) variable per slot, padded slots at row N
 
     @classmethod
     def build(cls, h: ParityCheckMatrix) -> "CodeLayout":
@@ -31,16 +50,39 @@ class CodeLayout:
         n_d = h.max_row_degree
         idx = np.zeros((m, n_d), dtype=np.int32)
         mask = np.zeros((m, n_d), dtype=bool)
-        deg = np.zeros(m, dtype=np.int32)
         for r, row in enumerate(h.rows):
             d = len(row)
             idx[r, :d] = row
             mask[r, :d] = True
-            deg[r] = d
         layer_rows = [np.sort(np.asarray(l, dtype=np.int64)) for l in h.layers]
-        return cls(h=h, n_d=n_d, idx=idx, mask=mask, deg=deg, layer_rows=layer_rows)
+
+        # the two-smallest pass needs two slots per row, so degree-1 codes get a pad
+        w = max(n_d, 2)
+        check_idx = np.full((w, m), h.n_cols, dtype=np.intp)
+        check_idx[:n_d].T[mask] = idx[mask]
+        layer_maps = []
+        start = 0
+        for rows in layer_rows:
+            lidx = np.ascontiguousarray(check_idx[:, rows])
+            pad = lidx == h.n_cols
+            span = slice(start, start + len(rows))
+            layer_maps.append(LayerMap(lidx, pad[:, :, None] if pad.any() else None, span))
+            start = span.stop
+        return cls(h=h, n_d=n_d, idx=idx, mask=mask, layer_rows=layer_rows,
+                   layer_maps=layer_maps, check_idx=check_idx)
 
     def syndrome_ok(self, bits: np.ndarray) -> bool:
         """True iff every row's parity over its variables is zero."""
         par = (bits[self.idx].astype(np.int32) & self.mask).sum(axis=1) & 1
         return not par.any()
+
+    def syndrome_ok_batch(self, lq: np.ndarray) -> np.ndarray:
+        """Per-frame syndrome of the hard decisions of frames-last codes.
+
+        lq is (N + 1, F) LLR codes whose row N, the pad slot, is ignored;
+        returns an (F,) bool array, True where every parity check holds.
+        """
+        bits = lq < 0
+        bits[-1] = False
+        par = np.logical_xor.reduce(bits[self.check_idx], axis=0)
+        return ~par.any(axis=0)

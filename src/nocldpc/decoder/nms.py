@@ -66,21 +66,6 @@ class CheckState:
         return cls(lq=lq, r=r, fmt=fmt)
 
 
-def min2(values) -> tuple[int, int, int]:
-    """First and second minimum of a magnitude sequence.
-
-    Returns (min1, argmin index t, min2) where min2 excludes position t; on
-    ties for the first minimum t is the lowest index and min2 equals min1.
-    """
-    vals = np.asarray(values)
-    if vals.ndim != 1 or len(vals) < 2:
-        raise ValueError("min2 needs a 1-D sequence of length >= 2")
-    t = int(vals.argmin())
-    m1 = vals[t]
-    rest = np.delete(vals, t)
-    return m1.item(), t, rest.min().item()
-
-
 def _check_node_update(q: np.ndarray, mask: np.ndarray, alpha_lut: np.ndarray) -> np.ndarray:
     """Vectorized check update on a block of rows.
 
@@ -187,3 +172,113 @@ def decode_layered_nms(
         final_llrs=state.lq.copy(),
         fmt=params.fmt,
     )
+
+
+def _two_smallest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and second smallest over the slot axis, counting repeats.
+
+    A tie for the minimum gives m2 == m1.  One pass over the W >= 2 slots;
+    np.partition along this axis costs several times more.
+    """
+    m1 = np.minimum(mag[0], mag[1])
+    m2 = np.maximum(mag[0], mag[1])
+    for slot in mag[2:]:
+        np.minimum(m2, np.maximum(m1, slot), out=m2)
+        np.minimum(m1, slot, out=m1)
+    return m1, m2
+
+
+def decode_layered_nms_batch(
+    h: ParityCheckMatrix,
+    channel_llrs,
+    params: DecodeParams,
+    layout: CodeLayout | None = None,
+) -> list[DecodeResult]:
+    """Decode F frames at once with the layered normalized min-sum.
+
+    channel_llrs is (F, N).  Result f equals decode_layered_nms on row f in
+    bits, iterations_run, converged and final_llrs.  The state is frames
+    last: variable codes are (N + 1, F), row N being the spare slot that
+    padded positions read and write, and extrinsics are (W, rows, F) with
+    each layer a contiguous block of rows.  Codes are int16 up to 14-bit
+    formats, where every intermediate sum of two saturated codes still fits,
+    and int32 above.  Each frame's result is taken at the first iteration
+    whose syndrome it satisfies; the batch runs until every frame has
+    converged or it_max is reached.  Converged frames are not compacted out:
+    at 32 frames the per-call overhead dominates, and copying the state was
+    slower than carrying them along.
+    """
+    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    if llrs.ndim != 2 or llrs.shape[1] != h.n_cols:
+        raise ValueError(f"expected (frames, {h.n_cols}) channel LLRs, got {llrs.shape}")
+    if layout is None:
+        layout = CodeLayout.build(h)
+    fmt = params.fmt
+    dtype = np.dtype(np.int16 if fmt.n_bits <= 14 else np.int32)
+    sign_shift = dtype.itemsize * 8 - 1
+    n, n_frames = h.n_cols, len(llrs)
+    lut = reciprocal_scale_table(params.alpha, fmt).astype(dtype)
+    lo, hi = fmt.min_code, fmt.max_code
+    clip_positive = lut[-1] > hi  # alpha near 1 maps |min_code| past max_code
+    # padded slots read as +|min_code|: never below a real magnitude, and the
+    # golden clamps an empty minimum to the same table entry
+    pad_floor = [None if lm.pad is None else np.where(lm.pad, len(lut) - 1, lo).astype(dtype)
+                 for lm in layout.layer_maps]
+
+    lq = np.zeros((n + 1, n_frames), dtype=dtype)
+    for f, frame in enumerate(llrs):
+        lq[:n, f] = quantize(frame, fmt)
+    r_rows = sum(len(rows) for rows in layout.layer_rows)
+    r = np.zeros((layout.check_idx.shape[0], r_rows, n_frames), dtype=dtype)
+
+    final = np.empty((n_frames, n), dtype=np.int32)
+    iterations = np.full(n_frames, params.it_max)
+    converged = np.zeros(n_frames, dtype=bool)
+    done = np.zeros(n_frames, dtype=bool)  # result taken; the frame still rides along
+    for it in range(1, params.it_max + 1):
+        for lm, floor in zip(layout.layer_maps, pad_floor):
+            r_l = r[:, lm.span]
+            q = np.take(lq, lm.idx, axis=0)
+            q -= r_l
+            np.clip(q, lo, hi, out=q)
+            if floor is not None:
+                np.maximum(q, floor, out=q)
+            mag = np.abs(q)
+            m1, m2 = _two_smallest(mag)
+            # slots at the minimum take lut[m2], the rest lut[m1]; a tied
+            # minimum has m2 == m1, which is the golden lowest-index rule
+            a1 = np.take(lut, m1)
+            rmag = (mag == m1) * (np.take(lut, m2) - a1)
+            rmag += a1
+            odd_others = q >> sign_shift  # 0 or -1 per slot
+            odd_others ^= np.bitwise_xor.reduce(odd_others, axis=0)
+            np.bitwise_xor(rmag, odd_others, out=r_l)
+            r_l -= odd_others  # two's complement: -rmag where odd_others is -1
+            if clip_positive:
+                np.minimum(r_l, hi, out=r_l)
+            q += r_l
+            np.clip(q, lo, hi, out=q)
+            lq[lm.idx] = q
+        if not params.early_stop:
+            continue
+        ok = layout.syndrome_ok_batch(lq) & ~done
+        if ok.any():
+            final[ok] = lq[:n, ok].T
+            iterations[ok] = it
+            converged[ok] = True
+            done |= ok
+            if done.all():
+                break
+    final[~done] = lq[:n, ~done].T
+    if not params.early_stop:
+        converged = layout.syndrome_ok_batch(lq)
+    return [
+        DecodeResult(
+            hard_bits=hard_decision(final[f]),
+            iterations_run=int(iterations[f]),
+            converged=bool(converged[f]),
+            final_llrs=final[f],
+            fmt=fmt,
+        )
+        for f in range(n_frames)
+    ]

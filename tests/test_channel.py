@@ -92,6 +92,35 @@ class TestRunBer:
         assert (a.bit_errors, a.frames, a.frame_errors) == (b.bit_errors, b.frames, b.frame_errors)
         assert a.avg_iterations == b.avg_iterations
 
+    @pytest.mark.parametrize("algorithm", ["layered-nms", "flooding-spa"])
+    @pytest.mark.parametrize("min_errors", [10**9, 20])
+    def test_counts_match_frame_by_frame_golden(self, algorithm, min_errors):
+        # 45 frames: one full 32-frame block and a partial last block, unless
+        # the error budget stops the run at the block boundary first
+        h = load_code("wimax_576_288")
+        layout = CodeLayout.build(h)
+        params = DecodeParams(alpha=1.15, it_max=5)
+        decode = decode_layered_nms if algorithm == "layered-nms" else decode_flooding_spa
+        pt = run_ber(h, params, [1.5], StopRule(min_errors, 45), seed=8,
+                     algorithm=algorithm, layout=layout)[0]
+        frames = bit_errors = frame_errors = iterations = 0
+        while frames < 45 and bit_errors < min_errors:
+            for f in range(frames, min(frames + 32, 45)):
+                res = decode(h, awgn_llrs(h.n_cols, 0.5, 1.5, seed=8, frame=f), params, layout)
+                errs = int(res.hard_bits.sum())
+                bit_errors += errs
+                frame_errors += int(errs > 0)
+                iterations += res.iterations_run
+            frames = min(frames + 32, 45)
+        assert (pt.frames, pt.bit_errors, pt.frame_errors) == (frames, bit_errors, frame_errors)
+        assert pt.avg_iterations == iterations / frames
+        assert pt.frames == (32 if min_errors == 20 else 45)
+
+    def test_threads_below_one_rejected(self):
+        h = load_code("wimax_576_288")
+        with pytest.raises(ValueError, match="threads"):
+            run_ber(h, DecodeParams(), [2.0], StopRule(1, 1), threads=0)
+
     def test_early_stop_does_not_change_ber(self):
         h = load_code("wimax_576_288")
         kw = dict(snr_list=[1.8], stop=StopRule(10**9, 64), seed=4)
@@ -124,6 +153,12 @@ class TestQuantizationSweep:
         )
         assert pts[0].bit_errors == pts[1].bit_errors
         assert pts[0].frames == pts[1].frames
+
+    def test_threads_below_one_rejected(self):
+        h = load_code("wimax_576_288")
+        with pytest.raises(ValueError, match="threads"):
+            quantization_sweep(h, [QFormat(8, 1), QFormat(9, 2)], 2.0, DecodeParams(),
+                               StopRule(1, 1), threads=0)
 
     def test_requires_two_formats(self):
         h = load_code("wimax_576_288")

@@ -99,6 +99,15 @@ class TestBerAndThroughput:
         data = json.loads((tmp_path / "ber.json").read_text())
         assert len(data["points"]) == 2
 
+    def test_ber_rejects_threads_below_one(self, tmp_path, capsys):
+        rc = run([
+            "ber", "--code", "wimax_576_288", "--snr", "2.0", "--max-frames", "1",
+            "--threads", "0", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "ber.csv").exists()
+
     def test_throughput_formula(self, capsys):
         rc = run(["throughput", "--k-i", "843", "--f-clk", "300e6",
                   "--itmax", "10", "--block-length", "2304"])

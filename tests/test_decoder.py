@@ -10,12 +10,13 @@ from nocldpc.decoder import (
     DecodeParams,
     decode_flooding_spa,
     decode_layered_nms,
+    decode_layered_nms_batch,
     layer_update,
-    min2,
     syndrome_check,
 )
+from nocldpc.channel import awgn_llrs
 from nocldpc.decoder.spa import psi
-from nocldpc.fixedpoint import QFormat
+from nocldpc.fixedpoint import QFormat, reciprocal_scale_table
 
 
 def make_h(rows, n_cols):
@@ -40,25 +41,48 @@ def toy_codewords():
     return words
 
 
+def row_extrinsics(codes, alpha=1.0, fmt=QFormat(8, 1)):
+    """Extrinsics one check row gives positive inputs with these codes.
+
+    Runs one iteration of a single-row code through the golden and the
+    batched decoder; returns both as lists (final LLR minus input code).
+    """
+    codes = np.asarray(codes)
+    h = make_h([list(range(len(codes)))], len(codes))
+    llrs = codes * fmt.lsb
+    params = DecodeParams(alpha=alpha, it_max=1, fmt=fmt, early_stop=False)
+    gold = decode_layered_nms(h, llrs, params).final_llrs - codes
+    batch = decode_layered_nms_batch(h, llrs[None, :], params)[0].final_llrs - codes
+    return gold.tolist(), batch.tolist()
+
+
 class TestMin2:
+    """Two-minimum selection of the check-node kernel, in both decoders."""
+
     def test_basic(self):
-        assert min2([3, 1, 2]) == (1, 1, 2)
+        gold, batch = row_extrinsics([3, 1, 2])
+        assert gold == batch == [1, 2, 1]
 
     def test_tie_lowest_index(self):
-        assert min2([2, 2, 5]) == (2, 0, 2)
+        # a tied minimum gives every position that magnitude, wherever the tie is
+        for codes in ([2, 2, 5], [5, 2, 2], [2, 5, 2, 2]):
+            gold, batch = row_extrinsics(codes)
+            assert gold == batch == [2] * len(codes)
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            min2([1])
+        # a degree-1 row sees an empty minimum, read as the table's top entry
+        fmt = QFormat(8, 1)
+        top = int(reciprocal_scale_table(1.15, fmt)[-1])
+        gold, batch = row_extrinsics([3], alpha=1.15, fmt=fmt)
+        assert gold == batch == [top]
 
     def test_against_two_pass_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             vals = rng.integers(0, 30, size=20)
-            m1, t, m2 = min2(vals)
-            assert m1 == vals.min()
-            assert t == int(np.flatnonzero(vals == m1)[0])
-            assert m2 == np.delete(vals, t).min()
+            gold, batch = row_extrinsics(vals)
+            want = [int(np.delete(vals, j).min()) for j in range(len(vals))]
+            assert gold == batch == want
 
 
 def scalar_layer_oracle(h, layer_rows, lq, r, fmt, alpha):
@@ -234,6 +258,68 @@ class TestLayeredDecode:
         res = decode_layered_nms(h, llrs, DecodeParams(it_max=5, fmt=fmt))
         assert res.final_llrs.min() >= fmt.min_code
         assert res.final_llrs.max() <= fmt.max_code
+
+
+def assert_same_decode(gold, batch):
+    assert np.array_equal(batch.hard_bits, gold.hard_bits)
+    assert batch.hard_bits.dtype == gold.hard_bits.dtype
+    assert batch.iterations_run == gold.iterations_run
+    assert batch.converged == gold.converged
+    assert np.array_equal(batch.final_llrs, gold.final_llrs)
+    assert batch.final_llrs.dtype == gold.final_llrs.dtype
+
+
+def random_small_code(rng, n_d_one=False):
+    n = int(rng.integers(6, 30))
+    rows = []
+    for _ in range(int(rng.integers(2, 12))):
+        deg = 1 if n_d_one else int(rng.integers(1, 7))
+        rows.append(sorted(rng.choice(n, size=deg, replace=False).tolist()))
+    return make_h(rows, n)
+
+
+class TestBatchedDecode:
+    @pytest.mark.parametrize("snr_db", [1.0, 2.2])
+    @pytest.mark.parametrize(
+        "code", ["wimax_2304_1152", "wimax_576_288", "wifi_1944_486", "random_1057_244"]
+    )
+    def test_bundled_codes_match_golden(self, code, snr_db):
+        h = load_code(code)
+        layout = CodeLayout.build(h)
+        rate = 1.0 - h.n_rows / h.n_cols
+        llrs = np.stack([awgn_llrs(h.n_cols, rate, snr_db, seed=47, frame=f) for f in range(32)])
+        params = DecodeParams(alpha=1.15, it_max=10)
+        batch = decode_layered_nms_batch(h, llrs, params, layout)
+        assert len(batch) == 32
+        for row, res in zip(llrs, batch):
+            assert_same_decode(decode_layered_nms(h, row, params, layout), res)
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("alpha", [1.0, 1.15, 1.5])
+    @pytest.mark.parametrize(
+        "fmt", [QFormat(6, 0), QFormat(8, 1), QFormat(9, 2), QFormat(16, 4)], ids=str
+    )
+    def test_random_small_codes_match_golden(self, fmt, alpha, early_stop):
+        # degree-1 rows, an all-degree-1 code (N_d == 1), one frame, it_max 1,
+        # and LLRs large enough to saturate every format
+        rng = np.random.default_rng(53)
+        for case in range(12):
+            h = random_small_code(rng, n_d_one=case == 0)
+            layout = CodeLayout.build(h)
+            n_frames = 1 if case == 1 else int(rng.integers(2, 10))
+            it_max = 1 if case == 2 else int(rng.integers(2, 9))
+            params = DecodeParams(alpha=alpha, it_max=it_max, fmt=fmt, early_stop=early_stop)
+            scale = rng.choice([1.0, 1.0, 1e4], size=(n_frames, h.n_cols))
+            llrs = rng.normal(1.0, 3.0, size=(n_frames, h.n_cols)) * scale
+            batch = decode_layered_nms_batch(h, llrs, params, layout)
+            for row, res in zip(llrs, batch):
+                assert_same_decode(decode_layered_nms(h, row, params, layout), res)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            decode_layered_nms_batch(TOY, np.zeros(6), DecodeParams())
+        with pytest.raises(ValueError):
+            decode_layered_nms_batch(TOY, np.zeros((2, 5)), DecodeParams())
 
 
 class TestSyndrome:
