@@ -10,11 +10,11 @@ LLR = 2 y / sigma^2.
 Reproducibility: frame f of a run draws its unit noise from a generator
 seeded with (seed, f), and the same unit noise is rescaled for every SNR
 point and quantization format (paired comparisons).  Frames are consumed in
-fixed blocks of 32 with the stop rule evaluated between blocks.  Layered NMS
-decodes each block in one frame-batched call (decode_layered_nms_batch,
-bit-exact with the single-frame golden); flooding SPA decodes it frame by
-frame.  The ``threads`` argument is kept for callers but changes neither the
-counts nor the speed: decoding runs on the calling thread.
+fixed blocks of 32 with the stop rule evaluated between blocks.  Each block
+is decoded in one frame-batched call on the calling thread:
+decode_layered_nms_batch for layered NMS and decode_flooding_spa_batch for
+flooding SPA, each bit-exact with its single-frame golden.  The ``threads``
+argument is kept for callers but changes neither the counts nor the speed.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes.matrix import ParityCheckMatrix
-from .decoder import CodeLayout, DecodeParams, decode_flooding_spa, decode_layered_nms_batch
+from .decoder import CodeLayout, DecodeParams, decode_flooding_spa_batch, decode_layered_nms_batch
 from .fixedpoint import QFormat
 
 _BLOCK = 32  # frames per block; fixed so the stop rule sees the same boundaries
 
-ALGORITHMS = ("layered-nms", "flooding-spa")
+_DECODERS = {"layered-nms": decode_layered_nms_batch, "flooding-spa": decode_flooding_spa_batch}
+ALGORITHMS = tuple(_DECODERS)
 
 
 @dataclass
@@ -140,10 +141,7 @@ def run_ber(
             block += 1.0
             block *= 2.0
             block /= sigma * sigma
-            if algorithm == "layered-nms":
-                results = decode_layered_nms_batch(h, block, params, layout)
-            else:
-                results = [decode_flooding_spa(h, row, params, layout) for row in block]
+            results = _DECODERS[algorithm](h, block, params, layout)
             for res in results:
                 errs = int(res.hard_bits.sum())
                 bit_errors += errs

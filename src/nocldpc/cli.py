@@ -112,8 +112,6 @@ def _add_decode_args(p):
     p.add_argument("--itmax", type=int, default=10)
     p.add_argument("--quant", default="8_1", help="fixed-point format n_m")
     p.add_argument("--no-early-stop", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for scripts; changes neither BER counts nor speed (must be >= 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,6 @@ def cmd_switch(args) -> int:
         _write_json(args, "switch.json", result)
     print(f"switch k1={k1} k2={k2} over {n} buses: B={b} (minimum {b_min})")
     print(f"phases: w1={plan.w1} w2={plan.w2} w3={plan.w3}")
-    worst = reports[-1]
     if ok:
         print("upload verification: PASS (all bus alignments)")
     else:
@@ -449,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-errors", type=int, default=100)
     p.add_argument("--max-frames", type=int, default=10000)
     p.add_argument("--algorithm", choices=["layered-nms", "flooding-spa"], default="layered-nms")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for scripts; changes neither BER counts nor speed (must be >= 1)")
     p.set_defaults(func=cmd_ber)
 
     p = sub.add_parser("throughput", help="decoded-bit throughput from cycle counts")

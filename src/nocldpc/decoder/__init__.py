@@ -8,7 +8,7 @@ from .nms import (
     layer_update,
     syndrome_check,
 )
-from .spa import decode_flooding_spa
+from .spa import decode_flooding_spa, decode_flooding_spa_batch
 
 __all__ = [
     "CheckState",
@@ -16,6 +16,7 @@ __all__ = [
     "DecodeParams",
     "DecodeResult",
     "decode_flooding_spa",
+    "decode_flooding_spa_batch",
     "decode_layered_nms",
     "decode_layered_nms_batch",
     "layer_update",

@@ -41,6 +41,7 @@ class CodeLayout:
     layer_rows: list[np.ndarray]  # rows of each layer, ascending
     layer_maps: list[LayerMap]  # batched-decoder maps, one per layer
     check_idx: np.ndarray  # (W, M) variable per slot, padded slots at row N
+    var_edges: np.ndarray  # (d_v, N) flat slot of each column's edges, see build
 
     @classmethod
     def build(cls, h: ParityCheckMatrix) -> "CodeLayout":
@@ -68,8 +69,21 @@ class CodeLayout:
             span = slice(start, start + len(rows))
             layer_maps.append(LayerMap(lidx, pad[:, :, None] if pad.any() else None, span))
             start = span.stop
+
+        # column j of var_edges lists the (slot k, check r) edges of variable
+        # j as flat indices k * M + r into a (W * M + 1)-row store, by
+        # ascending check; columns of lower degree are padded with the spare
+        # last row
+        slot, check = np.nonzero(check_idx != h.n_cols)
+        col = check_idx[slot, check]
+        order = np.lexsort((check, col))
+        col = col[order]
+        deg = np.bincount(col, minlength=h.n_cols)
+        depth = np.arange(len(col)) - (np.cumsum(deg) - deg)[col]
+        var_edges = np.full((int(deg.max()), h.n_cols), w * m, dtype=np.intp)
+        var_edges[depth, col] = (slot * m + check)[order]
         return cls(h=h, n_d=n_d, idx=idx, mask=mask, layer_rows=layer_rows,
-                   layer_maps=layer_maps, check_idx=check_idx)
+                   layer_maps=layer_maps, check_idx=check_idx, var_edges=var_edges)
 
     def syndrome_ok(self, bits: np.ndarray) -> bool:
         """True iff every row's parity over its variables is zero."""

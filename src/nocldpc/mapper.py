@@ -212,7 +212,7 @@ def _greedy_grow(g: _Graph, target: int, rng) -> np.ndarray:
     return side
 
 
-def _fm_refine(g: _Graph, side: np.ndarray, target0: int, tol: int, passes: int, rng) -> None:
+def _fm_refine(g: _Graph, side: np.ndarray, target0: int, tol: int, passes: int) -> None:
     """Boundary refinement with per-pass rollback to the best prefix."""
     w0 = int(g.vw[side == 0].sum())
     for _ in range(passes):
@@ -290,7 +290,7 @@ def _bisect(g: _Graph, target0: int, rng, exact: bool) -> np.ndarray:
     best_side, best_cut = None, None
     for _ in range(4):
         side = _greedy_grow(coarse, target0, rng)
-        _fm_refine(coarse, side, target0, max(1, max_vw), passes=4, rng=rng)
+        _fm_refine(coarse, side, target0, max(1, max_vw), passes=4)
         cut = _cut_of(coarse, side)
         if best_cut is None or cut < best_cut:
             best_side, best_cut = side.copy(), cut
@@ -301,13 +301,13 @@ def _bisect(g: _Graph, target0: int, rng, exact: bool) -> np.ndarray:
         _, cmap = levels[fine_idx]
         side = side[cmap]
         tol = max(1, int(fine.vw.max()))
-        _fm_refine(fine, side, target0, tol, passes=3, rng=rng)
+        _fm_refine(fine, side, target0, tol, passes=3)
 
     if not levels:
-        _fm_refine(g, side, target0, 1, passes=3, rng=rng)
+        _fm_refine(g, side, target0, 1, passes=3)
     if exact:
         _rebalance_exact(g, side, target0)
-        _fm_refine(g, side, target0, 0, passes=2, rng=rng)
+        _fm_refine(g, side, target0, 0, passes=2)
     return side
 
 

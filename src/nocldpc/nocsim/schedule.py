@@ -14,7 +14,7 @@ soft value on iteration one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class InjectionSchedule:
     first_slot: dict[int, tuple[int, int]]  # var -> (check, position) of chain head
     network_flits: list[Emission]  # in uid order
     n_bypass: int = 0
-    counts_by_pe: list[int] = field(default_factory=list)
 
     @property
     def n_network(self) -> int:
@@ -165,7 +164,6 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
         first_slot=first_slot,
         network_flits=network_flits,
         n_bypass=n_bypass,
-        counts_by_pe=[sum(1 for e in network_flits if host[e.src_check] == pe) for pe in range(mapping.p)],
     )
     _check_counts(sched, h)
     return sched

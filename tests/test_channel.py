@@ -86,11 +86,12 @@ class TestRunBer:
 
     def test_thread_count_does_not_change_counts(self):
         h = load_code("wimax_576_288")
-        kw = dict(snr_list=[1.5], stop=StopRule(200, 96), seed=9)
-        a = run_ber(h, DecodeParams(alpha=1.15, it_max=4), threads=1, **kw)[0]
-        b = run_ber(h, DecodeParams(alpha=1.15, it_max=4), threads=4, **kw)[0]
-        assert (a.bit_errors, a.frames, a.frame_errors) == (b.bit_errors, b.frames, b.frame_errors)
-        assert a.avg_iterations == b.avg_iterations
+        for algorithm in ("layered-nms", "flooding-spa"):
+            kw = dict(snr_list=[1.5], stop=StopRule(200, 96), seed=9, algorithm=algorithm)
+            a = run_ber(h, DecodeParams(alpha=1.15, it_max=4), threads=1, **kw)[0]
+            b = run_ber(h, DecodeParams(alpha=1.15, it_max=4), threads=4, **kw)[0]
+            assert (a.bit_errors, a.frames, a.frame_errors) == (b.bit_errors, b.frames, b.frame_errors)
+            assert a.avg_iterations == b.avg_iterations
 
     @pytest.mark.parametrize("algorithm", ["layered-nms", "flooding-spa"])
     @pytest.mark.parametrize("min_errors", [10**9, 20])

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nocldpc.cli import main
 
 
@@ -137,6 +139,17 @@ class TestPipeline:
         assert report["cut_below_random_baseline"] is True
         for name in ("mapping.json", "trace.json", "config.json"):
             assert (tmp_path / name).exists()
+
+    def test_rejects_threads(self, tmp_path, capsys):
+        # --threads belongs to ber only; pipeline decodes nothing in batches
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "pipeline", "--code", "wimax_576_288", "--torus-n", "1",
+                "--threads", "2", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_single_pe_degenerate(self, tmp_path, capsys):
         rc = run([

@@ -9,6 +9,7 @@ from nocldpc.decoder import (
     CodeLayout,
     DecodeParams,
     decode_flooding_spa,
+    decode_flooding_spa_batch,
     decode_layered_nms,
     decode_layered_nms_batch,
     layer_update,
@@ -320,6 +321,80 @@ class TestBatchedDecode:
             decode_layered_nms_batch(TOY, np.zeros(6), DecodeParams())
         with pytest.raises(ValueError):
             decode_layered_nms_batch(TOY, np.zeros((2, 5)), DecodeParams())
+
+
+def assert_same_bits(gold, batch):
+    """assert_same_decode, with final LLRs equal down to the sign of zeros."""
+    assert_same_decode(gold, batch)
+    assert np.array_equal(batch.final_llrs.view(np.uint64), gold.final_llrs.view(np.uint64))
+
+
+def wide_code(rng, degrees):
+    """Random code with one row of each given degree, plus a few short rows."""
+    n = max(degrees) + int(rng.integers(1, 20))
+    rows = [sorted(rng.choice(n, size=d, replace=False).tolist()) for d in degrees]
+    rows += [sorted(rng.choice(n, size=int(rng.integers(1, 5)), replace=False).tolist())
+             for _ in range(int(rng.integers(1, 4)))]
+    return make_h(rows, n)
+
+
+class TestBatchedSpa:
+    @pytest.mark.parametrize("snr_db", [1.0, 2.2])
+    @pytest.mark.parametrize(
+        "code", ["wimax_2304_1152", "wimax_576_288", "wifi_1944_486", "random_1057_244"]
+    )
+    def test_bundled_codes_match_golden(self, code, snr_db):
+        h = load_code(code)
+        layout = CodeLayout.build(h)
+        rate = 1.0 - h.n_rows / h.n_cols
+        llrs = np.stack([awgn_llrs(h.n_cols, rate, snr_db, seed=59, frame=f) for f in range(32)])
+        params = DecodeParams(it_max=10)
+        batch = decode_flooding_spa_batch(h, llrs, params, layout)
+        assert len(batch) == 32
+        for row, res in zip(llrs, batch):
+            assert_same_bits(decode_flooding_spa(h, row, params, layout), res)
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_random_small_codes_match_golden(self, early_stop):
+        # an all-degree-1 code (N_d == 1), one frame, it_max 1, LLRs of
+        # +-0.0, which give zero messages of either sign, and LLRs saturated
+        # at +-60 where tanh rounds to 1
+        rng = np.random.default_rng(61)
+        for case in range(16):
+            h = random_small_code(rng, n_d_one=case == 0)
+            layout = CodeLayout.build(h)
+            n_frames = 1 if case == 1 else int(rng.integers(2, 10))
+            it_max = 1 if case == 2 else int(rng.integers(2, 9))
+            params = DecodeParams(it_max=it_max, early_stop=early_stop)
+            llrs = rng.normal(1.0, 3.0, size=(n_frames, h.n_cols))
+            if case % 4 == 2:
+                llrs = rng.choice([0.0, -0.0, 0.5, -1.0], size=llrs.shape)
+            if case % 4 == 3:
+                llrs = np.where(rng.random(llrs.shape) < 0.5, 60.0, -60.0)
+            batch = decode_flooding_spa_batch(h, llrs, params, layout)
+            for row, res in zip(llrs, batch):
+                assert_same_bits(decode_flooding_spa(h, row, params, layout), res)
+
+    @pytest.mark.parametrize("degrees", [[8], [15, 9], [16], [40, 23], [129], [140, 70], [300]],
+                             ids=str)
+    def test_wide_rows_match_golden(self, degrees):
+        # N_d from 8 up takes numpy's 8-accumulator row sum, above 128 its
+        # recursive halving; the batched row sums must add in the same order
+        rng = np.random.default_rng(sum(degrees))
+        h = wide_code(rng, degrees)
+        layout = CodeLayout.build(h)
+        for early_stop in (True, False):
+            params = DecodeParams(it_max=6, early_stop=early_stop)
+            llrs = rng.normal(7.0, 3.0, size=(5, h.n_cols))
+            batch = decode_flooding_spa_batch(h, llrs, params, layout)
+            for row, res in zip(llrs, batch):
+                assert_same_bits(decode_flooding_spa(h, row, params, layout), res)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            decode_flooding_spa_batch(TOY, np.zeros(6), DecodeParams())
+        with pytest.raises(ValueError):
+            decode_flooding_spa_batch(TOY, np.zeros((2, 5)), DecodeParams())
 
 
 class TestSyndrome:
