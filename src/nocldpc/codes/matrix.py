@@ -154,6 +154,9 @@ class CheckGraph:
     n_vertices: int
     edges: dict[tuple[int, int], int]
     shared_pairs: frozenset[tuple[int, int]]
+    _edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def n_edges(self) -> int:
@@ -170,14 +173,22 @@ class CheckGraph:
         return len(self.shared_pairs)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge list as (u, v, weight) arrays sorted by (u, v)."""
-        if not self.edges:
-            z = np.zeros(0, dtype=np.int32)
-            return z, z.copy(), z.copy()
-        items = sorted(self.edges.items())
-        uv = np.asarray([e for e, _ in items], dtype=np.int32)
-        w = np.asarray([w for _, w in items], dtype=np.int32)
-        return uv[:, 0], uv[:, 1], w
+        """Edge list as read-only (u, v, weight) int32 arrays sorted by (u, v).
+
+        Built on first use and kept: ``edges`` must not change afterwards.
+        """
+        if self._edge_arrays is None:
+            items = sorted(self.edges.items())
+            uv = np.asarray([e for e, _ in items], dtype=np.int32).reshape(-1, 2)
+            arrays = (
+                np.ascontiguousarray(uv[:, 0]),
+                np.ascontiguousarray(uv[:, 1]),
+                np.asarray([w for _, w in items], dtype=np.int32),
+            )
+            for a in arrays:
+                a.flags.writeable = False
+            self._edge_arrays = arrays
+        return self._edge_arrays
 
 
 def serving_rank(h: ParityCheckMatrix) -> np.ndarray:

@@ -3,7 +3,9 @@
 Builds an m x n matrix with constant row degree; column degrees are balanced
 automatically (total sockets spread as evenly as possible over columns).
 Duplicate edges left by the random permutation are repaired by re-drawing
-swap partners.  No girth optimization is attempted.
+swap partners.  Dense shapes the repair cannot untangle fall back to a
+cyclic construction with the same degrees.  No girth optimization is
+attempted.
 """
 
 from __future__ import annotations
@@ -35,35 +37,41 @@ def random_code(n: int, m: int, row_degree: int, seed: int, label: str = "") -> 
         perm = rng.permutation(sockets)
         cols = col_of_socket[perm]
         if _repair_duplicates(row_of_socket, cols, rng):
-            rows = [
-                np.sort(cols[r * row_degree : (r + 1) * row_degree]).astype(np.int32)
-                for r in range(m)
-            ]
-            h = ParityCheckMatrix(n_cols=n, n_rows=m, rows=rows, label=label)
-            h.validate()
-            return h
-    raise CodeError("could not remove duplicate edges; degree combination too dense")
+            break
+    else:
+        # row r takes columns (r*d + k) mod n: column c is hit by exactly
+        # col_degree[c] rows, and a row of d <= n consecutive columns has no
+        # duplicate
+        cols = np.arange(sockets, dtype=np.int64) % n
+    rows = [
+        np.sort(cols[r * row_degree : (r + 1) * row_degree]).astype(np.int32)
+        for r in range(m)
+    ]
+    h = ParityCheckMatrix(n_cols=n, n_rows=m, rows=rows, label=label)
+    h.validate()
+    return h
 
 
 def _repair_duplicates(row_of_socket: np.ndarray, cols: np.ndarray, rng) -> bool:
-    """Swap socket targets until no row sees the same column twice."""
-    m = int(row_of_socket[-1]) + 1
+    """Swap socket targets until no row sees the same column twice.
+
+    Each pass finds every socket whose column already appeared earlier in
+    its row, in ascending socket order, and swaps each in turn with a
+    uniformly drawn partner.
+    """
     sockets = len(cols)
+    # (row, column) key of each socket, scaled so that adding the socket
+    # index keeps keys unique: one plain sort orders them by key, then socket
+    row_key = row_of_socket * (int(cols.max()) + 1) * sockets + np.arange(sockets)
+    c = cols.tolist()
     for _ in range(100):
-        dup_positions = []
-        for r in range(m):
-            lo = np.searchsorted(row_of_socket, r)
-            hi = np.searchsorted(row_of_socket, r, side="right")
-            seen: set[int] = set()
-            for i in range(lo, hi):
-                c = int(cols[i])
-                if c in seen:
-                    dup_positions.append(i)
-                else:
-                    seen.add(c)
-        if not dup_positions:
+        ordered = np.sort(row_key + np.array(c, dtype=np.int64) * sockets)
+        key, socket = np.divmod(ordered, sockets)
+        # later occurrences of a (row, column) pair, in socket order
+        dup = np.sort(socket[1:][key[1:] == key[:-1]]).tolist()
+        if not dup:
+            cols[:] = c
             return True
-        for i in dup_positions:
-            j = int(rng.integers(sockets))
-            cols[i], cols[j] = cols[j], cols[i]
+        for i, j in zip(dup, rng.integers(sockets, size=len(dup)).tolist()):
+            c[i], c[j] = c[j], c[i]
     return False

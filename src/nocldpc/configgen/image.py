@@ -26,6 +26,8 @@ from ..nocsim.trace import NocTrace
 
 FORMAT = "nocldpc-config-v1"
 _BIN_MAGIC = b"NOCLDPCC"
+_KEYS = ("label", "n", "k_i", "n_d", "n_pc", "pipeline_depth", "rm", "wag", "cnt_cmp",
+         "fifo_depth", "slot_of", "trace_digest", "mapping_digest", "h_digest")
 
 
 class ConfigIntegrityError(ValueError):
@@ -105,29 +107,51 @@ class ConfigImage:
 
     @classmethod
     def from_json(cls, text: str) -> "ConfigImage":
-        obj = json.loads(text)
-        if obj.get("format") != FORMAT:
+        """Rebuild an image; malformed text raises ConfigIntegrityError."""
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise ConfigIntegrityError(f"configuration image is not JSON: {exc}") from None
+        if not isinstance(obj, dict) or obj.get("format") != FORMAT:
             raise ConfigIntegrityError("not a nocldpc configuration image")
-        img = cls(
-            label=obj["label"],
-            n=obj["n"],
-            k_i=obj["k_i"],
-            n_d=obj["n_d"],
-            n_pc=obj["n_pc"],
-            pipeline_depth=obj["pipeline_depth"],
-            rm=[[int(w) for w in node] for node in obj["rm"]],
-            wag=[[int(a) for a in pe] for pe in obj["wag"]],
-            cnt_cmp=[[tuple(x) for x in pe] for pe in obj["cnt_cmp"]],
-            fifo_depth=np.asarray(obj["fifo_depth"], dtype=np.int64),
-            slot_of={
-                (int(k.split(":")[0]), int(k.split(":")[1])): int(v)
-                for k, v in obj["slot_of"].items()
-            },
-            trace_digest=obj["trace_digest"],
-            mapping_digest=obj["mapping_digest"],
-            h_digest=obj["h_digest"],
-            digest=obj.get("digest", ""),
-        )
+        missing = [k for k in _KEYS if k not in obj]
+        if missing:
+            raise ConfigIntegrityError(f"configuration image lacks {', '.join(missing)}")
+        try:
+            img = cls(
+                label=str(obj["label"]),
+                n=int(obj["n"]),
+                k_i=int(obj["k_i"]),
+                n_d=int(obj["n_d"]),
+                n_pc=int(obj["n_pc"]),
+                pipeline_depth=int(obj["pipeline_depth"]),
+                rm=[[int(w) for w in node] for node in obj["rm"]],
+                wag=[[int(a) for a in pe] for pe in obj["wag"]],
+                cnt_cmp=[[tuple(map(int, x)) for x in pe] for pe in obj["cnt_cmp"]],
+                fifo_depth=np.asarray(obj["fifo_depth"], dtype=np.int64),
+                slot_of={
+                    tuple(map(int, k.split(":"))): int(v) for k, v in obj["slot_of"].items()
+                },
+                trace_digest=str(obj["trace_digest"]),
+                mapping_digest=str(obj["mapping_digest"]),
+                h_digest=str(obj["h_digest"]),
+                digest=str(obj.get("digest", "")),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigIntegrityError(f"malformed configuration image: {exc}") from None
+        p = img.p
+        if len(img.rm) != p or any(len(node) != img.k_i for node in img.rm):
+            raise ConfigIntegrityError(
+                f"routing memories must hold {img.k_i} words on each of {p} nodes"
+            )
+        if len(img.wag) != p or len(img.cnt_cmp) != p:
+            raise ConfigIntegrityError(f"WAG and CNT/CMP tables must cover {p} PEs")
+        if any(len(x) != 2 for pe in img.cnt_cmp for x in pe):
+            raise ConfigIntegrityError("CNT/CMP entries need an offset and a degree")
+        if any(len(k) != 2 for k in img.slot_of):
+            raise ConfigIntegrityError("slot map keys must read check:position")
+        if img.fifo_depth.shape != (p, 5):
+            raise ConfigIntegrityError(f"FIFO depths must be {p} x 5")
         return img
 
     def rm_to_binary(self) -> bytes:
@@ -160,66 +184,58 @@ def gen_config(
         raise ConfigIntegrityError(f"mapping is for {mapping.p} PEs, trace for {p}")
     n_d = h.max_row_degree
     n_pc = max((len(rows) for rows in mapping.order), default=0)
-    serve_pos = schedule.serve_pos
+    serve_pos = schedule.serve_pos.tolist()
+    host = schedule.host.tolist()
+    degs = [len(row) for row in h.rows]
 
     # slots: network arrivals claim slots in arrival order, remaining inputs
     # (bypass / wrap-in-place / self) fill the leftover slots in position order
     slot_of: dict[tuple[int, int], int] = {}
-    next_slot = np.zeros(h.n_rows, dtype=np.int64)
-    seen: set[tuple[int, int]] = set()
+    next_slot = [0] * h.n_rows
     for pe in range(p):
         for check, pos, _src, _uid, _rc in trace.arrivals[pe]:
             key = (int(check), int(pos))
-            if key in seen:
+            if key in slot_of:
                 raise ConfigIntegrityError(f"duplicate arrival for {key}")
-            seen.add(key)
-            if int(mapping.assignment[check]) != pe:
+            if host[check] != pe:
                 raise ConfigIntegrityError(
-                    f"check {check} arrived at PE {pe}, hosted on {mapping.assignment[check]}"
+                    f"check {check} arrived at PE {pe}, hosted on {host[check]}"
                 )
-            slot_of[key] = int(next_slot[check])
+            slot_of[key] = next_slot[check]
             next_slot[check] += 1
-    network_inputs = {
-        (m, pos)
-        for m in range(h.n_rows)
-        for pos in range(len(h.rows[m]))
-        if schedule.input_pred[m, pos] >= 0
-        and schedule.host[schedule.input_pred[m, pos]] != schedule.host[m]
-    }
-    if network_inputs != seen:
+    # inputs whose predecessor check sits on another PE
+    pred = schedule.input_pred
+    crossing = (pred >= 0) & (schedule.host[np.maximum(pred, 0)] != schedule.host[:, None])
+    network_inputs = set(zip(*(a.tolist() for a in np.nonzero(crossing))))
+    if network_inputs != slot_of.keys():
         raise ConfigIntegrityError(
-            f"trace delivered {len(seen)} inputs, schedule expects {len(network_inputs)}"
+            f"trace delivered {len(slot_of)} inputs, schedule expects {len(network_inputs)}"
         )
-    for m in range(h.n_rows):
-        for pos in range(len(h.rows[m])):
+    for m, d in enumerate(degs):
+        for pos in range(d):
             if (m, pos) not in slot_of:
-                slot_of[(m, pos)] = int(next_slot[m])
+                slot_of[(m, pos)] = next_slot[m]
                 next_slot[m] += 1
 
     wag: list[list[int]] = []
     for pe in range(p):
         addrs = [
-            int(serve_pos[check]) * n_d + slot_of[(int(check), int(pos))]
+            serve_pos[check] * n_d + slot_of[(check, pos)]
             for check, pos, *_ in trace.arrivals[pe]
         ]
         if len(set(addrs)) != len(addrs):
             raise ConfigIntegrityError(f"WAG address collision on PE {pe}")
         wag.append(addrs)
 
-    cnt_cmp = [
-        [(int(serve_pos[m]) * n_d, len(h.rows[m])) for m in mapping.order[pe]]
-        for pe in range(p)
-    ]
+    cnt_cmp = [[(serve_pos[m] * n_d, degs[m]) for m in mapping.order[pe]] for pe in range(p)]
 
     rm = [[0] * trace.k_i for _ in range(p)]
     for node, ops in enumerate(trace.rm_ops):
-        by_cycle: dict[int, list[tuple[int, int]]] = {}
+        words = rm[node]
         for cycle, out, inp in ops:
             if cycle >= trace.k_i:
                 raise ConfigIntegrityError("routing operation beyond k_i")
-            by_cycle.setdefault(cycle, []).append((out, inp))
-        for cycle, sel in by_cycle.items():
-            rm[node][cycle] = pack_rm_word(sel)
+            words[cycle] |= pack_rm_word([(out, inp)])
 
     fifo_depth = trace.fifo_max.copy()
     if fifo_pow2:

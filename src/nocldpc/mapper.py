@@ -85,8 +85,6 @@ def cutset(graph: CheckGraph, mapping: Mapping, distinct: bool = False) -> int:
     if distinct:
         return sum(1 for (i, j) in graph.edges if part[i] != part[j])
     u, v, w = graph.edge_arrays()
-    if len(u) == 0:
-        return 0
     return int(w[part[u] != part[v]].sum())
 
 
@@ -106,167 +104,185 @@ def serving_order(h: ParityCheckMatrix, mapping: Mapping) -> list[list[int]]:
 
 
 class _Graph:
-    """Adjacency-list weighted graph used inside the partitioner."""
+    """Adjacency-list weighted graph used inside the partitioner.
 
-    __slots__ = ("n", "adj", "vw")
+    adj[v] lists (neighbour, edge weight); vw[v] is the vertex weight and
+    wdeg[v] the total weight of v's edges.  Everything is plain Python ints:
+    the partitioner touches one element at a time, where numpy scalars cost
+    more than they save.
+    """
 
-    def __init__(self, n: int, adj: list[list[tuple[int, int]]], vw: np.ndarray):
+    __slots__ = ("n", "adj", "vw", "wdeg")
+
+    def __init__(self, n: int, adj: list[list[tuple[int, int]]], vw: list[int]):
         self.n = n
         self.adj = adj
         self.vw = vw
+        self.wdeg = [sum(w for _, w in a) for a in adj]
 
     @classmethod
-    def from_edges(cls, n: int, edges: dict[tuple[int, int], int]) -> "_Graph":
+    def from_check_graph(cls, graph: CheckGraph) -> "_Graph":
+        n = graph.n_vertices
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (i, j), w in sorted(edges.items()):
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return cls(n, adj, np.ones(n, dtype=np.int64))
+        u, v, w = graph.edge_arrays()
+        for i, j, x in zip(u.tolist(), v.tolist(), w.tolist()):
+            adj[i].append((j, x))
+            adj[j].append((i, x))
+        return cls(n, adj, [1] * n)
 
-    def subgraph(self, vertices: np.ndarray) -> tuple["_Graph", np.ndarray]:
-        local = {int(v): i for i, v in enumerate(vertices)}
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(len(vertices))]
-        for i, v in enumerate(vertices):
-            for u, w in self.adj[int(v)]:
-                li = local.get(u)
-                if li is not None:
-                    adj[i].append((li, w))
-        return _Graph(len(vertices), adj, self.vw[vertices].copy()), vertices
+    def subgraph(self, vertices: list[int]) -> "_Graph":
+        local = {v: i for i, v in enumerate(vertices)}
+        adj = [[(local[u], w) for u, w in self.adj[v] if u in local] for v in vertices]
+        return _Graph(len(vertices), adj, [self.vw[v] for v in vertices])
 
 
-def _coarsen(g: _Graph, rng) -> tuple[_Graph, np.ndarray] | None:
+def _weight0(g: _Graph, side: list[int]) -> int:
+    return sum(x for x, s in zip(g.vw, side) if s == 0)
+
+
+def _coarsen(g: _Graph, rng) -> tuple[_Graph, list[int]] | None:
     """One heavy-edge matching pass; None when it stops shrinking."""
-    match = np.full(g.n, -1, dtype=np.int64)
-    for v in rng.permutation(g.n):
-        v = int(v)
+    adj = g.adj
+    match = [-1] * g.n
+    for v in rng.permutation(g.n).tolist():
         if match[v] >= 0:
             continue
         best, best_w = -1, -1
-        for u, w in g.adj[v]:
+        for u, w in adj[v]:
             if match[u] < 0 and u != v and (w > best_w or (w == best_w and u < best)):
                 best, best_w = u, w
-        match[v] = best if best >= 0 else v
         if best >= 0:
-            match[best] = v
+            match[v], match[best] = best, v
+        else:
+            match[v] = v
 
-    coarse_id = np.full(g.n, -1, dtype=np.int64)
+    coarse_id = [-1] * g.n
     nc = 0
     for v in range(g.n):
         if coarse_id[v] < 0:
-            coarse_id[v] = nc
-            m = int(match[v])
-            if m != v and m >= 0:
-                coarse_id[m] = nc
+            coarse_id[v] = coarse_id[match[v]] = nc
             nc += 1
     if nc >= g.n or nc > 0.95 * g.n:
         return None
 
-    cadj_maps: list[dict[int, int]] = [dict() for _ in range(nc)]
-    cvw = np.zeros(nc, dtype=np.int64)
-    for v in range(g.n):
-        cv = int(coarse_id[v])
-        cvw[cv] += int(g.vw[v])
-        for u, w in g.adj[v]:
-            cu = int(coarse_id[u])
+    cadj_maps: list[dict[int, int]] = [{} for _ in range(nc)]
+    cvw = [0] * nc
+    for v, cv in enumerate(coarse_id):
+        cvw[cv] += g.vw[v]
+        cmap = cadj_maps[cv]
+        for u, w in adj[v]:
+            cu = coarse_id[u]
             if cu != cv:
-                cadj_maps[cv][cu] = cadj_maps[cv].get(cu, 0) + w
-    cadj = [sorted(m.items()) for m in cadj_maps]
-    return _Graph(nc, [list(a) for a in cadj], cvw), coarse_id
+                cmap[cu] = cmap.get(cu, 0) + w
+    return _Graph(nc, [sorted(m.items()) for m in cadj_maps], cvw), coarse_id
 
 
-def _cut_of(g: _Graph, side: np.ndarray) -> int:
+def _cut_of(g: _Graph, side: list[int]) -> int:
     total = 0
-    for v in range(g.n):
+    for v, a in enumerate(g.adj):
         sv = side[v]
-        for u, w in g.adj[v]:
+        for u, w in a:
             if u > v and side[u] != sv:
                 total += w
     return total
 
 
-def _greedy_grow(g: _Graph, target: int, rng) -> np.ndarray:
+def _greedy_grow(g: _Graph, target: int, rng) -> list[int]:
     """Region growing: accumulate the most attached vertex until target weight."""
-    side = np.ones(g.n, dtype=np.int8)
-    attach = np.zeros(g.n, dtype=np.int64)
-    in0 = np.zeros(g.n, dtype=bool)
+    side = [1] * g.n
+    attach = [0] * g.n
     w0 = 0
     start = int(rng.integers(g.n))
     frontier = [(-1, start)]
     while w0 < target:
         while frontier:
             _, v = heapq.heappop(frontier)
-            if not in0[v]:
+            if side[v]:
                 break
         else:
-            rest = np.nonzero(~in0)[0]
-            if len(rest) == 0:
+            rest = [u for u, s in enumerate(side) if s]
+            if not rest:
                 break
-            v = int(rest[rng.integers(len(rest))])
-        in0[v] = True
+            v = rest[int(rng.integers(len(rest)))]
         side[v] = 0
-        w0 += int(g.vw[v])
+        w0 += g.vw[v]
         for u, w in g.adj[v]:
-            if not in0[u]:
+            if side[u]:
                 attach[u] += w
-                heapq.heappush(frontier, (-int(attach[u]), u))
+                heapq.heappush(frontier, (-attach[u], u))
     return side
 
 
-def _fm_refine(g: _Graph, side: np.ndarray, target0: int, tol: int, passes: int) -> None:
+def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) -> None:
     """Boundary refinement with per-pass rollback to the best prefix."""
-    w0 = int(g.vw[side == 0].sum())
+    adj, vw, wdeg = g.adj, g.vw, g.wdeg
+    heappush, heappop = heapq.heappush, heapq.heappop
+    lo, hi = target0 - tol, target0 + tol
+    w0 = _weight0(g, side)
     for _ in range(passes):
-        gain = np.zeros(g.n, dtype=np.int64)
-        for v in range(g.n):
-            sv = side[v]
-            for u, w in g.adj[v]:
-                gain[v] += w if side[u] != sv else -w
-        heap = [(-int(gain[v]), v) for v in range(g.n)]
+        # gain of moving v: weight to the other side minus weight kept on its own
+        gain = []
+        for v, sv in enumerate(side):
+            ext = 0
+            for u, w in adj[v]:
+                if side[u] != sv:
+                    ext += w
+            gain.append(2 * ext - wdeg[v])
+        heap = [(-gv, v) for v, gv in enumerate(gain)]
         heapq.heapify(heap)
-        locked = np.zeros(g.n, dtype=bool)
+        locked = [False] * g.n
         trail: list[int] = []
         cum = 0
         best_cum, best_len = 0, 0
+        start_dev = abs(w0 - target0)
         cur_w0 = w0
+        limit = 2 * len(heap) + 64
         while heap:
-            g_neg, v = heapq.heappop(heap)
+            g_neg, v = heappop(heap)
             if locked[v] or -g_neg != gain[v]:
                 continue
-            delta = -int(g.vw[v]) if side[v] == 0 else int(g.vw[v])
-            if not (target0 - tol <= cur_w0 + delta <= target0 + tol):
+            sv = side[v]
+            moved_w0 = cur_w0 - vw[v] if sv == 0 else cur_w0 + vw[v]
+            if not lo <= moved_w0 <= hi:
                 continue
             locked[v] = True
-            side[v] = 1 - side[v]
-            cur_w0 += delta
-            cum += int(gain[v])
+            side[v] = sv = 1 - sv
+            cur_w0 = moved_w0
+            gv = gain[v]
+            cum += gv
             trail.append(v)
-            for u, w in g.adj[v]:
+            for u, w in adj[v]:
                 if not locked[u]:
-                    gain[u] += 2 * w if side[u] != side[v] else -2 * w
-                    heapq.heappush(heap, (-int(gain[u]), u))
-            gain[v] = -gain[v]
-            if cum > best_cum or (cum == best_cum and abs(cur_w0 - target0) < abs(w0 - target0)):
+                    gu = gain[u] + (2 * w if side[u] != sv else -2 * w)
+                    gain[u] = gu
+                    heappush(heap, (-gu, u))
+            gain[v] = -gv
+            if len(heap) > limit:
+                # drop entries that can never be taken: moved vertices and
+                # outdated gains; the valid entries keep their order
+                heap = [e for e in heap if not locked[e[1]] and -e[0] == gain[e[1]]]
+                heapq.heapify(heap)
+                limit = 2 * len(heap) + 64
+            if cum > best_cum or (cum == best_cum and abs(cur_w0 - target0) < start_dev):
                 best_cum, best_len = cum, len(trail)
         for v in trail[best_len:]:
             side[v] = 1 - side[v]
-        w0 = int(g.vw[side == 0].sum())
+        w0 = _weight0(g, side)
         if best_cum == 0:
             break
 
 
-def _rebalance_exact(g: _Graph, side: np.ndarray, target0: int) -> None:
+def _rebalance_exact(g: _Graph, side: list[int], target0: int) -> None:
     """Move cheapest boundary vertices until side 0 weighs exactly target0."""
-    w0 = int(g.vw[side == 0].sum())
+    w0 = _weight0(g, side)
     while w0 != target0:
         src = 0 if w0 > target0 else 1
         best_v, best_gain = -1, None
-        for v in range(g.n):
-            if side[v] != src or int(g.vw[v]) != 1:
+        for v, a in enumerate(g.adj):
+            if side[v] != src or g.vw[v] != 1:
                 continue
-            gv = 0
-            for u, w in g.adj[v]:
-                gv += w if side[u] != src else -w
-            if best_gain is None or gv > best_gain or (gv == best_gain and v < best_v):
+            gv = 2 * sum(w for u, w in a if side[u] != src) - g.wdeg[v]
+            if best_gain is None or gv > best_gain:
                 best_v, best_gain = v, gv
         if best_v < 0:
             raise RuntimeError("cannot rebalance partition")
@@ -274,9 +290,9 @@ def _rebalance_exact(g: _Graph, side: np.ndarray, target0: int) -> None:
         w0 += -1 if src == 0 else 1
 
 
-def _bisect(g: _Graph, target0: int, rng, exact: bool) -> np.ndarray:
+def _bisect(g: _Graph, target0: int, rng, exact: bool) -> list[int]:
     """Multilevel bisection of g; side 0 gets weight target0."""
-    levels: list[tuple[_Graph, np.ndarray]] = []
+    levels: list[tuple[_Graph, list[int]]] = []
     cur = g
     while cur.n > 48:
         res = _coarsen(cur, rng)
@@ -286,22 +302,21 @@ def _bisect(g: _Graph, target0: int, rng, exact: bool) -> np.ndarray:
         levels.append((cur, cmap))
 
     coarse = levels[-1][0] if levels else g
-    max_vw = int(coarse.vw.max()) if coarse.n else 1
+    max_vw = max(coarse.vw) if coarse.n else 1
     best_side, best_cut = None, None
     for _ in range(4):
         side = _greedy_grow(coarse, target0, rng)
         _fm_refine(coarse, side, target0, max(1, max_vw), passes=4)
         cut = _cut_of(coarse, side)
         if best_cut is None or cut < best_cut:
-            best_side, best_cut = side.copy(), cut
+            best_side, best_cut = side, cut
     side = best_side
 
     for fine_idx in range(len(levels) - 1, -1, -1):
         fine = levels[fine_idx - 1][0] if fine_idx > 0 else g
         _, cmap = levels[fine_idx]
-        side = side[cmap]
-        tol = max(1, int(fine.vw.max()))
-        _fm_refine(fine, side, target0, tol, passes=3)
+        side = [side[c] for c in cmap]
+        _fm_refine(fine, side, target0, max(1, max(fine.vw)), passes=3)
 
     if not levels:
         _fm_refine(g, side, target0, 1, passes=3)
@@ -320,10 +335,10 @@ def partition_kway(graph: CheckGraph, p: int, seed: int, slack: int = 1) -> Mapp
     n = graph.n_vertices
     sizes = _planned_sizes(n, p)
     assignment = np.zeros(n, dtype=np.int32)
-    g = _Graph.from_edges(n, graph.edges)
+    g = _Graph.from_check_graph(graph)
     root = np.random.SeedSequence(seed)
 
-    def recurse(gr: _Graph, vertices: np.ndarray, lo: int, hi: int, ss: np.random.SeedSequence):
+    def recurse(gr: _Graph, vertices: list[int], lo: int, hi: int, ss: np.random.SeedSequence):
         if hi - lo == 1:
             assignment[vertices] = lo
             return
@@ -332,14 +347,12 @@ def partition_kway(graph: CheckGraph, p: int, seed: int, slack: int = 1) -> Mapp
         ss_here, ss_left, ss_right = ss.spawn(3)
         rng = np.random.Generator(np.random.PCG64(ss_here))
         side = _bisect(gr, target0, rng, exact=True)
-        left = np.nonzero(side == 0)[0]
-        right = np.nonzero(side == 1)[0]
-        gl, vl = gr.subgraph(left)
-        grh, vr = gr.subgraph(right)
-        recurse(gl, vertices[vl], lo, mid, ss_left)
-        recurse(grh, vertices[vr], mid, hi, ss_right)
+        left = [v for v, s in enumerate(side) if s == 0]
+        right = [v for v, s in enumerate(side) if s]
+        recurse(gr.subgraph(left), [vertices[v] for v in left], lo, mid, ss_left)
+        recurse(gr.subgraph(right), [vertices[v] for v in right], mid, hi, ss_right)
 
-    recurse(g, np.arange(n, dtype=np.int64), 0, p, root)
+    recurse(g, list(range(n)), 0, p, root)
     mapping = Mapping(p=p, assignment=assignment)
     mapping.validate(n, slack=slack)
     return mapping

@@ -35,8 +35,8 @@ from ..decoder.nms import DecodeParams, DecodeResult, _check_node_update, hard_d
 from ..fixedpoint import quantize, reciprocal_scale_table, saturate
 from ..mapper import Mapping
 from .schedule import SRC_BYPASS, SRC_CHAIN, build_schedule
-from .simulate import HOP_CYCLES
-from .topology import OPPOSITE, Port, Topology
+from .simulate import HOP_CYCLES, LOCAL
+from .topology import Topology
 from .trace import NocTrace
 
 
@@ -74,111 +74,118 @@ def validate_config(
     if config.h_digest != h.content_digest():
         raise ReplayIntegrityError("configuration was generated from a different code")
 
+    if config.p != mapping.p:
+        raise ReplayIntegrityError(f"image is for {config.p} PEs, mapping for {mapping.p}")
     schedule = build_schedule(h, mapping)
-    topo = Topology(config.n)
-    p = topo.p
+    p = config.p
+    links = Topology(config.n).links()
     n_d = config.n_d
-    serve_pos = schedule.serve_pos
+    serve_pos = schedule.serve_pos.tolist()
+    host = schedule.host.tolist()
+    degs = [len(row) for row in h.rows]
 
     for pe in range(p):
-        want = [(int(serve_pos[m]) * n_d, len(h.rows[m])) for m in mapping.order[pe]]
+        want = [(serve_pos[m] * n_d, degs[m]) for m in mapping.order[pe]]
         if [tuple(x) for x in config.cnt_cmp[pe]] != want:
             raise ReplayIntegrityError(f"CNT/CMP table mismatch on PE {pe}")
 
-    # token walk through the routing memories
-    inj_orders = [deque(lst) for lst in schedule.pe_injection_orders()]
+    # token walk through the routing memories; the tokens are the schedule's
+    # emissions, injected per PE in serving order
+    emit_net = [[e for e in ems if e.network] for ems in schedule.emissions]
+    emit_local = [
+        [e.dst_check for e in ems if not e.network and not e.wrap] for ems in schedule.emissions
+    ]
     fifos = [[deque() for _ in range(5)] for _ in range(p)]
     missing = (
         ((schedule.input_src == SRC_CHAIN) | (schedule.input_src == SRC_BYPASS))
         .sum(axis=1)
-        .astype(np.int64)
+        .tolist()
     )
     serve = schedule.order
     ptr = [0] * p
     read_free = [0] * p
     inj_stage = [deque() for _ in range(p)]
-    deliveries: dict[int, list[tuple[str, int, int, object]]] = {}
+    # cycle -> (node, input port, token); input port LOCAL marks an ejection
+    deliveries: dict[int, list[tuple[int, int, object]]] = {}
     completions: dict[int, list[int]] = {}
+    selections: dict[int, list[tuple[int, int]]] = {}  # RM word -> crossbar settings
     wag_next = [0] * p
     slot_seen: dict[tuple[int, int], int] = {}
     delivered = 0
 
     for t in range(config.k_i):
-        for kind, node, port, tok in deliveries.pop(t, ()):
-            if kind == "link":
+        for node, port, tok in deliveries.pop(t, ()):
+            if port != LOCAL:
                 fifos[node][port].append(tok)
             else:
                 delivered += 1
                 if not tok.wrap:
                     missing[tok.dst_check] -= 1
         for m in completions.pop(t, ()):
-            for e in schedule.emissions[m]:
-                if e.network:
-                    inj_stage[int(schedule.host[m])].append(e)
-                elif not e.wrap:
-                    missing[e.dst_check] -= 1
+            inj_stage[host[m]].extend(emit_net[m])
+            for c in emit_local[m]:
+                missing[c] -= 1
         for pe in range(p):
             if inj_stage[pe]:
-                fifos[pe][Port.LOCAL].append(inj_stage[pe].popleft())
+                fifos[pe][LOCAL].append(inj_stage[pe].popleft())
         for pe in range(p):
             if ptr[pe] < len(serve[pe]) and read_free[pe] <= t:
                 m = serve[pe][ptr[pe]]
                 if missing[m] == 0:
-                    d = len(h.rows[m])
-                    read_free[pe] = t + d
-                    completions.setdefault(t + d + config.pipeline_depth, []).append(m)
+                    read_free[pe] = t + degs[m]
+                    completions.setdefault(t + degs[m] + config.pipeline_depth, []).append(m)
                     ptr[pe] += 1
+        hop_done = []
         for node in range(p):
             word = config.rm[node][t]
             if not word:
                 continue
-            for out, inp in unpack_rm_word(word):
+            sel = selections.get(word)
+            if sel is None:
+                sel = selections[word] = unpack_rm_word(word)
+                if any(inp > LOCAL for _, inp in sel):
+                    raise ReplayIntegrityError(f"RM word {word:#x} selects an input port above {LOCAL}")
+            for out, inp in sel:
                 q = fifos[node][inp]
                 if not q:
                     raise ReplayIntegrityError(
                         f"cycle {t}: node {node} pops empty FIFO {inp}"
                     )
                 tok = q.popleft()
-                if out == Port.LOCAL:
-                    if tok.dst_pe != node:
-                        raise ReplayIntegrityError(
-                            f"cycle {t}: flit for PE {tok.dst_pe} ejected at {node}"
-                        )
-                    if wag_next[node] >= len(config.wag[node]):
-                        raise ReplayIntegrityError(f"PE {node}: WAG table exhausted")
-                    addr = config.wag[node][wag_next[node]]
-                    wag_next[node] += 1
-                    pos_in_order = addr // n_d
-                    slot = addr % n_d
-                    if pos_in_order >= len(serve[node]):
-                        raise ReplayIntegrityError(f"PE {node}: WAG address {addr} out of range")
-                    check = serve[node][pos_in_order]
-                    if check != tok.dst_check or slot >= len(h.rows[check]):
-                        raise ReplayIntegrityError(
-                            f"cycle {t}: WAG address {addr} routes to check {check}, "
-                            f"flit belongs to {tok.dst_check}"
-                        )
-                    key = (check, tok.dst_pos)
-                    if key in slot_seen:
-                        raise ReplayIntegrityError(f"slot for {key} written twice")
-                    slot_seen[key] = slot
-                    deliveries.setdefault(t + HOP_CYCLES, []).append(
-                        ("eject", node, int(Port.LOCAL), tok)
+                if out != LOCAL:
+                    nbr, port = links[node][out]
+                    hop_done.append((nbr, port, tok))
+                    continue
+                if tok.dst_pe != node:
+                    raise ReplayIntegrityError(
+                        f"cycle {t}: flit for PE {tok.dst_pe} ejected at {node}"
                     )
-                else:
-                    nbr = topo.neighbor(node, Port(out))
-                    deliveries.setdefault(t + HOP_CYCLES, []).append(
-                        ("link", nbr, int(OPPOSITE[Port(out)]), tok)
+                if wag_next[node] >= len(config.wag[node]):
+                    raise ReplayIntegrityError(f"PE {node}: WAG table exhausted")
+                addr = config.wag[node][wag_next[node]]
+                wag_next[node] += 1
+                pos_in_order, slot = divmod(addr, n_d)
+                if pos_in_order >= len(serve[node]):
+                    raise ReplayIntegrityError(f"PE {node}: WAG address {addr} out of range")
+                check = serve[node][pos_in_order]
+                if check != tok.dst_check or slot >= degs[check]:
+                    raise ReplayIntegrityError(
+                        f"cycle {t}: WAG address {addr} routes to check {check}, "
+                        f"flit belongs to {tok.dst_check}"
                     )
+                key = (check, tok.dst_pos)
+                if key in slot_seen:
+                    raise ReplayIntegrityError(f"slot for {key} written twice")
+                slot_seen[key] = slot
+                hop_done.append((node, LOCAL, tok))
+        if hop_done:
+            deliveries[t + HOP_CYCLES] = hop_done
 
     for t in sorted(deliveries):
-        for kind, node, port, tok in deliveries[t]:
-            if kind == "eject":
-                delivered += 1
-                if not tok.wrap:
-                    missing[tok.dst_check] -= 1
-            else:
+        for _node, port, _tok in deliveries[t]:
+            if port != LOCAL:
                 raise ReplayIntegrityError("flit still on a link after k_i cycles")
+            delivered += 1
     if delivered != schedule.n_network:
         raise ReplayIntegrityError(
             f"{delivered} of {schedule.n_network} flits delivered by the program"
@@ -196,12 +203,11 @@ def validate_config(
         if slot in used[check]:
             raise ReplayIntegrityError(f"check {check}: slot {slot} assigned twice")
         used[check].add(slot)
-    for m in range(h.n_rows):
-        free = [s for s in range(len(h.rows[m])) if s not in used[m]]
-        it = iter(free)
-        for pos in range(len(h.rows[m])):
+    for m, d in enumerate(degs):
+        free = iter([s for s in range(d) if s not in used[m]])
+        for pos in range(d):
             if (m, pos) not in slot_of:
-                slot_of[(m, pos)] = next(it)
+                slot_of[(m, pos)] = next(free)
     if slot_of != config.slot_of:
         raise ReplayIntegrityError("declared slot map differs from the RM walk")
 
@@ -210,20 +216,20 @@ def validate_config(
 
 def _build_wiring(h, schedule, slot_of, n_d) -> ReplayWiring:
     m_checks = h.n_rows
-    slot_mask = np.zeros((m_checks, n_d), dtype=bool)
-    next_row = np.tile(np.arange(m_checks, dtype=np.int64)[:, None], (1, n_d))
-    next_slot = np.tile(np.arange(n_d, dtype=np.int64)[None, :], (m_checks, 1))
-    var_at = np.full((m_checks, n_d), -1, dtype=np.int64)
-    for m in range(m_checks):
-        for pos, j in enumerate(h.rows[m]):
-            slot_mask[m, slot_of[(m, pos)]] = True
-            var_at[m, slot_of[(m, pos)]] = int(j)
-    for m in range(m_checks):
-        for e in schedule.emissions[m]:
-            s_slot = slot_of[(e.src_check, e.src_pos)]
-            d_slot = slot_of[(e.dst_check, e.dst_pos)]
-            next_row[e.src_check, s_slot] = e.dst_check
-            next_slot[e.src_check, s_slot] = d_slot
+    # flat (check, slot) tables; a slot without an emission keeps its value
+    slot_mask = [False] * (m_checks * n_d)
+    next_row = [m for m in range(m_checks) for _ in range(n_d)]
+    next_slot = list(range(n_d)) * m_checks
+    for (m, _pos), slot in slot_of.items():
+        slot_mask[m * n_d + slot] = True
+    for ems in schedule.emissions:
+        for e in ems:
+            k = e.src_check * n_d + slot_of[(e.src_check, e.src_pos)]
+            next_row[k] = e.dst_check
+            next_slot[k] = slot_of[(e.dst_check, e.dst_pos)]
+    slot_mask = np.array(slot_mask, dtype=bool).reshape(m_checks, n_d)
+    next_row = np.array(next_row, dtype=np.int64).reshape(m_checks, n_d)
+    next_slot = np.array(next_slot, dtype=np.int64).reshape(m_checks, n_d)
 
     heads = sorted(schedule.first_slot.items())
     prefill_rows = np.array([c for _, (c, _p) in heads], dtype=np.int64)

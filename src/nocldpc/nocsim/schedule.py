@@ -65,22 +65,6 @@ class InjectionSchedule:
     def n_messages(self) -> int:
         return self.n_network + self.n_bypass
 
-    def pe_injection_orders(self) -> list[list[Emission]]:
-        """Per-PE network emissions in injection order.
-
-        PEs process their checks in serving order and emit a check's
-        messages in position order, so the injection order is fixed by the
-        schedule alone; the replay relies on this to identify header-less
-        flits.
-        """
-        out: list[list[Emission]] = [[] for _ in range(self.p)]
-        for pe in range(self.p):
-            for m in self.order[pe]:
-                for e in self.emissions[m]:
-                    if e.network:
-                        out[pe].append(e)
-        return out
-
 
 def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
     if not mapping.order:
@@ -90,65 +74,70 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
     host = mapping.assignment.astype(np.int32)
     serve_pos = np.full(m_checks, -1, dtype=np.int32)
     for pe, rows in enumerate(mapping.order):
-        for pos, row in enumerate(rows):
-            serve_pos[row] = pos
+        rows = np.asarray(rows, dtype=np.intp)
+        if (host[rows] != pe).any():
+            raise ValueError(f"serving order of PE {pe} lists checks hosted elsewhere")
+        serve_pos[rows] = np.arange(len(rows))
     if (serve_pos < 0).any():
         raise ValueError("serving order does not cover all checks")
 
-    pos_of = [
-        {int(j): p for p, j in enumerate(row)} for row in h.rows
-    ]
-    rank = serving_rank(h)
+    # every edge of H as (check, position, variable); one stable sort by
+    # (variable, serving rank) lays out each variable's serving chain
+    deg = np.array([len(row) for row in h.rows], dtype=np.int64)
+    edge_row = np.repeat(np.arange(m_checks, dtype=np.int64), deg)
+    edge_pos = np.arange(len(edge_row), dtype=np.int64) - np.repeat(np.cumsum(deg) - deg, deg)
+    edge_col = np.concatenate(h.rows).astype(np.int64)
+    chain_order = np.lexsort((serving_rank(h)[edge_row], edge_col))
+    chain_rows = edge_row[chain_order].tolist()
+    chain_pos = edge_pos[chain_order].tolist()
+    col_deg = np.bincount(edge_col, minlength=h.n_cols)
 
-    emissions: list[list[Emission]] = [[] for _ in range(m_checks)]
-    input_src = np.full((m_checks, n_d), -1, dtype=np.int8)
-    input_pred = np.full((m_checks, n_d), -1, dtype=np.int32)
+    host_of = host.tolist()
+    emissions: list[list[Emission]] = [[None] * d for d in deg.tolist()]  # by position
+    input_src = [-1] * (m_checks * n_d)  # flat (check, position)
+    input_pred = [-1] * (m_checks * n_d)
     first_slot: dict[int, tuple[int, int]] = {}
-    network_flits: list[Emission] = []
     n_bypass = 0
 
-    for j, rows in enumerate(h.cols()):
-        if len(rows) == 0:
+    end = 0
+    for j, d in enumerate(col_deg.tolist()):
+        if d == 0:
             continue
-        chain = rows[np.argsort(rank[rows], kind="stable")]
-        d = len(chain)
-        head = int(chain[0])
-        first_slot[j] = (head, pos_of[head][j])
+        head = end
+        end += d
+        first_slot[j] = (chain_rows[head], chain_pos[head])
         if d == 1:
-            input_src[head, pos_of[head][j]] = SRC_SELF
-            input_pred[head, pos_of[head][j]] = head
-            e = Emission(
-                var=j, src_check=head, src_pos=pos_of[head][j],
-                dst_check=head, dst_pos=pos_of[head][j],
-                dst_pe=int(host[head]), network=False, wrap=True,
+            c, pos = chain_rows[head], chain_pos[head]
+            input_src[c * n_d + pos] = SRC_SELF
+            input_pred[c * n_d + pos] = c
+            emissions[c][pos] = Emission(
+                var=j, src_check=c, src_pos=pos, dst_check=c, dst_pos=pos,
+                dst_pe=host_of[c], network=False, wrap=True,
             )
-            emissions[head].append(e)
             continue
-        for t in range(d):
-            src = int(chain[t])
-            dst = int(chain[(t + 1) % d])
-            wrap = t == d - 1
-            sp, dp = pos_of[src][j], pos_of[dst][j]
-            network = host[src] != host[dst]
-            e = Emission(
+        for t in range(head, end):
+            nxt = t + 1 if t + 1 < end else head
+            src, sp = chain_rows[t], chain_pos[t]
+            dst, dp = chain_rows[nxt], chain_pos[nxt]
+            wrap = nxt == head
+            network = host_of[src] != host_of[dst]
+            emissions[src][sp] = Emission(
                 var=j, src_check=src, src_pos=sp, dst_check=dst, dst_pos=dp,
-                dst_pe=int(host[dst]), network=network, wrap=wrap,
+                dst_pe=host_of[dst], network=network, wrap=wrap,
             )
-            emissions[src].append(e)
-            input_src[dst, dp] = (
+            input_src[dst * n_d + dp] = (
                 SRC_WRAP if wrap else (SRC_CHAIN if network else SRC_BYPASS)
             )
-            input_pred[dst, dp] = src
-            if network:
-                network_flits.append(e)
-            else:
-                n_bypass += 1
+            input_pred[dst * n_d + dp] = src
+            n_bypass += not network
 
-    for m in range(m_checks):
-        emissions[m].sort(key=lambda e: e.src_pos)
-
-    # uid in deterministic injection order: PE, serving position, position
-    network_flits.sort(key=lambda e: (int(host[e.src_check]), int(serve_pos[e.src_check]), e.src_pos))
+    # uid in injection order: PE, serving position, position.  A PE emits a
+    # check's messages in position order as it serves its checks, so this
+    # order is fixed by the schedule alone; the replay relies on it to
+    # identify header-less flits.
+    network_flits = [
+        e for rows in mapping.order for m in rows for e in emissions[m] if e.network
+    ]
     for uid, e in enumerate(network_flits):
         e.uid = uid
 
@@ -159,25 +148,25 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
         serve_pos=serve_pos,
         order=[list(rows) for rows in mapping.order],
         emissions=emissions,
-        input_src=input_src,
-        input_pred=input_pred,
+        input_src=np.array(input_src, dtype=np.int8).reshape(m_checks, n_d),
+        input_pred=np.array(input_pred, dtype=np.int32).reshape(m_checks, n_d),
         first_slot=first_slot,
         network_flits=network_flits,
         n_bypass=n_bypass,
     )
-    _check_counts(sched, h)
+    _check_counts(sched, deg, col_deg)
     return sched
 
 
-def _check_counts(sched: InjectionSchedule, h: ParityCheckMatrix) -> None:
-    degs = np.array([len(c) for c in h.cols()])
-    want = int(degs[degs >= 2].sum())
+def _check_counts(sched: InjectionSchedule, deg: np.ndarray, col_deg: np.ndarray) -> None:
+    want = int(col_deg[col_deg >= 2].sum())
     if sched.n_messages != want:
         raise AssertionError(
             f"schedule carries {sched.n_messages} messages, expected {want}"
         )
-    for m in range(h.n_rows):
-        d = len(h.rows[m])
-        filled = int((sched.input_src[m, :d] >= 0).sum())
-        if filled != d:
-            raise AssertionError(f"check {m}: {filled} of {d} inputs sourced")
+    in_row = np.arange(sched.input_src.shape[1]) < deg[:, None]
+    filled = ((sched.input_src >= 0) & in_row).sum(axis=1)
+    short = np.nonzero(filled != deg)[0]
+    if len(short):
+        m = int(short[0])
+        raise AssertionError(f"check {m}: {filled[m]} of {deg[m]} inputs sourced")

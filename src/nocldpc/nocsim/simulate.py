@@ -21,10 +21,11 @@ from collections import deque
 import numpy as np
 
 from .schedule import SRC_BYPASS, SRC_CHAIN, InjectionSchedule
-from .topology import OPPOSITE, Port, Topology, route_o1turn
+from .topology import Port, Topology, route_o1turn
 from .trace import FlitRecord, NocTrace, SimulationDeadlock
 
 HOP_CYCLES = 2  # one cycle through the crossbar, one on the link
+LOCAL = int(Port.LOCAL)  # the PE-side port, as the int the cycle loops index with
 
 
 def _mix64(a: int, b: int) -> int:
@@ -39,16 +40,14 @@ def _mix64(a: int, b: int) -> int:
 
 
 class _Flit:
+    """A flit in flight: its record, its output ports as ints, the next hop."""
+
     __slots__ = ("rec", "route", "hop")
 
-    def __init__(self, rec: FlitRecord, route: list[Port]):
+    def __init__(self, rec: FlitRecord, route: list[int]):
         self.rec = rec
         self.route = route
         self.hop = 0
-
-    @property
-    def next_port(self) -> Port:
-        return self.route[self.hop]
 
 
 def simulate_iteration(
@@ -62,45 +61,50 @@ def simulate_iteration(
         raise ValueError(f"schedule is for {schedule.p} PEs, topology has {topo.p}")
     p = topo.p
     n_checks = schedule.n_checks
+    links = topo.links()
+    host = schedule.host.tolist()
 
-    # flits, with O1Turn routes fixed up front by the seeded coin
+    # flits in uid order, with O1Turn routes fixed up front by the seeded coin
     flits: list[_Flit] = []
     for e in schedule.network_flits:
-        src_pe = int(schedule.host[e.src_check])
+        src_pe = host[e.src_check]
         coin = _mix64(seed, e.uid) & 1
         rec = FlitRecord(
             uid=e.uid, var=e.var, src_check=e.src_check, dst_check=e.dst_check,
             dst_pos=e.dst_pos, src_pe=src_pe, dst_pe=e.dst_pe, coin=coin, wrap=e.wrap,
         )
-        flits.append(_Flit(rec, route_o1turn(src_pe, e.dst_pe, topo.n, coin)))
+        route = route_o1turn(src_pe, e.dst_pe, topo.n, coin)
+        flits.append(_Flit(rec, [int(port) for port in route]))
+    n_flits = len(flits)
+    # per check: its network flits in position order, and the same-PE checks
+    # its forwards complete
+    emit_flits = [[flits[e.uid] for e in ems if e.network] for ems in schedule.emissions]
+    emit_local = [
+        [e.dst_check for e in ems if not e.network and not e.wrap] for ems in schedule.emissions
+    ]
+    deg_of = [len(ems) for ems in schedule.emissions]
 
     fifos = [[deque() for _ in range(5)] for _ in range(p)]
-    fifo_max = np.zeros((p, 5), dtype=np.int64)
-    rr_ptr = np.zeros((p, 5), dtype=np.int64)
+    queued = [0] * p  # flits waiting in each router's input FIFOs
+    fifo_max = [[0] * 5 for _ in range(p)]
+    rr_ptr = [[0] * 5 for _ in range(p)]
     rm_ops: list[list[tuple[int, int, int]]] = [[] for _ in range(p)]
     arrivals: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(p)]
 
     # per-check availability: inputs other than wrap/self must arrive first
     src_kinds = schedule.input_src
-    missing = ((src_kinds == SRC_CHAIN) | (src_kinds == SRC_BYPASS)).sum(axis=1).astype(np.int64)
+    missing = ((src_kinds == SRC_CHAIN) | (src_kinds == SRC_BYPASS)).sum(axis=1).tolist()
 
     serve = schedule.order
     ptr = [0] * p
     read_free = [0] * p
     inj_queue: list[deque[_Flit]] = [deque() for _ in range(p)]
-    flit_by_uid = {f.rec.uid: f for f in flits}
-    emission_flits = {
-        (e.src_check, e.src_pos): flit_by_uid[e.uid]
-        for m in range(n_checks)
-        for e in schedule.emissions[m]
-        if e.network
-    }
 
-    deliveries: dict[int, list[tuple[str, int, int, _Flit]]] = {}
+    # cycle -> (node, input port, flit); input port LOCAL marks an ejection
+    deliveries: dict[int, list[tuple[int, int, _Flit]]] = {}
     completions: dict[int, list[int]] = {}
-    check_start = np.full(n_checks, -1, dtype=np.int64)
-    check_complete = np.full(n_checks, -1, dtype=np.int64)
-    deg_of = {m: len(schedule.emissions[m]) for m in range(n_checks)}
+    check_start = [-1] * n_checks
+    check_complete = [-1] * n_checks
 
     delivered = 0
     last_receipt = -1
@@ -109,44 +113,46 @@ def simulate_iteration(
     pending_checks = sum(len(s) for s in serve)
     t = 0
 
-    def push_fifo(node: int, port: int, flit: _Flit):
-        fifos[node][port].append(flit)
-        depth = len(fifos[node][port])
-        if depth > fifo_max[node, port]:
-            fifo_max[node, port] = depth
-
     while True:
         progressed = False
 
         # 1. deliveries scheduled for this cycle
-        for kind, node, port, flit in deliveries.pop(t, ()):
+        landing = deliveries.pop(t, None)
+        if landing:
             progressed = True
-            if kind == "link":
-                push_fifo(node, port, flit)
-            else:  # ejection into the PE
-                delivered += 1
-                flit.rec.receipt_cycle = t
-                last_receipt = max(last_receipt, t)
-                if not flit.rec.wrap:
-                    missing[flit.rec.dst_check] -= 1
+            for node, port, flit in landing:
+                if port == LOCAL:  # ejection into the PE
+                    delivered += 1
+                    flit.rec.receipt_cycle = last_receipt = t
+                    if not flit.rec.wrap:
+                        missing[flit.rec.dst_check] -= 1
+                else:
+                    q = fifos[node][port]
+                    q.append(flit)
+                    queued[node] += 1
+                    if len(q) > fifo_max[node][port]:
+                        fifo_max[node][port] = len(q)
 
         # 2. checks leaving the pipeline emit their messages
-        for m in completions.pop(t, ()):
+        finished = completions.pop(t, None)
+        if finished:
             progressed = True
-            check_complete[m] = t
-            for e in schedule.emissions[m]:
-                if e.network:
-                    f = emission_flits[(e.src_check, e.src_pos)]
-                    inj_queue[int(schedule.host[m])].append(f)
-                elif not e.wrap:
-                    missing[e.dst_check] -= 1  # same-PE forward, available now
+            for m in finished:
+                check_complete[m] = t
+                inj_queue[host[m]].extend(emit_flits[m])
+                for c in emit_local[m]:
+                    missing[c] -= 1  # same-PE forward, available now
 
         # 3. injection: one flit per PE per cycle through the LOCAL port
         for pe in range(p):
             if inj_queue[pe]:
                 f = inj_queue[pe].popleft()
                 f.rec.inject_cycle = t
-                push_fifo(pe, Port.LOCAL, f)
+                q = fifos[pe][LOCAL]
+                q.append(f)
+                queued[pe] += 1
+                if len(q) > fifo_max[pe][LOCAL]:
+                    fifo_max[pe][LOCAL] = len(q)
                 progressed = True
 
         # 4. PEs start reading the next served check when its block is full
@@ -162,49 +168,52 @@ def simulate_iteration(
                     pending_checks -= 1
                     progressed = True
 
-        # 5. arbitration: each output picks one requesting input, round-robin
+        # 5. arbitration: each output, in port order, picks one requesting
+        # input round-robin; an input popped for one output may request a
+        # later output with its next flit in the same cycle
+        hop_done = []
         for node in range(p):
-            nf = fifos[node]
-            busy = [bool(q) for q in nf]
-            if not any(busy):
+            if not queued[node]:
                 continue
+            nf = fifos[node]
+            want = [q[0].route[q[0].hop] if q else -1 for q in nf]
+            rr = rr_ptr[node]
             for out in range(5):
-                base = int(rr_ptr[node, out])
-                for k in range(5):
-                    inp = (base + k) % 5
-                    q = nf[inp]
-                    if q and int(q[0].next_port) == out:
-                        flit = q.popleft()
-                        rm_ops[node].append((t, out, inp))
-                        rr_ptr[node, out] = (inp + 1) % 5
-                        flit.hop += 1
-                        flit.rec.hops += 1
-                        if out == Port.LOCAL:
-                            pe = node
-                            arrivals[pe].append(
-                                (flit.rec.dst_check, flit.rec.dst_pos,
-                                 flit.rec.src_pe, flit.rec.uid, t + HOP_CYCLES)
-                            )
-                            deliveries.setdefault(t + HOP_CYCLES, []).append(
-                                ("eject", pe, Port.LOCAL, flit)
-                            )
-                        else:
-                            nbr = topo.neighbor(node, Port(out))
-                            deliveries.setdefault(t + HOP_CYCLES, []).append(
-                                ("link", nbr, int(OPPOSITE[Port(out)]), flit)
-                            )
-                        progressed = True
-                        break
+                if out not in want:
+                    continue
+                inp = rr[out]
+                while want[inp] != out:
+                    inp = inp + 1 if inp < 4 else 0
+                q = nf[inp]
+                flit = q.popleft()
+                queued[node] -= 1
+                want[inp] = q[0].route[q[0].hop] if q else -1
+                rm_ops[node].append((t, out, inp))
+                rr[out] = inp + 1 if inp < 4 else 0
+                flit.hop += 1
+                rec = flit.rec
+                rec.hops += 1
+                if out == LOCAL:
+                    arrivals[node].append(
+                        (rec.dst_check, rec.dst_pos, rec.src_pe, rec.uid, t + HOP_CYCLES)
+                    )
+                    hop_done.append((node, LOCAL, flit))
+                else:
+                    nbr, port = links[node][out]
+                    hop_done.append((nbr, port, flit))
+        if hop_done:
+            deliveries[t + HOP_CYCLES] = hop_done
+            progressed = True
 
         if progressed:
             last_progress = t
 
         done = (
-            delivered == len(flits)
+            delivered == n_flits
             and pending_checks == 0
             and not completions
             and not deliveries
-            and all(not q for q in inj_queue)
+            and not any(inj_queue)
         )
         if done:
             break
@@ -212,7 +221,7 @@ def simulate_iteration(
             stuck = [m for m in range(n_checks) if check_start[m] < 0]
             raise SimulationDeadlock(
                 f"no progress since cycle {last_progress} (cycle {t}); "
-                f"{len(flits) - delivered} flits in flight, "
+                f"{n_flits - delivered} flits in flight, "
                 f"{len(stuck)} checks not started (first: {stuck[:5]})"
             )
         t += 1
@@ -226,11 +235,11 @@ def simulate_iteration(
         k_i=k_i,
         rm_ops=rm_ops,
         arrivals=arrivals,
-        fifo_max=fifo_max,
+        fifo_max=np.array(fifo_max, dtype=np.int64).reshape(p, 5),
         flits=[f.rec for f in flits],
-        check_start=check_start,
-        check_complete=check_complete,
-        n_network=len(flits),
+        check_start=np.array(check_start, dtype=np.int64),
+        check_complete=np.array(check_complete, dtype=np.int64),
+        n_network=n_flits,
         n_bypass=schedule.n_bypass,
         label=label,
     )
@@ -252,14 +261,13 @@ def _assert_invariants(trace: NocTrace, schedule: InjectionSchedule) -> None:
         raise AssertionError("arrival count != injected flits")
 
     if trace.k_i:
-        loads = trace.link_loads()
-        if trace.k_i < loads.max():
+        if trace.k_i < trace.link_loads().max():
             raise AssertionError("k_i below busiest-link lower bound")
         if trace.k_i < HOP_CYCLES * trace.max_hops():
             raise AssertionError("k_i below max-distance lower bound")
 
     # a wrap value must land only after its consumer's block was read out
-    starts = trace.check_start
+    starts = trace.check_start.tolist()
     for f in trace.flits:
         if f.wrap and starts[f.dst_check] >= 0:
             read_end = starts[f.dst_check] + len(schedule.emissions[f.dst_check])

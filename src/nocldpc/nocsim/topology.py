@@ -55,6 +55,21 @@ class Topology:
             return self.node_at(r, c - 1)
         raise ValueError("LOCAL port has no neighbor")
 
+    def links(self) -> list[list[tuple[int, int]]]:
+        """links()[node][port] = (neighbor, its input port) for each network port.
+
+        The cycle engines forward a flit leaving node through output port
+        (NORTH..WEST) into this neighbor's input FIFO; indexing a table with
+        plain ints saves building a Port per hop.
+        """
+        return [
+            [
+                (self.neighbor(node, port), int(OPPOSITE[port]))
+                for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
+            ]
+            for node in range(self.p)
+        ]
+
 
 def _dim_hops(src: int, dst: int, n: int, inc_port: Port, dec_port: Port) -> list[Port]:
     delta = (dst - src) % n

@@ -9,6 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+FORMAT = "nocldpc-trace-v1"
+_KEYS = ("n", "seed", "pipeline_depth", "k_i", "rm_ops", "arrivals", "fifo_max", "flits",
+         "check_start", "check_complete", "n_network", "n_bypass")
+
+
 class SimulationDeadlock(RuntimeError):
     """No flit or PE made progress for a full watchdog window."""
 
@@ -56,8 +61,7 @@ class NocTrace:
         """Flits forwarded per (node, output port) over the iteration."""
         loads = np.zeros((self.p, 5), dtype=np.int64)
         for node, ops in enumerate(self.rm_ops):
-            for _, out, _ in ops:
-                loads[node, out] += 1
+            loads[node] = np.bincount([op[1] for op in ops], minlength=5)
         return loads
 
     def max_hops(self) -> int:
@@ -84,14 +88,19 @@ class NocTrace:
 
     def to_json_obj(self) -> dict:
         return {
-            "format": "nocldpc-trace-v1",
+            "format": FORMAT,
             "n": self.n,
             "seed": self.seed,
             "pipeline_depth": self.pipeline_depth,
             "k_i": self.k_i,
             "label": self.label,
-            "rm_ops": [[[int(x) for x in op] for op in ops] for ops in self.rm_ops],
-            "arrivals": [[[int(x) for x in a] for a in pe] for pe in self.arrivals],
+            "rm_ops": [
+                [[int(cycle), int(out), int(inp)] for cycle, out, inp in ops] for ops in self.rm_ops
+            ],
+            "arrivals": [
+                [[int(c), int(pos), int(src), int(uid), int(t)] for c, pos, src, uid, t in pe]
+                for pe in self.arrivals
+            ],
             "fifo_max": self.fifo_max.tolist(),
             "flits": [
                 [f.uid, f.var, f.src_check, f.dst_check, f.dst_pos, f.src_pe,
@@ -106,29 +115,37 @@ class NocTrace:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NocTrace":
-        if obj.get("format") != "nocldpc-trace-v1":
+        """Rebuild a trace; a malformed object raises ValueError."""
+        if not isinstance(obj, dict) or obj.get("format") != FORMAT:
             raise ValueError("not a nocldpc trace file")
-        flits = [
-            FlitRecord(uid=f[0], var=f[1], src_check=f[2], dst_check=f[3],
-                       dst_pos=f[4], src_pe=f[5], dst_pe=f[6], coin=f[7],
-                       wrap=bool(f[8]), inject_cycle=f[9], receipt_cycle=f[10], hops=f[11])
-            for f in obj["flits"]
-        ]
-        return cls(
-            n=obj["n"],
-            seed=obj["seed"],
-            pipeline_depth=obj["pipeline_depth"],
-            k_i=obj["k_i"],
-            rm_ops=[[tuple(op) for op in ops] for ops in obj["rm_ops"]],
-            arrivals=[[tuple(a) for a in pe] for pe in obj["arrivals"]],
-            fifo_max=np.asarray(obj["fifo_max"], dtype=np.int64),
-            flits=flits,
-            check_start=np.asarray(obj["check_start"], dtype=np.int64),
-            check_complete=np.asarray(obj["check_complete"], dtype=np.int64),
-            n_network=obj["n_network"],
-            n_bypass=obj["n_bypass"],
-            label=obj.get("label", ""),
-        )
+        missing = [k for k in _KEYS if k not in obj]
+        if missing:
+            raise ValueError(f"trace file lacks {', '.join(missing)}")
+        try:
+            n = int(obj["n"])
+            trace = cls(
+                n=n,
+                seed=int(obj["seed"]),
+                pipeline_depth=int(obj["pipeline_depth"]),
+                k_i=int(obj["k_i"]),
+                rm_ops=[_records(ops, 3, "routing operation")
+                        for ops in _per_node(obj, "rm_ops", n)],
+                arrivals=[_records(pe, 5, "arrival") for pe in _per_node(obj, "arrivals", n)],
+                fifo_max=np.asarray(obj["fifo_max"], dtype=np.int64).reshape(n * n, 5),
+                flits=[
+                    FlitRecord(*f[:8], wrap=bool(f[8]), inject_cycle=f[9], receipt_cycle=f[10],
+                               hops=f[11])
+                    for f in _records(obj["flits"], 12, "flit")
+                ],
+                check_start=np.asarray(obj["check_start"], dtype=np.int64).reshape(-1),
+                check_complete=np.asarray(obj["check_complete"], dtype=np.int64).reshape(-1),
+                n_network=int(obj["n_network"]),
+                n_bypass=int(obj["n_bypass"]),
+                label=str(obj.get("label", "")),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed trace file: {exc}") from None
+        return trace
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -139,3 +156,20 @@ class NocTrace:
 
     def content_digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+
+def _per_node(obj: dict, key: str, n: int) -> list:
+    rows = obj[key]
+    if not isinstance(rows, list) or len(rows) != n * n:
+        raise ValueError(f"{key} must list one entry per node of the {n}x{n} torus")
+    return rows
+
+
+def _records(rows, width: int, what: str) -> list[tuple]:
+    """JSON records as int tuples of the given width."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{what} records must be a list")
+    out = [tuple(map(int, r)) for r in rows]
+    if any(len(r) != width for r in out):
+        raise ValueError(f"{what} records need {width} fields each")
+    return out

@@ -66,7 +66,29 @@ class TestPartitionAndSimulate:
         assert summary["k_i"] > 0
 
 
+    def test_genconfig_rejects_malformed_trace(self, tmp_path, capsys):
+        run(["simulate", "--code", "wimax_576_288", "--torus-n", "5",
+             "--seed", "2", "--out", str(tmp_path)])
+        for text in ("[1, 2]", json.dumps({"format": "nocldpc-trace-v1"})):
+            (tmp_path / "bad.json").write_text(text)
+            rc = run([
+                "genconfig", "--code", "wimax_576_288",
+                "--mapping", str(tmp_path / "mapping.json"),
+                "--trace", str(tmp_path / "bad.json"), "--out", str(tmp_path),
+            ])
+            assert rc == 2
+            assert "error:" in capsys.readouterr().err
+
+
 class TestSwitch:
+    def test_rejects_malformed_images(self, tmp_path, capsys):
+        for text in ("[1]", json.dumps({"format": "nocldpc-config-v1", "rm": 3})):
+            (tmp_path / "bad.json").write_text(text)
+            rc = run(["switch", "--config1", str(tmp_path / "bad.json"),
+                      "--config2", str(tmp_path / "bad.json")])
+            assert rc == 2
+            assert "error:" in capsys.readouterr().err
+
     def test_worked_case_passes(self, tmp_path, capsys):
         rc = run(["switch", "--k1", "491", "--k2", "466", "--torus-n", "5",
                   "--out", str(tmp_path)])

@@ -102,6 +102,30 @@ class TestGenConfig:
         with pytest.raises(ConfigIntegrityError):
             cfg2.verify_digest()
 
+    @pytest.mark.parametrize("text", ["[1]", "3", "null", "{}", "not json",
+                                      '{"format": "nocldpc-config-v1"}'])
+    def test_malformed_top_level_rejected(self, text):
+        with pytest.raises(ConfigIntegrityError):
+            ConfigImage.from_json(text)
+
+    @pytest.mark.parametrize("key,value", [
+        ("rm", [[0]]),  # one node, one word
+        ("wag", []),
+        ("cnt_cmp", [[[0]], [], [], []]),  # short CNT/CMP entry
+        ("slot_of", {"0": 0}),  # key without a position
+        ("slot_of", []),
+        ("fifo_depth", [[0]]),
+        ("k_i", None),
+    ])
+    def test_malformed_records_rejected(self, key, value):
+        import json
+
+        h, m, tr = feeder_pipeline()
+        obj = json.loads(gen_config(tr, m, h).to_json())
+        obj[key] = value
+        with pytest.raises(ConfigIntegrityError):
+            ConfigImage.from_json(json.dumps(obj))
+
     def test_rm_binary_roundtrip(self):
         h, m, tr = feeder_pipeline()
         cfg = gen_config(tr, m, h)

@@ -216,6 +216,37 @@ class TestTraceSerialization:
         assert tr2.k_i == tr.k_i
         assert np.array_equal(tr2.fifo_max, tr.fifo_max)
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", "3", "null", "{}", "not json",
+        '{"format": "nocldpc-trace-v1"}',
+    ])
+    def test_malformed_top_level_rejected(self, text):
+        from nocldpc.nocsim import NocTrace
+
+        with pytest.raises(ValueError):
+            NocTrace.from_json(text)
+
+    @pytest.mark.parametrize("key,value", [
+        ("flits", [[0, 1, 2]]),  # short flit record
+        ("rm_ops", [[[0, 1]]] * 4),  # short routing operation
+        ("arrivals", [[[0, 1, 2, 3]]] * 4),  # short arrival
+        ("rm_ops", [[]]),  # one node of a 2 x 2 torus
+        ("fifo_max", [[0, 0]]),
+        ("n", "two"),
+        ("flits", 7),
+    ])
+    def test_malformed_records_rejected(self, key, value):
+        import json
+
+        from nocldpc.nocsim import NocTrace
+
+        h = make_h([[0, 1], [1, 2], [0, 2]], 3)
+        tr = simulate_iteration(Topology(2), build_schedule(h, mapped(h, [0, 1, 2], 4)), seed=9)
+        obj = tr.to_json_obj()
+        obj[key] = value
+        with pytest.raises(ValueError):
+            NocTrace.from_json(json.dumps(obj))
+
 
 @pytest.fixture(scope="module")
 def pipeline():
@@ -278,6 +309,22 @@ class TestReplay:
         with pytest.raises((ConfigIntegrityError, ReplayIntegrityError)):
             broken.verify_digest()
         # corruption with a recomputed digest is caught by the RM walk
+        broken.digest = broken.compute_digest()
+        with pytest.raises(ReplayIntegrityError):
+            validate_config(h, m, tr, broken)
+
+    @pytest.mark.parametrize("field", ["input_port", "torus_side"])
+    def test_resealed_image_with_bad_geometry_rejected(self, pipeline, field):
+        from nocldpc.configgen import ConfigImage
+        from nocldpc.nocsim import ReplayIntegrityError
+
+        h, m, tr, cfg, _ = pipeline
+        broken = ConfigImage.from_json(cfg.to_json())
+        if field == "input_port":
+            cyc = next(c for c, w in enumerate(broken.rm[3]) if w)
+            broken.rm[3][cyc] |= 0xF  # output 0 selects input 7
+        else:
+            broken.n = 4
         broken.digest = broken.compute_digest()
         with pytest.raises(ReplayIntegrityError):
             validate_config(h, m, tr, broken)

@@ -1,4 +1,5 @@
-"""Randomised equivalence of the batched decoders with their single-frame goldens."""
+"""Randomised properties: batched decoders against their single-frame goldens,
+and the codegen path from check graph to replayed configuration image."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from nocldpc.codes import CodeError  # noqa: E402
+from nocldpc.codes import build_check_graph, compute_layers  # noqa: E402
 from nocldpc.codes.randomgen import random_code  # noqa: E402
+from nocldpc.configgen import ConfigImage, gen_config  # noqa: E402
 from nocldpc.decoder import (  # noqa: E402
     CodeLayout,
     DecodeParams,
@@ -17,28 +19,38 @@ from nocldpc.decoder import (  # noqa: E402
     decode_layered_nms,
     decode_layered_nms_batch,
 )
+from nocldpc.mapper import cutset, partition_kway, serving_order  # noqa: E402
+from nocldpc.nocsim import (  # noqa: E402
+    NocTrace,
+    Topology,
+    build_schedule,
+    replay_decode,
+    simulate_iteration,
+    validate_config,
+)
+from nocldpc.nocsim.simulate import HOP_CYCLES  # noqa: E402
+
+SEEDS = st.integers(0, 2**32 - 1)
+# a dense random code can spend a second or more in random_code's
+# duplicate repair before its cyclic fallback
+SLOW_DRAWS = [HealthCheck.filter_too_much, HealthCheck.too_slow]
 
 
 @st.composite
 def decode_cases(draw):
-    # row degrees up to n / 3 keep columns sparse: denser draws spend seconds
-    # in random_code's duplicate repair, often only to raise CodeError
     n = draw(st.integers(2, 60))
     m = draw(st.integers(1, 20))
-    row_degree = draw(st.integers(1, max(1, n // 3)))
+    row_degree = draw(st.integers(1, n))
     assume(m * row_degree >= n)
-    try:
-        h = random_code(n, m, row_degree, seed=draw(st.integers(0, 2**32 - 1)))
-    except CodeError:
-        assume(False)  # a degree mix the socket permutation cannot repair
+    h = random_code(n, m, row_degree, seed=draw(SEEDS))
     n_frames = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(SEEDS))
     llrs = rng.normal(draw(st.floats(0.0, 6.0)), draw(st.floats(0.5, 6.0)), size=(n_frames, n))
     params = DecodeParams(it_max=draw(st.integers(1, 8)), early_stop=draw(st.booleans()))
     return h, llrs, params
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=60, deadline=None, suppress_health_check=SLOW_DRAWS)
 @given(decode_cases())
 def test_batched_decoders_match_goldens(case):
     h, llrs, params = case
@@ -51,3 +63,67 @@ def test_batched_decoders_match_goldens(case):
             assert res.iterations_run == gold.iterations_run
             assert res.converged == gold.converged
             assert np.array_equal(res.final_llrs.view(np.uint8), gold.final_llrs.view(np.uint8))
+
+
+@st.composite
+def codegen_cases(draw):
+    side = draw(st.integers(1, 4))
+    m = draw(st.integers(side * side, 32))
+    n = draw(st.integers(2, 40))
+    row_degree = draw(st.integers(1, n))
+    assume(m * row_degree >= n)
+    h = random_code(n, m, row_degree, seed=draw(SEEDS))
+    compute_layers(h)
+    return h, side, draw(st.integers(1, 6)), draw(SEEDS)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=SLOW_DRAWS)
+@given(codegen_cases())
+def test_codegen_path_properties(case):
+    h, side, depth, seed = case
+    p = side * side
+    g = build_check_graph(h)
+    mapping = partition_kway(g, p, seed)
+    mapping.validate(h.n_rows)
+    serving_order(h, mapping)
+    schedule = build_schedule(h, mapping)
+    trace = simulate_iteration(Topology(side), schedule, seed=seed, pipeline_depth=depth)
+    assert cutset(g, mapping) == trace.n_network == schedule.n_network
+
+    # every flit is delivered exactly once, at its destination PE
+    arrived = sorted(a[3] for pe in trace.arrivals for a in pe)
+    assert arrived == list(range(trace.n_network))
+    assert all(a[2] == trace.flits[a[3]].src_pe and trace.flits[a[3]].dst_pe == pe
+               for pe, lst in enumerate(trace.arrivals) for a in lst)
+
+    summary = trace.summary()
+    assert trace.k_i >= summary["k_i_lower_bound_link"]
+    assert trace.k_i >= summary["k_i_lower_bound_distance"] == HOP_CYCLES * trace.max_hops()
+    # reads: a check is read after its chain inputs land and sends only after
+    # its read, so every network flit lands inside k_i after its source's read
+    start, done = trace.check_start, trace.check_complete
+    assert (start >= 0).all() and (done >= start + [len(row) for row in h.rows]).all()
+    for f in trace.flits:
+        assert start[f.src_check] + len(h.rows[f.src_check]) <= done[f.src_check]
+        assert done[f.src_check] <= f.inject_cycle < f.receipt_cycle < trace.k_i
+        if not f.wrap:
+            assert f.receipt_cycle <= start[f.dst_check]
+
+    digest = trace.content_digest()
+    assert NocTrace.from_json(trace.to_json()).content_digest() == digest
+    config = gen_config(trace, mapping, h)
+    back = ConfigImage.from_json(config.to_json())
+    back.verify_digest()
+    assert back.digest == config.digest
+    wiring = validate_config(h, mapping, trace, back)
+
+    params = DecodeParams(it_max=5)
+    layout = CodeLayout.build(h)
+    rng = np.random.default_rng(seed)
+    for llrs in rng.normal(2.0, 2.0, size=(2, h.n_cols)):
+        gold = decode_layered_nms(h, llrs, params, layout)
+        rep = replay_decode(h, mapping, trace, back, llrs, params, layout, wiring)
+        assert np.array_equal(rep.hard_bits, gold.hard_bits)
+        assert rep.iterations_run == gold.iterations_run
+        assert rep.converged == gold.converged
+        assert np.array_equal(rep.final_llrs, gold.final_llrs)
