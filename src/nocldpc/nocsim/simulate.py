@@ -77,7 +77,7 @@ def simulate_iteration(
         flits.append(_Flit(rec, [int(port) for port in route]))
     n_flits = len(flits)
     # per check: its network flits in position order, and the same-PE checks
-    # its forwards complete
+    # its local forwards feed
     emit_flits = [[flits[e.uid] for e in ems if e.network] for ems in schedule.emissions]
     emit_local = [
         [e.dst_check for e in ems if not e.network and not e.wrap] for ems in schedule.emissions
