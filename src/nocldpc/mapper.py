@@ -47,12 +47,22 @@ class Mapping:
 
     @classmethod
     def from_json(cls, text: str) -> "Mapping":
+        """Rebuild a mapping; malformed text raises ValueError."""
         data = json.loads(text)
-        return cls(
-            p=int(data["p"]),
-            assignment=np.asarray(data["assignment"], dtype=np.int32),
-            order=[[int(x) for x in pe] for pe in data.get("order", [])],
-        )
+        if not isinstance(data, dict) or "p" not in data or "assignment" not in data:
+            raise ValueError("not a nocldpc mapping file")
+        try:
+            mapping = cls(
+                p=int(data["p"]),
+                assignment=np.asarray(data["assignment"], dtype=np.int32).reshape(-1),
+                order=[[int(x) for x in pe] for pe in data.get("order", [])],
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed mapping file: {exc}") from None
+        a = mapping.assignment
+        if mapping.p < 1 or (len(a) and (a.min() < 0 or a.max() >= mapping.p)):
+            raise ValueError(f"mapping file assigns checks outside PEs 0..{mapping.p - 1}")
+        return mapping
 
 
 def _planned_sizes(n_rows: int, p: int) -> np.ndarray:

@@ -66,7 +66,7 @@ class TestPartitionAndSimulate:
         assert summary["k_i"] > 0
 
 
-    def test_genconfig_rejects_malformed_trace(self, tmp_path, capsys):
+    def test_genconfig_rejects_malformed_inputs(self, tmp_path, capsys):
         run(["simulate", "--code", "wimax_576_288", "--torus-n", "5",
              "--seed", "2", "--out", str(tmp_path)])
         for text in ("[1, 2]", json.dumps({"format": "nocldpc-trace-v1"})):
@@ -78,6 +78,13 @@ class TestPartitionAndSimulate:
             ])
             assert rc == 2
             assert "error:" in capsys.readouterr().err
+        (tmp_path / "bad.json").write_text("[1]")
+        rc = run([
+            "genconfig", "--code", "wimax_576_288", "--mapping", str(tmp_path / "bad.json"),
+            "--trace", str(tmp_path / "trace.json"), "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestSwitch:

@@ -155,3 +155,13 @@ def test_mapping_json_roundtrip():
     assert m2.p == m.p
     assert np.array_equal(m2.assignment, m.assignment)
     assert m2.order == m.order
+
+
+@pytest.mark.parametrize("text", [
+    "[1]", "3", "null", "{}", '{"p": 2}', '{"p": "two", "assignment": [0]}',
+    '{"p": 2, "assignment": [[0, 1], [1]]}', '{"p": 2, "assignment": [0, 2]}',
+    '{"p": 0, "assignment": []}', '{"p": 2, "assignment": [0], "order": [3]}',
+])
+def test_mapping_json_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        Mapping.from_json(text)
