@@ -175,23 +175,16 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _run_pipeline_stages(args, h):
+def cmd_simulate(args) -> int:
+    h = _load_code_from_args(args)
     g = build_check_graph(h)
-    p = args.torus_n * args.torus_n
-    mapping = partition_kway(g, p, args.seed)
+    mapping = partition_kway(g, args.torus_n * args.torus_n, args.seed)
     serving_order(h, mapping)
     sched = build_schedule(h, mapping)
     trace = simulate_iteration(
         Topology(args.torus_n), sched, seed=args.seed,
         pipeline_depth=args.pe_pipeline, label=h.label,
     )
-    config = gen_config(trace, mapping, h, fifo_pow2=args.fifo_pow2)
-    return g, mapping, sched, trace, config
-
-
-def cmd_simulate(args) -> int:
-    h = _load_code_from_args(args)
-    g, mapping, sched, trace, _ = _run_pipeline_stages(args, h)
     out = _outdir(args)
     with open(os.path.join(out, "trace.json"), "w") as fh:
         fh.write(trace.to_json())
@@ -415,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     _add_common(p)
     p.add_argument("--pe-pipeline", type=int, default=4)
-    p.add_argument("--fifo-pow2", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("genconfig", help="derive configuration memories from a trace")

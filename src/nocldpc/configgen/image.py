@@ -171,6 +171,17 @@ class ConfigImage:
         return [list(words[i * k_i : (i + 1) * k_i]) for i in range(p)]
 
 
+def fill_free_slots(slot_of: dict[tuple[int, int], int], degs: list[int]) -> None:
+    """Give each check's inputs that have no slot yet (bypass, wrap-in-place,
+    self) the check's free slots, in position order."""
+    for m, d in enumerate(degs):
+        taken = {slot_of[(m, pos)] for pos in range(d) if (m, pos) in slot_of}
+        free = (s for s in range(d) if s not in taken)
+        for pos in range(d):
+            if (m, pos) not in slot_of:
+                slot_of[(m, pos)] = next(free)
+
+
 def gen_config(
     trace: NocTrace,
     mapping: Mapping,
@@ -188,8 +199,8 @@ def gen_config(
     host = schedule.host.tolist()
     degs = [len(row) for row in h.rows]
 
-    # slots: network arrivals claim slots in arrival order, remaining inputs
-    # (bypass / wrap-in-place / self) fill the leftover slots in position order
+    # slots: network arrivals claim slots in arrival order, the remaining
+    # inputs fill the leftover slots
     slot_of: dict[tuple[int, int], int] = {}
     next_slot = [0] * h.n_rows
     for pe in range(p):
@@ -211,11 +222,7 @@ def gen_config(
         raise ConfigIntegrityError(
             f"trace delivered {len(slot_of)} inputs, schedule expects {len(network_inputs)}"
         )
-    for m, d in enumerate(degs):
-        for pos in range(d):
-            if (m, pos) not in slot_of:
-                slot_of[(m, pos)] = next_slot[m]
-                next_slot[m] += 1
+    fill_free_slots(slot_of, degs)
 
     wag: list[list[int]] = []
     for pe in range(p):

@@ -84,14 +84,6 @@ def saturate(codes, fmt: QFormat) -> np.ndarray:
     return np.clip(codes, fmt.min_code, fmt.max_code).astype(np.int32)
 
 
-def sat_add(a, b, fmt: QFormat) -> np.ndarray:
-    return saturate(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64), fmt)
-
-
-def sat_sub(a, b, fmt: QFormat) -> np.ndarray:
-    return saturate(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64), fmt)
-
-
 def reciprocal_scale_table(alpha: float, fmt: QFormat) -> np.ndarray:
     """Magnitude lookup table realizing division by the normalization factor.
 
@@ -106,40 +98,3 @@ def reciprocal_scale_table(alpha: float, fmt: QFormat) -> np.ndarray:
     mags = np.arange(-fmt.min_code + 1, dtype=np.float64)
     return np.floor(mags * (1.0 / alpha) + 0.5).astype(np.int32)
 
-
-@dataclass(frozen=True)
-class QLlr:
-    """A single fixed-point LLR: integer code plus its format.
-
-    Convenience wrapper for interface-level code and tests; the decoding
-    hot path works on raw code arrays.
-    """
-
-    code: int
-    fmt: QFormat = QFormat()
-
-    @classmethod
-    def from_real(cls, x: float, fmt: QFormat = QFormat()) -> "QLlr":
-        return cls(int(quantize(x, fmt)), fmt)
-
-    @property
-    def value(self) -> float:
-        return self.code * self.fmt.lsb
-
-    def _check_fmt(self, other: "QLlr"):
-        if other.fmt != self.fmt:
-            raise ValueError("mixed fixed-point formats")
-
-    def __add__(self, other: "QLlr") -> "QLlr":
-        self._check_fmt(other)
-        return QLlr(int(sat_add(self.code, other.code, self.fmt)), self.fmt)
-
-    def __sub__(self, other: "QLlr") -> "QLlr":
-        self._check_fmt(other)
-        return QLlr(int(sat_sub(self.code, other.code, self.fmt)), self.fmt)
-
-    def __neg__(self) -> "QLlr":
-        return QLlr(int(saturate(-self.code, self.fmt)), self.fmt)
-
-    def __abs__(self) -> "QLlr":
-        return QLlr(int(saturate(abs(self.code), self.fmt)), self.fmt)

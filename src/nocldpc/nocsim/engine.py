@@ -1,0 +1,146 @@
+"""PE and router timing for one decoding iteration on the torus NoC.
+
+Synchronous model, two cycles per hop (crossbar traversal, then link).  Each
+cycle, in order: scheduled link/ejection deliveries land, finished checks
+emit their messages, each PE injects at most one flit into its LOCAL queue,
+PEs start reading a check once all its inputs are present, and every router
+moves flits from its input FIFOs to its outputs.  CycleEngine runs the first
+four steps.  Its driver runs the fifth: simulate_iteration arbitrates each
+output round-robin, and validate_config applies the routing-memory word of
+the cycle.  The simulator and the RM walk thus share one timing model, so
+a routing program that replays the simulator's decisions reproduces its
+cycles exactly.  FIFOs are unbounded; their peak occupancy sizes the
+hardware queues afterwards.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from .schedule import SRC_BYPASS, SRC_CHAIN, InjectionSchedule
+from .topology import Port
+
+HOP_CYCLES = 2  # one cycle through the crossbar, one on the link
+LOCAL = int(Port.LOCAL)  # the PE-side port, as the int the cycle loops index with
+
+
+class CycleEngine:
+    """Input FIFOs, deliveries in flight and PE read state of one iteration.
+
+    Flits are their schedule uids.  After step(t), the driver pops uids
+    from ``fifos[node][port]``, lowers ``queued[node]`` by one per pop, and
+    stores the cycle's moves as ``deliveries[t + HOP_CYCLES]``: a list of
+    (node, input port, uid), where input port LOCAL is an ejection into the
+    node's PE.  The per-run facts are plain lists: ``check_start`` and
+    ``check_complete`` per check, ``inject_cycle`` and ``receipt_cycle``
+    per uid, and ``fifo_max`` per (node, input port).
+    """
+
+    def __init__(self, schedule: InjectionSchedule, pipeline_depth: int):
+        p = schedule.p
+        n_flits = schedule.n_network
+        self.pipeline_depth = pipeline_depth
+        self.host = schedule.host.tolist()
+        self.serve = schedule.order
+        self.dst_check = [e.dst_check for e in schedule.network_flits]
+        self.wrap = [e.wrap for e in schedule.network_flits]
+        # per check: its network uids in position order, the same-PE checks
+        # its local forwards feed, and its read time (degree)
+        self.emit_net = [[e.uid for e in ems if e.network] for ems in schedule.emissions]
+        self.emit_local = [
+            [e.dst_check for e in ems if not e.network and not e.wrap]
+            for ems in schedule.emissions
+        ]
+        self.deg = [len(ems) for ems in schedule.emissions]
+        # inputs other than wrap/self must arrive before a check is read
+        src = schedule.input_src
+        self.missing = ((src == SRC_CHAIN) | (src == SRC_BYPASS)).sum(axis=1).tolist()
+
+        self.fifos = [[deque() for _ in range(5)] for _ in range(p)]
+        self.queued = [0] * p  # flits waiting in each router's input FIFOs
+        self.deliveries: dict[int, list[tuple[int, int, int]]] = {}
+        self.completions: dict[int, list[int]] = {}  # cycle -> checks leaving the pipeline
+        self.inj_queue: list[deque[int]] = [deque() for _ in range(p)]
+        self.ptr = [0] * p  # next served check per PE
+        self.read_free = [0] * p
+        self.pending_checks = sum(len(s) for s in self.serve)
+        self.delivered = 0
+
+        self.fifo_max = [[0] * 5 for _ in range(p)]
+        self.check_start = [-1] * schedule.n_checks
+        self.check_complete = [-1] * schedule.n_checks
+        self.inject_cycle = [-1] * n_flits
+        self.receipt_cycle = [-1] * n_flits
+
+    def step(self, t: int) -> bool:
+        """Run steps 1-4 of cycle t; True if anything landed, emitted,
+        injected or started reading."""
+        fifos, queued, fifo_max, missing = self.fifos, self.queued, self.fifo_max, self.missing
+        inj_queue = self.inj_queue
+        progressed = False
+
+        # 1. deliveries scheduled for this cycle
+        landing = self.deliveries.pop(t, None)
+        if landing:
+            progressed = True
+            wrap, dst_check, receipt = self.wrap, self.dst_check, self.receipt_cycle
+            for node, port, uid in landing:
+                if port == LOCAL:  # ejection into the PE
+                    self.delivered += 1
+                    receipt[uid] = t
+                    if not wrap[uid]:
+                        missing[dst_check[uid]] -= 1
+                else:
+                    q = fifos[node][port]
+                    q.append(uid)
+                    queued[node] += 1
+                    if len(q) > fifo_max[node][port]:
+                        fifo_max[node][port] = len(q)
+
+        # 2. checks leaving the pipeline emit their messages
+        finished = self.completions.pop(t, None)
+        if finished:
+            progressed = True
+            host, emit_net, emit_local = self.host, self.emit_net, self.emit_local
+            for m in finished:
+                self.check_complete[m] = t
+                inj_queue[host[m]].extend(emit_net[m])
+                for c in emit_local[m]:
+                    missing[c] -= 1  # same-PE forward, available now
+
+        # 3. injection: one flit per PE per cycle through the LOCAL port
+        for pe, iq in enumerate(inj_queue):
+            if iq:
+                uid = iq.popleft()
+                self.inject_cycle[uid] = t
+                q = fifos[pe][LOCAL]
+                q.append(uid)
+                queued[pe] += 1
+                if len(q) > fifo_max[pe][LOCAL]:
+                    fifo_max[pe][LOCAL] = len(q)
+                progressed = True
+
+        # 4. PEs start reading the next served check when its block is full
+        serve, ptr, read_free = self.serve, self.ptr, self.read_free
+        for pe, order in enumerate(serve):
+            if ptr[pe] < len(order) and read_free[pe] <= t:
+                m = order[ptr[pe]]
+                if missing[m] == 0:
+                    self.check_start[m] = t
+                    d = self.deg[m]
+                    read_free[pe] = t + d
+                    self.completions.setdefault(t + d + self.pipeline_depth, []).append(m)
+                    ptr[pe] += 1
+                    self.pending_checks -= 1
+                    progressed = True
+        return progressed
+
+    def drained(self) -> bool:
+        """Every flit delivered, every check read and emitted."""
+        return (
+            self.delivered == len(self.receipt_cycle)
+            and self.pending_checks == 0
+            and not self.completions
+            and not self.deliveries
+            and not any(self.inj_queue)
+        )

@@ -7,11 +7,13 @@ has two parts:
 
 1. validate_config walks the routing memories cycle by cycle with identity
    tokens (a PE's injection order is fixed by its serving schedule, so the
-   k-th flit out of a PE is known without headers).  It re-derives PE timing
-   from the deliveries the RM produces and checks that every pop finds a
+   k-th flit out of a PE is known without headers).  PE timing comes from
+   the simulator's own timing model (engine.CycleEngine), driven by the
+   deliveries the RM produces.  The walk checks that every pop finds a
    flit, every ejection lands at its host PE in WAG order, every block slot
-   is written exactly once, and the declared slot map matches.  The result
-   is the validated dataflow wiring between memory slots.
+   is written exactly once, no FIFO outgrows its declared depth, the
+   network is drained after k_i cycles, and the declared slot map matches.
+   The result is the validated dataflow wiring between memory slots.
 
 2. replay_decode runs frames over that wiring: values live in the per-PE
    L(q) block memories, check updates use the same saturating kernel as the
@@ -23,19 +25,18 @@ has two parts:
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
-from ..configgen.image import ConfigImage, unpack_rm_word
+from ..configgen.image import ConfigImage, fill_free_slots, unpack_rm_word
 from ..decoder.layout import CodeLayout
 from ..decoder.nms import DecodeParams, DecodeResult, _check_node_update, hard_decision
 from ..fixedpoint import quantize, reciprocal_scale_table, saturate
 from ..mapper import Mapping
-from .schedule import SRC_BYPASS, SRC_CHAIN, build_schedule
-from .simulate import HOP_CYCLES, LOCAL
+from .engine import HOP_CYCLES, LOCAL, CycleEngine
+from .schedule import build_schedule
 from .topology import Topology
 from .trace import NocTrace
 
@@ -81,7 +82,6 @@ def validate_config(
     links = Topology(config.n).links()
     n_d = config.n_d
     serve_pos = schedule.serve_pos.tolist()
-    host = schedule.host.tolist()
     degs = [len(row) for row in h.rows]
 
     for pe in range(p):
@@ -89,52 +89,19 @@ def validate_config(
         if [tuple(x) for x in config.cnt_cmp[pe]] != want:
             raise ReplayIntegrityError(f"CNT/CMP table mismatch on PE {pe}")
 
-    # token walk through the routing memories; the tokens are the schedule's
-    # emissions, injected per PE in serving order
-    emit_net = [[e for e in ems if e.network] for ems in schedule.emissions]
-    emit_local = [
-        [e.dst_check for e in ems if not e.network and not e.wrap] for ems in schedule.emissions
-    ]
-    fifos = [[deque() for _ in range(5)] for _ in range(p)]
-    missing = (
-        ((schedule.input_src == SRC_CHAIN) | (schedule.input_src == SRC_BYPASS))
-        .sum(axis=1)
-        .tolist()
-    )
+    # walk the routing memories through the shared timing model; the flits
+    # are the schedule's uids, injected per PE in serving order
+    engine = CycleEngine(schedule, config.pipeline_depth)
+    fifos, queued, deliveries = engine.fifos, engine.queued, engine.deliveries
+    flits = schedule.network_flits
     serve = schedule.order
-    ptr = [0] * p
-    read_free = [0] * p
-    inj_stage = [deque() for _ in range(p)]
-    # cycle -> (node, input port, token); input port LOCAL marks an ejection
-    deliveries: dict[int, list[tuple[int, int, object]]] = {}
-    completions: dict[int, list[int]] = {}
     selections: dict[int, list[tuple[int, int]]] = {}  # RM word -> crossbar settings
     wag_next = [0] * p
-    slot_seen: dict[tuple[int, int], int] = {}
-    delivered = 0
+    slot_of: dict[tuple[int, int], int] = {}
+    written: set[tuple[int, int]] = set()  # (check, slot)
 
     for t in range(config.k_i):
-        for node, port, tok in deliveries.pop(t, ()):
-            if port != LOCAL:
-                fifos[node][port].append(tok)
-            else:
-                delivered += 1
-                if not tok.wrap:
-                    missing[tok.dst_check] -= 1
-        for m in completions.pop(t, ()):
-            inj_stage[host[m]].extend(emit_net[m])
-            for c in emit_local[m]:
-                missing[c] -= 1
-        for pe in range(p):
-            if inj_stage[pe]:
-                fifos[pe][LOCAL].append(inj_stage[pe].popleft())
-        for pe in range(p):
-            if ptr[pe] < len(serve[pe]) and read_free[pe] <= t:
-                m = serve[pe][ptr[pe]]
-                if missing[m] == 0:
-                    read_free[pe] = t + degs[m]
-                    completions.setdefault(t + degs[m] + config.pipeline_depth, []).append(m)
-                    ptr[pe] += 1
+        engine.step(t)
         hop_done = []
         for node in range(p):
             word = config.rm[node][t]
@@ -151,14 +118,16 @@ def validate_config(
                     raise ReplayIntegrityError(
                         f"cycle {t}: node {node} pops empty FIFO {inp}"
                     )
-                tok = q.popleft()
+                uid = q.popleft()
+                queued[node] -= 1
                 if out != LOCAL:
                     nbr, port = links[node][out]
-                    hop_done.append((nbr, port, tok))
+                    hop_done.append((nbr, port, uid))
                     continue
-                if tok.dst_pe != node:
+                e = flits[uid]
+                if e.dst_pe != node:
                     raise ReplayIntegrityError(
-                        f"cycle {t}: flit for PE {tok.dst_pe} ejected at {node}"
+                        f"cycle {t}: flit for PE {e.dst_pe} ejected at {node}"
                     )
                 if wag_next[node] >= len(config.wag[node]):
                     raise ReplayIntegrityError(f"PE {node}: WAG table exhausted")
@@ -168,46 +137,43 @@ def validate_config(
                 if pos_in_order >= len(serve[node]):
                     raise ReplayIntegrityError(f"PE {node}: WAG address {addr} out of range")
                 check = serve[node][pos_in_order]
-                if check != tok.dst_check or slot >= degs[check]:
+                if check != e.dst_check or slot >= degs[check]:
                     raise ReplayIntegrityError(
                         f"cycle {t}: WAG address {addr} routes to check {check}, "
-                        f"flit belongs to {tok.dst_check}"
+                        f"flit belongs to {e.dst_check}"
                     )
-                key = (check, tok.dst_pos)
-                if key in slot_seen:
-                    raise ReplayIntegrityError(f"slot for {key} written twice")
-                slot_seen[key] = slot
-                hop_done.append((node, LOCAL, tok))
+                if (check, slot) in written:
+                    raise ReplayIntegrityError(f"check {check}: slot {slot} assigned twice")
+                written.add((check, slot))
+                slot_of[(check, e.dst_pos)] = slot
+                hop_done.append((node, LOCAL, uid))
         if hop_done:
             deliveries[t + HOP_CYCLES] = hop_done
 
-    for t in sorted(deliveries):
-        for _node, port, _tok in deliveries[t]:
-            if port != LOCAL:
-                raise ReplayIntegrityError("flit still on a link after k_i cycles")
-            delivered += 1
+    # stop rule: after k_i cycles only ejections may still be in flight
+    delivered = engine.delivered
+    for moves in deliveries.values():
+        if any(port != LOCAL for _node, port, _uid in moves):
+            raise ReplayIntegrityError("flit still on a link after k_i cycles")
+        delivered += len(moves)
     if delivered != schedule.n_network:
         raise ReplayIntegrityError(
             f"{delivered} of {schedule.n_network} flits delivered by the program"
         )
-    if any(q for node in fifos for q in node):
+    if any(queued):
         raise ReplayIntegrityError("flits left in FIFOs after k_i cycles")
     for pe in range(p):
         if wag_next[pe] != len(config.wag[pe]):
             raise ReplayIntegrityError(f"PE {pe}: WAG table not fully consumed")
+    short = np.argwhere(config.fifo_depth < np.array(engine.fifo_max))
+    if len(short):
+        node, port = short[0].tolist()
+        raise ReplayIntegrityError(
+            f"node {node}: FIFO {port} holds {engine.fifo_max[node][port]} flits, "
+            f"depth is {config.fifo_depth[node, port]}"
+        )
 
-    # slot map: walked network slots plus leftover inputs in position order
-    slot_of = dict(slot_seen)
-    used: list[set[int]] = [set() for _ in range(h.n_rows)]
-    for (check, _pos), slot in slot_seen.items():
-        if slot in used[check]:
-            raise ReplayIntegrityError(f"check {check}: slot {slot} assigned twice")
-        used[check].add(slot)
-    for m, d in enumerate(degs):
-        free = iter([s for s in range(d) if s not in used[m]])
-        for pos in range(d):
-            if (m, pos) not in slot_of:
-                slot_of[(m, pos)] = next(free)
+    fill_free_slots(slot_of, degs)
     if slot_of != config.slot_of:
         raise ReplayIntegrityError("declared slot map differs from the RM walk")
 

@@ -65,6 +65,16 @@ class TestPartitionAndSimulate:
         summary = json.loads((tmp_path / "simulate.json").read_text())
         assert summary["k_i"] > 0
 
+    def test_simulate_rejects_fifo_pow2(self, tmp_path, capsys):
+        # FIFO depths are sized by genconfig and pipeline; simulate builds no image
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "simulate", "--code", "wimax_576_288", "--torus-n", "1",
+                "--fifo-pow2", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "--fifo-pow2" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.json").exists()
 
     def test_genconfig_rejects_malformed_inputs(self, tmp_path, capsys):
         run(["simulate", "--code", "wimax_576_288", "--torus-n", "5",

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from nocldpc.fixedpoint import (
-    QFormat,
-    QLlr,
-    quantize,
-    reciprocal_scale_table,
-    sat_add,
-    sat_sub,
-    saturate,
-    to_real,
-)
+from nocldpc.codes import load_code
+from nocldpc.decoder import CheckState, CodeLayout, DecodeParams, decode_layered_nms, layer_update
+from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table, saturate, to_real
 
 
 def test_format_parse_roundtrip():
@@ -61,18 +54,30 @@ def test_quantize_matches_scalar_reference():
 
 
 def test_saturating_add_sub_never_wraps():
+    # the layer kernel's saturating steps: q = L(q) - R, then L(q)' = q + R'
     fmt = QFormat(8, 1)
+    h = load_code("wimax_576_288")
+    layout = CodeLayout.build(h)
     rng = np.random.default_rng(3)
-    a = rng.integers(fmt.min_code, fmt.max_code + 1, size=500)
-    b = rng.integers(fmt.min_code, fmt.max_code + 1, size=500)
-    s = sat_add(a, b, fmt)
-    d = sat_sub(a, b, fmt)
-    assert s.min() >= fmt.min_code and s.max() <= fmt.max_code
-    assert d.min() >= fmt.min_code and d.max() <= fmt.max_code
-    exact_s = a + b
-    inside = (exact_s >= fmt.min_code) & (exact_s <= fmt.max_code)
-    assert np.array_equal(s[inside], exact_s[inside])
-    assert np.all(s[~inside] == np.clip(exact_s[~inside], fmt.min_code, fmt.max_code))
+    state = CheckState.init(layout, np.zeros(h.n_cols), fmt)
+    state.lq[:] = rng.integers(fmt.min_code, fmt.max_code + 1, size=h.n_cols)
+    state.r[:] = rng.integers(fmt.min_code, fmt.max_code + 1, size=state.r.shape) * layout.mask
+    rows = layout.layer_rows[0]
+    idx, mask = layout.idx[rows], layout.mask[rows]
+    exact_d = state.lq[idx].astype(np.int64) - state.r[rows]
+    layer_update(layout, 0, state, DecodeParams(fmt=fmt))
+
+    for codes in (state.lq, state.r):
+        assert codes.min() >= fmt.min_code and codes.max() <= fmt.max_code
+    q = np.clip(exact_d, fmt.min_code, fmt.max_code)
+    assert (q[mask] != exact_d[mask]).any()  # the draw exercises the subtraction's clamp
+    exact_s = q + state.r[rows]
+    out = state.lq[idx]
+    inside = mask & (exact_s >= fmt.min_code) & (exact_s <= fmt.max_code)
+    outside = mask & ~inside
+    assert outside.any()
+    assert np.array_equal(out[inside], exact_s[inside])
+    assert np.array_equal(out[outside], np.clip(exact_s[outside], fmt.min_code, fmt.max_code))
 
 
 def test_reciprocal_table_115():
@@ -86,14 +91,16 @@ def test_reciprocal_table_115():
         reciprocal_scale_table(0.9, fmt)
 
 
-def test_qllr_scalar_ops():
+def test_layer_kernel_saturates_strong_llrs():
     fmt = QFormat(8, 1)
-    a = QLlr.from_real(3.7, fmt)
-    b = QLlr.from_real(-1.0, fmt)
-    assert a.value == 3.5
-    assert (a + b).value == 2.5
-    assert (a - b).value == 4.5
-    assert (-b).value == 1.0
-    big = QLlr.from_real(60.0, fmt)
-    assert (big + big).value == fmt.max_value
+    h = load_code("wimax_576_288")
+    layout = CodeLayout.build(h)
+    params = DecodeParams(fmt=fmt, it_max=3)
+    for llr in (60.0, -60.0):
+        res = decode_layered_nms(h, np.full(h.n_cols, llr), params, layout)
+        assert res.final_llrs.min() >= fmt.min_code and res.final_llrs.max() <= fmt.max_code
+    # 60 is code 120, and one layer's extrinsic pushes every code past 127
+    res = decode_layered_nms(h, np.full(h.n_cols, 60.0), params, layout)
+    assert res.converged and res.iterations_run == 1
+    assert (to_real(res.final_llrs, fmt) == fmt.max_value).all()
     assert saturate(-200, fmt) == -128

@@ -328,3 +328,32 @@ class TestReplay:
         broken.digest = broken.compute_digest()
         with pytest.raises(ReplayIntegrityError):
             validate_config(h, m, tr, broken)
+
+    @pytest.mark.parametrize("tamper", ["fifo_depth", "wag_address", "short_program"])
+    def test_resealed_program_faults_rejected(self, pipeline, tamper):
+        from nocldpc.configgen import ConfigImage
+        from nocldpc.nocsim import ReplayIntegrityError
+
+        h, m, tr, cfg, _ = pipeline
+        broken = ConfigImage.from_json(cfg.to_json())
+        if tamper == "fifo_depth":  # one queue one flit short of the walk's peak
+            node, port = np.argwhere(broken.fifo_depth > 0)[0]
+            broken.fifo_depth[node, port] -= 1
+        elif tamper == "wag_address":
+            pe = next(pe for pe, addrs in enumerate(broken.wag) if addrs)
+            broken.wag[pe][0] ^= 1
+        else:  # the program stops before its last flits land
+            broken.k_i -= 3
+            broken.rm = [words[: broken.k_i] for words in broken.rm]
+        broken.digest = broken.compute_digest()
+        with pytest.raises(ReplayIntegrityError):
+            validate_config(h, m, tr, broken)
+
+    def test_flipped_digest_rejected(self, pipeline):
+        from nocldpc.configgen import ConfigImage, ConfigIntegrityError
+
+        h, m, tr, cfg, _ = pipeline
+        broken = ConfigImage.from_json(cfg.to_json())
+        broken.digest = ("1" if broken.digest[0] == "0" else "0") + broken.digest[1:]
+        with pytest.raises(ConfigIntegrityError):
+            validate_config(h, m, tr, broken)
