@@ -342,6 +342,8 @@ def cmd_pipeline(args) -> int:
             if not (
                 np.array_equal(gold.hard_bits, rep.hard_bits)
                 and gold.iterations_run == rep.iterations_run
+                and gold.converged == rep.converged
+                and np.array_equal(gold.final_llrs, rep.final_llrs)
             ):
                 mismatches += 1
         replay_ok = mismatches == 0

@@ -10,6 +10,11 @@ Sign convention: the new extrinsic for position j carries the product of the
 signs of the other operands (an even number of negative inputs yields a
 positive extrinsic), which is the convergent min-sum update for LLRs defined
 as log(P0/P1).
+
+decode_layered_nms and layer_update are the plain reference.  The one
+production kernel is _layered_sweep, a frames-last sweep over per-layer
+gather/scatter maps: decode_layered_nms_batch runs it through the variable
+index and the NoC replay (nocsim.replay) through configured memory slots.
 """
 
 from __future__ import annotations
@@ -132,15 +137,13 @@ def decode_layered_nms(
     channel_llrs,
     params: DecodeParams,
     layout: CodeLayout | None = None,
-    record_history: list | None = None,
 ) -> DecodeResult:
     """Decode one frame with the fixed-point layered normalized min-sum.
 
     Variable LLRs start from the quantized received soft values and all
     extrinsics from zero; layers are swept in order.  With early_stop on,
     decoding ends after the first iteration whose hard decisions satisfy
-    every parity check.  record_history, when given, collects the hard
-    decisions after every executed iteration (test hook).
+    every parity check.
     """
     llrs = np.asarray(channel_llrs, dtype=np.float64)
     if len(llrs) != h.n_cols:
@@ -156,8 +159,6 @@ def decode_layered_nms(
         for li in range(len(layout.layer_rows)):
             layer_update(layout, li, state, params, alpha_lut)
         iterations += 1
-        if record_history is not None:
-            record_history.append(hard_decision(state.lq))
         if params.early_stop:
             if layout.syndrome_ok(hard_decision(state.lq)):
                 converged = True
@@ -188,59 +189,66 @@ def _two_smallest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m1, m2
 
 
-def decode_layered_nms_batch(
-    h: ParityCheckMatrix,
-    channel_llrs,
-    params: DecodeParams,
-    layout: CodeLayout | None = None,
-) -> list[DecodeResult]:
-    """Decode F frames at once with the layered normalized min-sum.
+def _code_store(n_rows: int, n_frames: int, fmt: QFormat) -> np.ndarray:
+    """Zeroed frames-last code store for _layered_sweep.
 
-    channel_llrs is (F, N).  Result f equals decode_layered_nms on row f in
-    bits, iterations_run, converged and final_llrs.  The state is frames
-    last: variable codes are (N + 1, F), row N being the spare slot that
-    padded positions read and write, and extrinsics are (W, rows, F) with
-    each layer a contiguous block of rows.  Codes are int16 up to 14-bit
-    formats, where every intermediate sum of two saturated codes still fits,
-    and int32 above.  Each frame's result is taken at the first iteration
-    whose syndrome it satisfies; the batch runs until every frame has
-    converged or it_max is reached.  Converged frames are not compacted out:
-    at 32 frames the per-call overhead dominates, and copying the state was
-    slower than carrying them along.
+    Codes are int16 up to 14-bit formats, where every intermediate sum of
+    two saturated codes still fits, and int32 above.
     """
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if llrs.ndim != 2 or llrs.shape[1] != h.n_cols:
-        raise ValueError(f"expected (frames, {h.n_cols}) channel LLRs, got {llrs.shape}")
-    if layout is None:
-        layout = CodeLayout.build(h)
+    return np.zeros((n_rows, n_frames), dtype=np.int16 if fmt.n_bits <= 14 else np.int32)
+
+
+def _layered_sweep(
+    layout: CodeLayout,
+    params: DecodeParams,
+    store: np.ndarray,
+    maps: list[tuple[np.ndarray, np.ndarray]],
+    home: np.ndarray | None = None,
+) -> list[DecodeResult]:
+    """Layered normalized min-sum over a frames-last code store.
+
+    store is (S, F) codes from _code_store whose last row is the spare slot
+    that padded positions read and write.  maps holds one (gather, scatter)
+    pair per layer of layout, each shaped like its LayerMap.idx: the code in
+    slot k of the layer's row i is read from store row gather[k, i], and its
+    update is written to row scatter[k, i].  home, when given, is the
+    (N + 1,) store row of each variable's current code followed by the spare
+    row; without it, store rows 0..N-1 are the variables themselves.  The
+    extrinsics are (W, rows, F) with each layer a contiguous block of rows.
+    Each frame's result is taken at the first iteration whose syndrome it
+    satisfies; the batch runs until every frame has converged or it_max is
+    reached.  Converged frames are not compacted out: at 32 frames the
+    per-call overhead dominates, and copying the state was slower than
+    carrying them along.
+    """
     fmt = params.fmt
-    dtype = np.dtype(np.int16 if fmt.n_bits <= 14 else np.int32)
-    sign_shift = dtype.itemsize * 8 - 1
-    n, n_frames = h.n_cols, len(llrs)
-    lut = reciprocal_scale_table(params.alpha, fmt).astype(dtype)
-    lo, hi = fmt.min_code, fmt.max_code
+    sign_shift = store.dtype.itemsize * 8 - 1
+    n, n_frames = layout.h.n_cols, store.shape[1]
+    lut = reciprocal_scale_table(params.alpha, fmt).astype(store.dtype)
+    # bounds of the store's own type: np.clip with Python ints looks up the
+    # dtype's limits on every call, which dominates at a few frames
+    lo, hi = store.dtype.type(fmt.min_code), store.dtype.type(fmt.max_code)
     clip_positive = lut[-1] > hi  # alpha near 1 maps |min_code| past max_code
     # padded slots read as +|min_code|: never below a real magnitude, and the
     # golden clamps an empty minimum to the same table entry
-    pad_floor = [None if lm.pad is None else np.where(lm.pad, len(lut) - 1, lo).astype(dtype)
+    pad_floor = [None if lm.pad is None else np.where(lm.pad, len(lut) - 1, lo).astype(store.dtype)
                  for lm in layout.layer_maps]
-
-    lq = np.zeros((n + 1, n_frames), dtype=dtype)
-    for f, frame in enumerate(llrs):
-        lq[:n, f] = quantize(frame, fmt)
     r_rows = sum(len(rows) for rows in layout.layer_rows)
-    r = np.zeros((layout.check_idx.shape[0], r_rows, n_frames), dtype=dtype)
+    r = np.zeros((layout.check_idx.shape[0], r_rows, n_frames), dtype=store.dtype)
+
+    def variables():
+        return store if home is None else np.take(store, home, axis=0)
 
     final = np.empty((n_frames, n), dtype=np.int32)
     iterations = np.full(n_frames, params.it_max)
     converged = np.zeros(n_frames, dtype=bool)
     done = np.zeros(n_frames, dtype=bool)  # result taken; the frame still rides along
     for it in range(1, params.it_max + 1):
-        for lm, floor in zip(layout.layer_maps, pad_floor):
+        for lm, floor, (gather, scatter) in zip(layout.layer_maps, pad_floor, maps):
             r_l = r[:, lm.span]
-            q = np.take(lq, lm.idx, axis=0)
+            q = np.take(store, gather, axis=0)
             q -= r_l
-            np.clip(q, lo, hi, out=q)
+            q.clip(lo, hi, out=q)
             if floor is not None:
                 np.maximum(q, floor, out=q)
             mag = np.abs(q)
@@ -257,10 +265,11 @@ def decode_layered_nms_batch(
             if clip_positive:
                 np.minimum(r_l, hi, out=r_l)
             q += r_l
-            np.clip(q, lo, hi, out=q)
-            lq[lm.idx] = q
+            q.clip(lo, hi, out=q)
+            store[scatter] = q
         if not params.early_stop:
             continue
+        lq = variables()
         ok = layout.syndrome_ok_batch(lq) & ~done
         if ok.any():
             final[ok] = lq[:n, ok].T
@@ -269,6 +278,7 @@ def decode_layered_nms_batch(
             done |= ok
             if done.all():
                 break
+    lq = variables()
     final[~done] = lq[:n, ~done].T
     if not params.early_stop:
         converged = layout.syndrome_ok_batch(lq)
@@ -282,3 +292,29 @@ def decode_layered_nms_batch(
         )
         for f in range(n_frames)
     ]
+
+
+def decode_layered_nms_batch(
+    h: ParityCheckMatrix,
+    channel_llrs,
+    params: DecodeParams,
+    layout: CodeLayout | None = None,
+) -> list[DecodeResult]:
+    """Decode F frames at once with the layered normalized min-sum.
+
+    channel_llrs is (F, N).  Result f equals decode_layered_nms on row f in
+    bits, iterations_run, converged and final_llrs.  The variable codes are
+    an (N + 1, F) store, row N being the spare slot, and every layer gathers
+    and scatters through the variable index of its LayerMap.
+    """
+    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    if llrs.ndim != 2 or llrs.shape[1] != h.n_cols:
+        raise ValueError(f"expected (frames, {h.n_cols}) channel LLRs, got {llrs.shape}")
+    if layout is None:
+        layout = CodeLayout.build(h)
+    store = _code_store(h.n_cols + 1, len(llrs), params.fmt)
+    # frame by frame: one call on the whole block allocates block-sized
+    # temporaries and was slower
+    for f, frame in enumerate(llrs):
+        store[:-1, f] = quantize(frame, params.fmt)
+    return _layered_sweep(layout, params, store, [(lm.idx, lm.idx) for lm in layout.layer_maps])

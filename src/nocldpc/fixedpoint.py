@@ -74,11 +74,6 @@ def quantize(x, fmt: QFormat) -> np.ndarray:
     return np.clip(codes, fmt.min_code, fmt.max_code).astype(np.int32)
 
 
-def to_real(codes, fmt: QFormat) -> np.ndarray:
-    """Convert integer codes back to real LLR values."""
-    return np.asarray(codes, dtype=np.float64) * fmt.lsb
-
-
 def saturate(codes, fmt: QFormat) -> np.ndarray:
     """Clamp (wider) integer codes into the representable range."""
     return np.clip(codes, fmt.min_code, fmt.max_code).astype(np.int32)

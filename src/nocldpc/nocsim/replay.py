@@ -15,11 +15,14 @@ has two parts:
    network is drained after k_i cycles, and the declared slot map matches.
    The result is the validated dataflow wiring between memory slots.
 
-2. replay_decode runs frames over that wiring: values live in the per-PE
-   L(q) block memories, check updates use the same saturating kernel as the
-   golden decoder, and each output value moves to the successor slot the
-   network was just proven to deliver it to.  The outcome must match the
-   golden layered decoder bit for bit.
+2. replay_decode runs frames over that wiring on the frames-last layered
+   kernel of decoder.nms, the one that decode_layered_nms_batch runs.
+   Values live in the PEs' L(q) block memories, flattened to one store of
+   (check, slot) rows.  Each layer gathers its rows' own slots and scatters
+   every output value to the successor slot the network was just proven to
+   deliver it to; the final LLRs and the syndrome read each variable's
+   home slot.  Golden and replay thus differ only in their slot maps, and
+   the outcome must match the golden layered decoder bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix
 from ..configgen.image import ConfigImage, fill_free_slots, unpack_rm_word
 from ..decoder.layout import CodeLayout
-from ..decoder.nms import DecodeParams, DecodeResult, _check_node_update, hard_decision
-from ..fixedpoint import quantize, reciprocal_scale_table, saturate
+from ..decoder.nms import DecodeParams, DecodeResult, _code_store, _layered_sweep
+from ..fixedpoint import quantize
 from ..mapper import Mapping
 from .engine import HOP_CYCLES, LOCAL, CycleEngine
 from .schedule import build_schedule
@@ -47,17 +50,15 @@ class ReplayIntegrityError(ValueError):
 
 @dataclass
 class ReplayWiring:
-    """Validated slot-level dataflow extracted from a configuration image."""
+    """Validated slot-level dataflow extracted from a configuration image.
 
-    n_d: int
-    slot_mask: np.ndarray  # (M, N_d) slot < degree
-    next_row: np.ndarray  # (M, N_d) successor check of the value computed here
-    next_slot: np.ndarray  # (M, N_d) successor slot
-    prefill_rows: np.ndarray  # slots holding received soft values at start
-    prefill_slots: np.ndarray
-    prefill_vars: np.ndarray
-    home_row: np.ndarray  # (N,) slot holding each variable's latest value
-    home_slot: np.ndarray
+    Store row m * n_d + k is slot k of check m's L(q) block.  A variable in
+    no check gets a row of its own after the slots, and the last row is the
+    spare that padded slots read and write.
+    """
+
+    maps: list[tuple[np.ndarray, np.ndarray]]  # per layer: own slots, successor slots
+    home: np.ndarray  # (N + 1,) row of each variable's latest value, then the spare
 
 
 def validate_config(
@@ -77,6 +78,8 @@ def validate_config(
 
     if config.p != mapping.p:
         raise ReplayIntegrityError(f"image is for {config.p} PEs, mapping for {mapping.p}")
+    if config.k_i != trace.k_i:
+        raise ReplayIntegrityError(f"image runs {config.k_i} cycles, trace {trace.k_i}")
     schedule = build_schedule(h, mapping)
     p = config.p
     links = Topology(config.n).links()
@@ -181,41 +184,31 @@ def validate_config(
 
 
 def _build_wiring(h, schedule, slot_of, n_d) -> ReplayWiring:
-    m_checks = h.n_rows
-    # flat (check, slot) tables; a slot without an emission keeps its value
-    slot_mask = [False] * (m_checks * n_d)
-    next_row = [m for m in range(m_checks) for _ in range(n_d)]
-    next_slot = list(range(n_d)) * m_checks
-    for (m, _pos), slot in slot_of.items():
-        slot_mask[m * n_d + slot] = True
+    layout = CodeLayout.build(h)
+    home = [-1] * h.n_cols
+    for j, (c, pos) in schedule.first_slot.items():
+        home[j] = c * n_d + slot_of[(c, pos)]
+    spare = h.n_rows * n_d
+    for j in range(h.n_cols):
+        if home[j] < 0:
+            home[j] = spare
+            spare += 1
+    home.append(spare)
+    # a slot without an emission keeps its value
+    successor = list(range(spare + 1))
     for ems in schedule.emissions:
         for e in ems:
-            k = e.src_check * n_d + slot_of[(e.src_check, e.src_pos)]
-            next_row[k] = e.dst_check
-            next_slot[k] = slot_of[(e.dst_check, e.dst_pos)]
-    slot_mask = np.array(slot_mask, dtype=bool).reshape(m_checks, n_d)
-    next_row = np.array(next_row, dtype=np.int64).reshape(m_checks, n_d)
-    next_slot = np.array(next_slot, dtype=np.int64).reshape(m_checks, n_d)
-
-    heads = sorted(schedule.first_slot.items())
-    prefill_rows = np.array([c for _, (c, _p) in heads], dtype=np.int64)
-    prefill_slots = np.array([slot_of[(c, p_)] for _, (c, p_) in heads], dtype=np.int64)
-    prefill_vars = np.array([j for j, _ in heads], dtype=np.int64)
-    home_row = np.zeros(h.n_cols, dtype=np.int64)
-    home_slot = np.zeros(h.n_cols, dtype=np.int64)
-    home_row[prefill_vars] = prefill_rows
-    home_slot[prefill_vars] = prefill_slots
-    return ReplayWiring(
-        n_d=n_d,
-        slot_mask=slot_mask,
-        next_row=next_row,
-        next_slot=next_slot,
-        prefill_rows=prefill_rows,
-        prefill_slots=prefill_slots,
-        prefill_vars=prefill_vars,
-        home_row=home_row,
-        home_slot=home_slot,
-    )
+            src = e.src_check * n_d + slot_of[(e.src_check, e.src_pos)]
+            successor[src] = e.dst_check * n_d + slot_of[(e.dst_check, e.dst_pos)]
+    successor = np.array(successor, dtype=np.intp)
+    # slot k of row m is live iff k < deg(m), so the slots pad where the
+    # layout's variable maps do
+    maps = []
+    for rows, lm in zip(layout.layer_rows, layout.layer_maps):
+        gather = rows * n_d + np.arange(len(lm.idx))[:, None]
+        gather[lm.idx == h.n_cols] = spare
+        maps.append((gather, successor[gather]))
+    return ReplayWiring(maps=maps, home=np.array(home, dtype=np.intp))
 
 
 def replay_decode(
@@ -241,39 +234,6 @@ def replay_decode(
     if len(llrs) != h.n_cols:
         raise ValueError(f"expected {h.n_cols} channel LLRs, got {len(llrs)}")
 
-    fmt = params.fmt
-    alpha_lut = reciprocal_scale_table(params.alpha, fmt)
-    codes = quantize(llrs, fmt)
-
-    lq_mem = np.zeros((h.n_rows, wiring.n_d), dtype=np.int32)
-    lq_mem[wiring.prefill_rows, wiring.prefill_slots] = codes[wiring.prefill_vars]
-    r_mem = np.zeros_like(lq_mem)
-
-    iterations = 0
-    converged = False
-    for _ in range(params.it_max):
-        for rows in layout.layer_rows:
-            mask = wiring.slot_mask[rows]
-            q = saturate(lq_mem[rows].astype(np.int64) - r_mem[rows], fmt)
-            rnew = saturate(_check_node_update(q, mask, alpha_lut), fmt)
-            lnew = saturate(q.astype(np.int64) + rnew, fmt)
-            r_mem[rows] = rnew
-            tr = wiring.next_row[rows][mask]
-            ts = wiring.next_slot[rows][mask]
-            lq_mem[tr, ts] = lnew[mask]
-        iterations += 1
-        bits = hard_decision(lq_mem[wiring.home_row, wiring.home_slot])
-        if params.early_stop and layout.syndrome_ok(bits):
-            converged = True
-            break
-    final = lq_mem[wiring.home_row, wiring.home_slot].astype(np.int32)
-    bits = hard_decision(final)
-    if not converged:
-        converged = layout.syndrome_ok(bits)
-    return DecodeResult(
-        hard_bits=bits,
-        iterations_run=iterations,
-        converged=converged,
-        final_llrs=final,
-        fmt=fmt,
-    )
+    store = _code_store(wiring.home[-1] + 1, 1, params.fmt)
+    store[wiring.home[:-1], 0] = quantize(llrs, params.fmt)
+    return _layered_sweep(layout, params, store, wiring.maps, wiring.home)[0]

@@ -179,6 +179,27 @@ class TestPipeline:
         for name in ("mapping.json", "trace.json", "config.json"):
             assert (tmp_path / name).exists()
 
+    def test_replay_spot_check_compares_final_llrs(self, tmp_path, capsys, monkeypatch):
+        import nocldpc.cli as cli
+
+        real = cli.replay_decode
+
+        def off_by_one(*args, **kwargs):  # same bits and iterations, other LLRs
+            res = real(*args, **kwargs)
+            res.final_llrs = res.final_llrs + 1
+            return res
+
+        monkeypatch.setattr(cli, "replay_decode", off_by_one)
+        rc = run([
+            "pipeline", "--code", "wimax_576_288", "--torus-n", "2",
+            "--seed", "1", "--check-frames", "1", "--rp-baseline", "2",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "replay      FAIL" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["replay_matches_golden"] is False
+
     def test_rejects_threads(self, tmp_path, capsys):
         # --threads belongs to ber only; pipeline decodes nothing in batches
         with pytest.raises(SystemExit) as exc:

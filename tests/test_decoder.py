@@ -245,11 +245,11 @@ class TestLayeredDecode:
         rng = np.random.default_rng(29)
         for _ in range(5):
             llrs = rng.normal(loc=2.2, scale=2.1, size=h.n_cols)
-            hist = []
-            decode_layered_nms(h, llrs, DecodeParams(it_max=8, early_stop=False),
-                               layout, record_history=hist)
             res = decode_layered_nms(h, llrs, DecodeParams(it_max=8, early_stop=True), layout)
-            assert np.array_equal(res.hard_bits, hist[res.iterations_run - 1])
+            # the hard decisions a full run holds after the same number of iterations
+            hist = decode_layered_nms(h, llrs, DecodeParams(it_max=res.iterations_run, early_stop=False),
+                                      layout)
+            assert np.array_equal(res.hard_bits, hist.hard_bits)
 
     def test_saturation_never_wraps(self):
         h = load_code("wimax_576_288")

@@ -3,7 +3,7 @@ import pytest
 
 from nocldpc.codes import load_code
 from nocldpc.decoder import CheckState, CodeLayout, DecodeParams, decode_layered_nms, layer_update
-from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table, saturate, to_real
+from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table, saturate
 
 
 def test_format_parse_roundtrip():
@@ -25,10 +25,10 @@ def test_quantize_examples():
     assert quantize(0.0, fmt) == 0
     # 3.7 * 2 = 7.4 rounds to code 7 = 3.5
     assert quantize(3.7, fmt) == 7
-    assert to_real(quantize(3.7, fmt), fmt) == 3.5
+    assert quantize(3.7, fmt) * fmt.lsb == 3.5
     # saturation at the positive bound
     assert quantize(1000.0, fmt) == 127
-    assert to_real(127, fmt) == 63.5
+    assert 127 * fmt.lsb == 63.5
     assert quantize(-1000.0, fmt) == -128
 
 
@@ -102,5 +102,5 @@ def test_layer_kernel_saturates_strong_llrs():
     # 60 is code 120, and one layer's extrinsic pushes every code past 127
     res = decode_layered_nms(h, np.full(h.n_cols, 60.0), params, layout)
     assert res.converged and res.iterations_run == 1
-    assert (to_real(res.final_llrs, fmt) == fmt.max_value).all()
+    assert (res.final_llrs * fmt.lsb == fmt.max_value).all()
     assert saturate(-200, fmt) == -128

@@ -4,6 +4,7 @@ import pytest
 from nocldpc.codes import ParityCheckMatrix, build_check_graph, compute_layers, load_code
 from nocldpc.configgen import gen_config
 from nocldpc.decoder import CodeLayout, DecodeParams, decode_layered_nms
+from nocldpc.fixedpoint import QFormat
 from nocldpc.mapper import Mapping, cutset, partition_kway, serving_order
 from nocldpc.nocsim import (
     Port,
@@ -266,18 +267,35 @@ class TestReplay:
     def test_noisy_frames_match_golden(self, pipeline):
         h, m, tr, cfg, wiring = pipeline
         layout = CodeLayout.build(h)
-        params = DecodeParams(alpha=1.15, it_max=10)
         sigma2 = 1.0 / (2 * 0.5 * 10 ** (2.0 / 10))
         sigma = sigma2**0.5
-        for f in range(25):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((77, f))))
-            llr = 2.0 * (1.0 + sigma * rng.standard_normal(h.n_cols)) / sigma2
-            gold = decode_layered_nms(h, llr, params, layout)
-            rep = replay_decode(h, m, tr, cfg, llr, params, layout, wiring)
-            assert np.array_equal(gold.hard_bits, rep.hard_bits)
-            assert gold.iterations_run == rep.iterations_run
-            assert gold.converged == rep.converged
-            assert np.array_equal(gold.final_llrs, rep.final_llrs)
+        # the default, a run without early stop, and a format whose codes
+        # need the kernel's int32 store
+        for params in (DecodeParams(alpha=1.15, it_max=10),
+                       DecodeParams(alpha=1.15, it_max=10, early_stop=False),
+                       DecodeParams(alpha=1.15, it_max=10, fmt=QFormat(16, 4))):
+            for f in range(25):
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((77, f))))
+                llr = 2.0 * (1.0 + sigma * rng.standard_normal(h.n_cols)) / sigma2
+                gold = decode_layered_nms(h, llr, params, layout)
+                rep = replay_decode(h, m, tr, cfg, llr, params, layout, wiring)
+                assert np.array_equal(gold.hard_bits, rep.hard_bits)
+                assert gold.iterations_run == rep.iterations_run
+                assert gold.converged == rep.converged
+                assert np.array_equal(gold.final_llrs, rep.final_llrs)
+
+    def test_unchecked_variable_keeps_its_channel_value(self):
+        h = make_h([[0, 1], [1, 2], [0, 2]], 4)  # variable 3 is in no check
+        m = mapped(h, [0, 1, 2], 4)
+        tr = simulate_iteration(Topology(2), build_schedule(h, m), seed=3)
+        cfg = gen_config(tr, m, h)
+        params = DecodeParams(it_max=3)
+        llr = np.array([3.0, -1.0, 2.0, -5.0])
+        gold = decode_layered_nms(h, llr, params)
+        rep = replay_decode(h, m, tr, cfg, llr, params)
+        assert tr.n_network > 0 and gold.final_llrs[3] == -10
+        assert np.array_equal(gold.final_llrs, rep.final_llrs)
+        assert (gold.iterations_run, gold.converged) == (rep.iterations_run, rep.converged)
 
     def test_noiseless_converges_identically(self, pipeline):
         h, m, tr, cfg, wiring = pipeline
@@ -329,7 +347,7 @@ class TestReplay:
         with pytest.raises(ReplayIntegrityError):
             validate_config(h, m, tr, broken)
 
-    @pytest.mark.parametrize("tamper", ["fifo_depth", "wag_address", "short_program"])
+    @pytest.mark.parametrize("tamper", ["fifo_depth", "wag_address", "short_program", "long_program"])
     def test_resealed_program_faults_rejected(self, pipeline, tamper):
         from nocldpc.configgen import ConfigImage
         from nocldpc.nocsim import ReplayIntegrityError
@@ -342,9 +360,12 @@ class TestReplay:
         elif tamper == "wag_address":
             pe = next(pe for pe, addrs in enumerate(broken.wag) if addrs)
             broken.wag[pe][0] ^= 1
-        else:  # the program stops before its last flits land
+        elif tamper == "short_program":  # the program stops before its last flits land
             broken.k_i -= 3
             broken.rm = [words[: broken.k_i] for words in broken.rm]
+        else:  # idle cycles past the trace's k_i would size the switch buffers wrong
+            broken.k_i += 50
+            broken.rm = [words + [0] * 50 for words in broken.rm]
         broken.digest = broken.compute_digest()
         with pytest.raises(ReplayIntegrityError):
             validate_config(h, m, tr, broken)

@@ -117,13 +117,17 @@ def test_codegen_path_properties(case):
     assert back.digest == config.digest
     wiring = validate_config(h, mapping, trace, back)
 
+    # both map sets of the shared layer sweep against one golden: the
+    # variable maps of the batched decoder and the replay's slot maps
     params = DecodeParams(it_max=5)
     layout = CodeLayout.build(h)
-    rng = np.random.default_rng(seed)
-    for llrs in rng.normal(2.0, 2.0, size=(2, h.n_cols)):
+    frames = np.random.default_rng(seed).normal(2.0, 2.0, size=(2, h.n_cols))
+    batch = decode_layered_nms_batch(h, frames, params, layout)
+    for llrs, res in zip(frames, batch):
         gold = decode_layered_nms(h, llrs, params, layout)
         rep = replay_decode(h, mapping, trace, back, llrs, params, layout, wiring)
-        assert np.array_equal(rep.hard_bits, gold.hard_bits)
-        assert rep.iterations_run == gold.iterations_run
-        assert rep.converged == gold.converged
-        assert np.array_equal(rep.final_llrs, gold.final_llrs)
+        for other in (rep, res):
+            assert np.array_equal(other.hard_bits, gold.hard_bits)
+            assert other.iterations_run == gold.iterations_run
+            assert other.converged == gold.converged
+            assert np.array_equal(other.final_llrs, gold.final_llrs)
