@@ -104,7 +104,6 @@ def run_ber(
     algorithm: str = "layered-nms",
     threads: int = 1,
     layout: CodeLayout | None = None,
-    rate: float | None = None,
 ) -> list[BerPoint]:
     """Monte Carlo BER/FER/average-iterations per SNR point.
 
@@ -120,8 +119,7 @@ def run_ber(
         raise ValueError(f"threads must be >= 1, got {threads}")
     if layout is None:
         layout = CodeLayout.build(h)
-    if rate is None:
-        rate = 1.0 - h.n_rows / h.n_cols
+    rate = 1.0 - h.n_rows / h.n_cols
     n = h.n_cols
     llrs = np.empty((min(_BLOCK, stop.max_frames), n))
 
@@ -189,7 +187,6 @@ def quantization_sweep(
             it_max=params.it_max,
             fmt=fmt,
             early_stop=params.early_stop,
-            psi_eps=params.psi_eps,
         )
         point = run_ber(
             h, p, [snr_db], stop, seed=seed, algorithm="layered-nms",

@@ -95,6 +95,18 @@ def _decode_params(args) -> DecodeParams:
     )
 
 
+def _positive(kind):
+    """argparse type: a number of the given kind, above zero."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:  # NaN too
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_code_args(p):
     p.add_argument("--code", required=True, help="bundled code name or matrix file")
     p.add_argument("--format", choices=["auto", "name", "file", "alist", "qc"], default="auto")
@@ -104,7 +116,7 @@ def _add_common(p, torus=True):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory (default nocldpc_out)")
     if torus:
-        p.add_argument("--torus-n", type=int, default=5, help="torus side length")
+        p.add_argument("--torus-n", type=_positive(int), default=5, help="torus side length")
 
 
 def _add_decode_args(p):
@@ -427,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config2")
     p.add_argument("--k1", type=int)
     p.add_argument("--k2", type=int)
-    p.add_argument("--torus-n", type=int, default=None)
-    p.add_argument("--buffer-size", type=int, default=None,
+    p.add_argument("--torus-n", type=_positive(int), default=None)
+    p.add_argument("--buffer-size", type=_positive(int), default=None,
                    help="force a capacity instead of the computed minimum")
     p.set_defaults(func=cmd_switch)
 
@@ -446,11 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("throughput", help="decoded-bit throughput from cycle counts")
     _add_common(p, torus=False)
-    p.add_argument("--k-i", type=int, required=True)
-    p.add_argument("--f-clk", type=float, required=True, help="clock frequency in Hz")
-    p.add_argument("--itmax", type=int, required=True)
-    p.add_argument("--block-length", type=int, required=True)
-    p.add_argument("--avg-iterations", type=float, default=None)
+    p.add_argument("--k-i", type=_positive(int), required=True)
+    p.add_argument("--f-clk", type=_positive(float), required=True, help="clock frequency in Hz")
+    p.add_argument("--itmax", type=_positive(int), required=True)
+    p.add_argument("--block-length", type=_positive(int), required=True)
+    p.add_argument("--avg-iterations", type=_positive(float), default=None)
     p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser("pipeline", help="partition, simulate, configure, and verify end to end")

@@ -52,6 +52,8 @@ def parse_qc(text: str, label: str = "") -> QcDescription:
     except ValueError as exc:
         raise QcValidationError(f"non-integer token in QC description: {exc}") from None
     rows, cols, z = values[:3]
+    if rows < 1 or cols < 1:
+        raise QcValidationError(f"base matrix must be at least 1 x 1, got {rows} x {cols}")
     body = values[3:]
     if len(body) != rows * cols:
         raise QcValidationError(f"expected {rows * cols} shift entries, got {len(body)}")

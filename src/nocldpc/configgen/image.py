@@ -195,8 +195,8 @@ def gen_config(
         raise ConfigIntegrityError(f"mapping is for {mapping.p} PEs, trace for {p}")
     n_d = h.max_row_degree
     n_pc = max((len(rows) for rows in mapping.order), default=0)
-    serve_pos = schedule.serve_pos.tolist()
-    host = schedule.host.tolist()
+    serve_pos = schedule.serve_pos
+    host = schedule.host
     degs = [len(row) for row in h.rows]
 
     # slots: network arrivals claim slots in arrival order, the remaining
@@ -205,7 +205,9 @@ def gen_config(
     next_slot = [0] * h.n_rows
     for pe in range(p):
         for check, pos, _src, _uid, _rc in trace.arrivals[pe]:
-            key = (int(check), int(pos))
+            if not 0 <= check < h.n_rows:
+                raise ConfigIntegrityError(f"PE {pe}: arrival for check {check}, outside the code")
+            key = (check, pos)
             if key in slot_of:
                 raise ConfigIntegrityError(f"duplicate arrival for {key}")
             if host[check] != pe:
@@ -214,14 +216,11 @@ def gen_config(
                 )
             slot_of[key] = next_slot[check]
             next_slot[check] += 1
-    # inputs whose predecessor check sits on another PE
-    pred = schedule.input_pred
-    crossing = (pred >= 0) & (schedule.host[np.maximum(pred, 0)] != schedule.host[:, None])
-    network_inputs = set(zip(*(a.tolist() for a in np.nonzero(crossing))))
-    if network_inputs != slot_of.keys():
-        raise ConfigIntegrityError(
-            f"trace delivered {len(slot_of)} inputs, schedule expects {len(network_inputs)}"
-        )
+    network_inputs = {(e.dst_check, e.dst_pos) for e in schedule.network_flits}
+    stray = sorted(network_inputs ^ slot_of.keys())
+    if stray:
+        side = "trace" if stray[0] in slot_of else "schedule"
+        raise ConfigIntegrityError(f"network input {stray[0]} is in the {side} only")
     fill_free_slots(slot_of, degs)
 
     wag: list[list[int]] = []
@@ -240,8 +239,9 @@ def gen_config(
     for node, ops in enumerate(trace.rm_ops):
         words = rm[node]
         for cycle, out, inp in ops:
-            if cycle >= trace.k_i:
-                raise ConfigIntegrityError("routing operation beyond k_i")
+            if not (0 <= cycle < trace.k_i and 0 <= out < 5 and 0 <= inp < 5):
+                raise ConfigIntegrityError(f"node {node}: routing operation {(cycle, out, inp)} "
+                                           f"outside cycles 0..{trace.k_i - 1} or ports 0..4")
             words[cycle] |= pack_rm_word([(out, inp)])
 
     fifo_depth = trace.fifo_max.copy()

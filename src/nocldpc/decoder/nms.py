@@ -36,15 +36,12 @@ class DecodeParams:
     it_max: int = 10
     fmt: QFormat = field(default_factory=QFormat)
     early_stop: bool = True
-    psi_eps: float = 1e-12  # input magnitude floor for the float Psi oracle
 
     def __post_init__(self):
         if self.alpha < 1.0:
             raise ValueError(f"normalization factor must be >= 1, got {self.alpha}")
         if self.it_max < 1:
             raise ValueError(f"it_max must be >= 1, got {self.it_max}")
-        if self.psi_eps <= 0.0:
-            raise ValueError("psi_eps must be positive")
 
 
 @dataclass

@@ -18,11 +18,12 @@ from .nms import DecodeParams, DecodeResult, hard_decision
 
 _CHECK_CHUNK = 128  # checks per chunk of the batched check update
 _VAR_CHUNK = 256  # columns per chunk of the batched variable update
+PSI_EPS = 1e-12  # input magnitude floor of psi
 
 
-def psi(x, eps: float = 1e-12) -> np.ndarray:
+def psi(x) -> np.ndarray:
     """Self-inverse check-node transform, clamped away from the pole at 0."""
-    ax = np.maximum(np.abs(np.asarray(x, dtype=np.float64)), eps)
+    ax = np.maximum(np.abs(np.asarray(x, dtype=np.float64)), PSI_EPS)
     return -np.log(np.tanh(ax / 2.0))
 
 
@@ -50,10 +51,10 @@ def decode_flooding_spa(
     for _ in range(params.it_max):
         v2c = np.where(mask, total[idx] - c2v, 0.0)
 
-        a = psi(v2c, params.psi_eps)
+        a = psi(v2c)
         a[~mask] = 0.0
         row_sum = a.sum(axis=1, keepdims=True)
-        c2v_mag = psi(row_sum - a, params.psi_eps)
+        c2v_mag = psi(row_sum - a)
 
         neg = (v2c < 0.0) & mask
         parity = (neg.sum(axis=1) & 1).astype(bool)
@@ -155,7 +156,6 @@ def decode_flooding_spa_batch(
     if layout is None:
         layout = CodeLayout.build(h)
     n, n_frames = h.n_cols, len(llrs)
-    eps = params.psi_eps
     w, m = layout.check_idx.shape
 
     chan = llrs.T  # a view: a frames-last copy would cost more memory than time
@@ -207,13 +207,13 @@ def decode_flooding_spa_batch(
             v -= out  # v2c
             np.less(v, 0.0, out=neg)
             np.abs(v, out=t)
-            np.maximum(t, eps, out=t)
+            np.maximum(t, PSI_EPS, out=t)
             t *= 0.5
             np.tanh(t, out=t)
             np.log(t, out=t)  # -Psi(v2c)
             _slot_sum(t, s, scratch)
             np.subtract(t, s, out=v)  # the golden's row_sum - a, never negative
-            np.maximum(v, eps, out=v)
+            np.maximum(v, PSI_EPS, out=v)
             v *= 0.5
             np.tanh(v, out=v)
             np.log(v, out=out)  # -Psi(row_sum - a)

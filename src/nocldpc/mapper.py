@@ -29,13 +29,13 @@ class Mapping:
     def part_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.p)
 
-    def validate(self, n_rows: int, slack: int = 1) -> None:
+    def validate(self, n_rows: int) -> None:
         if len(self.assignment) != n_rows:
             raise ValueError("assignment length mismatch")
         if self.assignment.min() < 0 or self.assignment.max() >= self.p:
             raise ValueError("PE id out of range")
         sizes = self.part_sizes()
-        allowed = -(-n_rows // self.p) - (n_rows // self.p) + slack
+        allowed = -(-n_rows // self.p) - (n_rows // self.p) + 1  # one check of slack
         if int(sizes.max() - sizes.min()) > allowed:
             raise ValueError(f"partition imbalance {sizes.max() - sizes.min()} > {allowed}")
 
@@ -336,7 +336,7 @@ def _bisect(g: _Graph, target0: int, rng, exact: bool) -> list[int]:
     return side
 
 
-def partition_kway(graph: CheckGraph, p: int, seed: int, slack: int = 1) -> Mapping:
+def partition_kway(graph: CheckGraph, p: int, seed: int) -> Mapping:
     """Multilevel recursive bisection into p balanced parts."""
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -364,5 +364,5 @@ def partition_kway(graph: CheckGraph, p: int, seed: int, slack: int = 1) -> Mapp
 
     recurse(g, list(range(n)), 0, p, root)
     mapping = Mapping(p=p, assignment=assignment)
-    mapping.validate(n, slack=slack)
+    mapping.validate(n)
     return mapping

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .schedule import SRC_BYPASS, SRC_CHAIN, InjectionSchedule
+from .schedule import InjectionSchedule
 from .topology import Port
 
 HOP_CYCLES = 2  # one cycle through the crossbar, one on the link
@@ -40,7 +40,7 @@ class CycleEngine:
         p = schedule.p
         n_flits = schedule.n_network
         self.pipeline_depth = pipeline_depth
-        self.host = schedule.host.tolist()
+        self.host = schedule.host
         self.serve = schedule.order
         self.dst_check = [e.dst_check for e in schedule.network_flits]
         self.wrap = [e.wrap for e in schedule.network_flits]
@@ -53,8 +53,11 @@ class CycleEngine:
         ]
         self.deg = [len(ems) for ems in schedule.emissions]
         # inputs other than wrap/self must arrive before a check is read
-        src = schedule.input_src
-        self.missing = ((src == SRC_CHAIN) | (src == SRC_BYPASS)).sum(axis=1).tolist()
+        self.missing = [0] * schedule.n_checks
+        for ems in schedule.emissions:
+            for e in ems:
+                if not e.wrap:
+                    self.missing[e.dst_check] += 1
 
         self.fifos = [[deque() for _ in range(5)] for _ in range(p)]
         self.queued = [0] * p  # flits waiting in each router's input FIFOs

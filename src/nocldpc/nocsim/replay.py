@@ -84,7 +84,7 @@ def validate_config(
     p = config.p
     links = Topology(config.n).links()
     n_d = config.n_d
-    serve_pos = schedule.serve_pos.tolist()
+    serve_pos = schedule.serve_pos
     degs = [len(row) for row in h.rows]
 
     for pe in range(p):
@@ -185,22 +185,23 @@ def validate_config(
 
 def _build_wiring(h, schedule, slot_of, n_d) -> ReplayWiring:
     layout = CodeLayout.build(h)
+    # a slot without an emission keeps its value; a variable's wrap emission
+    # targets its chain head, the slot that holds its value between iterations
+    successor = list(range(h.n_rows * n_d))
     home = [-1] * h.n_cols
-    for j, (c, pos) in schedule.first_slot.items():
-        home[j] = c * n_d + slot_of[(c, pos)]
-    spare = h.n_rows * n_d
+    for ems in schedule.emissions:
+        for e in ems:
+            dst = e.dst_check * n_d + slot_of[(e.dst_check, e.dst_pos)]
+            successor[e.src_check * n_d + slot_of[(e.src_check, e.src_pos)]] = dst
+            if e.wrap:
+                home[e.var] = dst
+    spare = len(successor)
     for j in range(h.n_cols):
         if home[j] < 0:
             home[j] = spare
             spare += 1
     home.append(spare)
-    # a slot without an emission keeps its value
-    successor = list(range(spare + 1))
-    for ems in schedule.emissions:
-        for e in ems:
-            src = e.src_check * n_d + slot_of[(e.src_check, e.src_pos)]
-            successor[src] = e.dst_check * n_d + slot_of[(e.dst_check, e.dst_pos)]
-    successor = np.array(successor, dtype=np.intp)
+    successor = np.array(successor + list(range(len(successor), spare + 1)), dtype=np.intp)
     # slot k of row m is live iff k < deg(m), so the slots pad where the
     # layout's variable maps do
     maps = []

@@ -21,12 +21,6 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix, serving_rank
 from ..mapper import Mapping
 
-# how a check input slot gets its value each iteration
-SRC_CHAIN = 0  # network flit from the predecessor check
-SRC_BYPASS = 1  # same-PE predecessor, forwarded internally
-SRC_WRAP = 2  # wrap value: written during the previous iteration
-SRC_SELF = 3  # degree-1 variable, value never leaves the slot
-
 
 @dataclass
 class Emission:
@@ -45,17 +39,20 @@ class Emission:
 
 @dataclass
 class InjectionSchedule:
+    """The message plan of one iteration: every (check, position) sends one
+    emission and is the target of exactly one."""
+
     p: int
-    n_checks: int
-    host: np.ndarray  # (M,) PE of each check
-    serve_pos: np.ndarray  # (M,) serving position of each check on its PE
+    host: list[int]  # PE of each check
+    serve_pos: list[int]  # serving position of each check on its PE
     order: list[list[int]]  # per-PE serving order
     emissions: list[list[Emission]]  # per check, in position order
-    input_src: np.ndarray  # (M, N_d) source kind per (check, position)
-    input_pred: np.ndarray  # (M, N_d) predecessor check (or -1)
-    first_slot: dict[int, tuple[int, int]]  # var -> (check, position) of chain head
     network_flits: list[Emission]  # in uid order
     n_bypass: int = 0
+
+    @property
+    def n_checks(self) -> int:
+        return len(self.emissions)
 
     @property
     def n_network(self) -> int:
@@ -70,15 +67,20 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
     if not mapping.order:
         raise ValueError("mapping has no serving order; run serving_order first")
     m_checks = h.n_rows
-    n_d = h.max_row_degree
-    host = mapping.assignment.astype(np.int32)
-    serve_pos = np.full(m_checks, -1, dtype=np.int32)
+    host = mapping.assignment.tolist()
+    if len(host) != m_checks:
+        raise ValueError(f"mapping assigns {len(host)} checks, code has {m_checks}")
+    serve_pos = [-1] * m_checks
     for pe, rows in enumerate(mapping.order):
-        rows = np.asarray(rows, dtype=np.intp)
-        if (host[rows] != pe).any():
-            raise ValueError(f"serving order of PE {pe} lists checks hosted elsewhere")
-        serve_pos[rows] = np.arange(len(rows))
-    if (serve_pos < 0).any():
+        for k, m in enumerate(rows):
+            if not 0 <= m < m_checks:
+                raise ValueError(f"PE {pe} serves check {m}, outside 0..{m_checks - 1}")
+            if serve_pos[m] >= 0:
+                raise ValueError(f"serving order lists check {m} twice")
+            if host[m] != pe:
+                raise ValueError(f"PE {pe} serves check {m}, which is hosted on PE {host[m]}")
+            serve_pos[m] = k
+    if -1 in serve_pos:
         raise ValueError("serving order does not cover all checks")
 
     # every edge of H as (check, position, variable); one stable sort by
@@ -92,44 +94,23 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
     chain_pos = edge_pos[chain_order].tolist()
     col_deg = np.bincount(edge_col, minlength=h.n_cols)
 
-    host_of = host.tolist()
     emissions: list[list[Emission]] = [[None] * d for d in deg.tolist()]  # by position
-    input_src = [-1] * (m_checks * n_d)  # flat (check, position)
-    input_pred = [-1] * (m_checks * n_d)
-    first_slot: dict[int, tuple[int, int]] = {}
     n_bypass = 0
-
     end = 0
     for j, d in enumerate(col_deg.tolist()):
-        if d == 0:
-            continue
         head = end
         end += d
-        first_slot[j] = (chain_rows[head], chain_pos[head])
-        if d == 1:
-            c, pos = chain_rows[head], chain_pos[head]
-            input_src[c * n_d + pos] = SRC_SELF
-            input_pred[c * n_d + pos] = c
-            emissions[c][pos] = Emission(
-                var=j, src_check=c, src_pos=pos, dst_check=c, dst_pos=pos,
-                dst_pe=host_of[c], network=False, wrap=True,
-            )
-            continue
+        # a degree-1 variable's only emission is a wrap onto its own slot
         for t in range(head, end):
             nxt = t + 1 if t + 1 < end else head
             src, sp = chain_rows[t], chain_pos[t]
             dst, dp = chain_rows[nxt], chain_pos[nxt]
-            wrap = nxt == head
-            network = host_of[src] != host_of[dst]
+            network = host[src] != host[dst]
             emissions[src][sp] = Emission(
                 var=j, src_check=src, src_pos=sp, dst_check=dst, dst_pos=dp,
-                dst_pe=host_of[dst], network=network, wrap=wrap,
+                dst_pe=host[dst], network=network, wrap=nxt == head,
             )
-            input_src[dst * n_d + dp] = (
-                SRC_WRAP if wrap else (SRC_CHAIN if network else SRC_BYPASS)
-            )
-            input_pred[dst * n_d + dp] = src
-            n_bypass += not network
+            n_bypass += not network and d > 1
 
     # uid in injection order: PE, serving position, position.  A PE emits a
     # check's messages in position order as it serves its checks, so this
@@ -143,30 +124,27 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
 
     sched = InjectionSchedule(
         p=mapping.p,
-        n_checks=m_checks,
         host=host,
         serve_pos=serve_pos,
         order=[list(rows) for rows in mapping.order],
         emissions=emissions,
-        input_src=np.array(input_src, dtype=np.int8).reshape(m_checks, n_d),
-        input_pred=np.array(input_pred, dtype=np.int32).reshape(m_checks, n_d),
-        first_slot=first_slot,
         network_flits=network_flits,
         n_bypass=n_bypass,
     )
-    _check_counts(sched, deg, col_deg)
+    _check_counts(sched, col_deg)
     return sched
 
 
-def _check_counts(sched: InjectionSchedule, deg: np.ndarray, col_deg: np.ndarray) -> None:
+def _check_counts(sched: InjectionSchedule, col_deg: np.ndarray) -> None:
     want = int(col_deg[col_deg >= 2].sum())
     if sched.n_messages != want:
         raise AssertionError(
             f"schedule carries {sched.n_messages} messages, expected {want}"
         )
-    in_row = np.arange(sched.input_src.shape[1]) < deg[:, None]
-    filled = ((sched.input_src >= 0) & in_row).sum(axis=1)
-    short = np.nonzero(filled != deg)[0]
-    if len(short):
-        m = int(short[0])
-        raise AssertionError(f"check {m}: {filled[m]} of {deg[m]} inputs sourced")
+    received = [[0] * len(ems) for ems in sched.emissions]
+    for ems in sched.emissions:
+        for e in ems:
+            received[e.dst_check][e.dst_pos] += 1
+    for m, counts in enumerate(received):
+        if counts.count(1) != len(counts):
+            raise AssertionError(f"check {m}: its inputs are emission targets {counts} times")

@@ -44,12 +44,11 @@ def simulate_iteration(
         raise ValueError(f"schedule is for {schedule.p} PEs, topology has {topo.p}")
     p = topo.p
     links = topo.links()
-    host = schedule.host.tolist()
 
     # per uid: source PE, the seeded O1Turn coin, the route's output ports
     # as ints and the next hop on it
     flits = schedule.network_flits
-    src_pe = [host[e.src_check] for e in flits]
+    src_pe = [schedule.host[e.src_check] for e in flits]
     coin = [_mix64(seed, e.uid) & 1 for e in flits]
     route = [
         [int(port) for port in route_o1turn(s, e.dst_pe, topo.n, c)]

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -95,6 +96,26 @@ class TestPartitionAndSimulate:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        # serving orders naming a check outside the code or one check twice,
+        # and an assignment shorter than the code
+        good = json.loads((tmp_path / "mapping.json").read_text())
+        cases = []
+        for first, why in ((10**6, "outside"), (-1, "outside"), (good["order"][0][1], "twice")):
+            bad = copy.deepcopy(good)
+            bad["order"][0][0] = first
+            cases.append((bad, why))
+        bad = copy.deepcopy(good)
+        bad["assignment"].pop()
+        cases.append((bad, "assigns 287 checks"))
+        for bad, why in cases:
+            (tmp_path / "bad.json").write_text(json.dumps(bad))
+            rc = run([
+                "genconfig", "--code", "wimax_576_288", "--mapping", str(tmp_path / "bad.json"),
+                "--trace", str(tmp_path / "trace.json"), "--out", str(tmp_path),
+            ])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and why in err
 
 
 class TestSwitch:
@@ -105,6 +126,13 @@ class TestSwitch:
                       "--config2", str(tmp_path / "bad.json")])
             assert rc == 2
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--torus-n", "--buffer-size"])
+    def test_rejects_nonpositive_numbers(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["switch", "--k1", "491", "--k2", "466", flag, "0"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be > 0" in capsys.readouterr().err
 
     def test_worked_case_passes(self, tmp_path, capsys):
         rc = run(["switch", "--k1", "491", "--k2", "466", "--torus-n", "5",
@@ -155,6 +183,19 @@ class TestBerAndThroughput:
         assert rc == 0
         out = capsys.readouterr().out
         assert "82.0 Mb/s" in out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--k-i", "0"), ("--k-i", "-483"), ("--itmax", "0"), ("--avg-iterations", "0"),
+        ("--f-clk", "nan"),
+    ])
+    def test_throughput_rejects_nonpositive_numbers(self, flag, value, capsys):
+        argv = {"--k-i": "843", "--f-clk": "300e6", "--itmax": "10", "--block-length": "2304"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            run(["throughput", *(x for kv in argv.items() for x in kv)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{flag}: must be > 0" in captured.err and "Mb/s" not in captured.out
 
     def test_throughput_scales(self, capsys):
         run(["throughput", "--k-i", "843", "--f-clk", "300e6",

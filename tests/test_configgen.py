@@ -126,6 +126,31 @@ class TestGenConfig:
         with pytest.raises(ConfigIntegrityError):
             ConfigImage.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("record,field,value,match", [
+        ("arrivals", 0, 10**6, "check 1000000, outside"),
+        ("arrivals", 0, -1, "check -1, outside"),
+        ("arrivals", 1, -1, r"network input \(\d+, -1\) is in the trace only"),
+        ("rm_ops", 0, -3, r"operation \(-3, \d, \d\) outside"),
+        ("rm_ops", 1, 9, r"operation \(\d+, 9, \d\) outside"),
+        ("rm_ops", 2, 5, r"operation \(\d+, \d, 5\) outside"),
+    ], ids=["arrival-check-huge", "arrival-check-negative", "arrival-position",
+            "rm-cycle-negative", "rm-out-port", "rm-in-port"])
+    def test_trace_records_out_of_range_rejected(self, record, field, value, match):
+        h, m, tr = feeder_pipeline()
+        recs = next(r for r in getattr(tr, record) if r)
+        rec = list(recs[0])
+        rec[field] = value
+        recs[0] = tuple(rec)
+        with pytest.raises(ConfigIntegrityError, match=match):
+            gen_config(tr, m, h)
+
+    def test_trace_missing_arrival_rejected(self):
+        h, m, tr = feeder_pipeline()
+        check, pos, *_ = tr.arrivals[0].pop()
+        lost = rf"input \({check}, {pos}\) is in the schedule only"
+        with pytest.raises(ConfigIntegrityError, match=lost):
+            gen_config(tr, m, h)
+
     def test_rm_binary_roundtrip(self):
         h, m, tr = feeder_pipeline()
         cfg = gen_config(tr, m, h)

@@ -89,9 +89,8 @@ class TestSchedule:
         m = partition_kway(g, 25, seed=0)
         serving_order(h, m)
         s = build_schedule(h, m)
-        for check in range(h.n_rows):
-            d = len(h.rows[check])
-            assert int((s.input_src[check, :d] >= 0).sum()) == d
+        received = sorted((e.dst_check, e.dst_pos) for ems in s.emissions for e in ems)
+        assert received == [(c, k) for c, row in enumerate(h.rows) for k in range(len(row))]
 
     def test_network_count_equals_weighted_cutset(self):
         for name, p in [("wimax_576_288", 25), ("wifi_1944_486", 16)]:

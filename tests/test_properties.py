@@ -1,5 +1,6 @@
-"""Randomised properties: batched decoders against their single-frame goldens,
-and the codegen path from check graph to replayed configuration image."""
+"""Randomised properties: the code parsers on malformed text, batched decoders
+against their single-frame goldens, and the codegen path from check graph to
+replayed configuration image."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from nocldpc.codes import build_check_graph, compute_layers  # noqa: E402
+from nocldpc.codes import (  # noqa: E402
+    AlistParseError,
+    CodeError,
+    QcValidationError,
+    build_check_graph,
+    compute_layers,
+    expand_qc,
+    parse_alist,
+    parse_qc,
+)
 from nocldpc.codes.randomgen import random_code  # noqa: E402
 from nocldpc.configgen import ConfigImage, gen_config  # noqa: E402
 from nocldpc.decoder import (  # noqa: E402
@@ -34,6 +44,24 @@ SEEDS = st.integers(0, 2**32 - 1)
 # a dense random code can spend a second or more in random_code's
 # duplicate repair before its cyclic fallback
 SLOW_DRAWS = [HealthCheck.filter_too_much, HealthCheck.too_slow]
+
+
+# a few short lines of small ints: headers, degrees, indices and shifts all
+# land near their valid ranges, and no QC expansion factor exceeds 9
+CODE_TEXTS = st.lists(st.lists(st.integers(-3, 9), max_size=6), max_size=8).map(
+    lambda lines: "\n".join(" ".join(map(str, line)) for line in lines)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CODE_TEXTS)
+def test_code_parsers_raise_their_own_errors(text):
+    for parse in (parse_alist, lambda t: expand_qc(parse_qc(t))):
+        try:
+            h = parse(text)
+        except (AlistParseError, QcValidationError, CodeError):
+            continue
+        h.validate()
 
 
 @st.composite
