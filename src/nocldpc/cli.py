@@ -471,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decode_args(p)
     p.add_argument("--pe-pipeline", type=int, default=4)
     p.add_argument("--fifo-pow2", action="store_true")
-    p.add_argument("--rp-baseline", type=int, default=20)
-    p.add_argument("--check-frames", type=int, default=5)
+    p.add_argument("--rp-baseline", type=_positive(int), default=20)
+    p.add_argument("--check-frames", type=_positive(int), default=5)
     p.add_argument("--check-snr", type=float, default=2.0)
     p.set_defaults(func=cmd_pipeline)
 

@@ -15,14 +15,16 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
 from ..mapper import Mapping
 from ..nocsim.schedule import build_schedule
-from ..nocsim.trace import NocTrace
+from ..nocsim.trace import NocTrace, all_ints, frozen_int64, int_list, int_records, typed
 
 FORMAT = "nocldpc-config-v1"
 _BIN_MAGIC = b"NOCLDPCC"
@@ -51,23 +53,40 @@ def unpack_rm_word(word: int) -> list[tuple[int, int]]:
     return sel
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigImage:
+    """The static configuration of every router and PE for one code.
+
+    An image is immutable: its tables are tuples, its FIFO depths a read-only
+    array and its slot map a read-only mapping, so its payload digest is
+    computed at most once.  Built without a digest, the image seals itself
+    with that payload digest.
+    """
+
     label: str
     n: int
     k_i: int
     n_d: int
     n_pc: int
     pipeline_depth: int
-    rm: list[list[int]]  # per node: k_i words
-    wag: list[list[int]]  # per PE: one address per network arrival, in order
-    cnt_cmp: list[list[tuple[int, int]]]  # per PE: (offset, degree) per served check
+    rm: tuple[tuple[int, ...], ...]  # per node: k_i words
+    wag: tuple[tuple[int, ...], ...]  # per PE: one address per network arrival, in order
+    cnt_cmp: tuple[tuple[tuple[int, int], ...], ...]  # per PE: (offset, degree) per served check
     fifo_depth: np.ndarray  # (P, 5)
-    slot_of: dict[tuple[int, int], int]  # (check, position) -> slot in its block
+    slot_of: MappingProxyType  # (check, position) -> slot in its block
     trace_digest: str
     mapping_digest: str
     h_digest: str
-    digest: str = field(default="")
+    digest: str | None = None
+
+    def __post_init__(self):
+        for name in ("rm", "wag"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+        object.__setattr__(self, "cnt_cmp", tuple(tuple(map(tuple, pe)) for pe in self.cnt_cmp))
+        object.__setattr__(self, "fifo_depth", frozen_int64(self.fifo_depth))
+        object.__setattr__(self, "slot_of", MappingProxyType(dict(self.slot_of)))
+        if self.digest is None:
+            object.__setattr__(self, "digest", self.compute_digest())
 
     @property
     def p(self) -> int:
@@ -84,7 +103,7 @@ class ConfigImage:
             "pipeline_depth": self.pipeline_depth,
             "rm": self.rm,
             "wag": self.wag,
-            "cnt_cmp": [[list(x) for x in pe] for pe in self.cnt_cmp],
+            "cnt_cmp": self.cnt_cmp,
             "fifo_depth": self.fifo_depth.tolist(),
             "slot_of": {f"{c}:{p}": s for (c, p), s in sorted(self.slot_of.items())},
             "trace_digest": self.trace_digest,
@@ -92,9 +111,13 @@ class ConfigImage:
             "h_digest": self.h_digest,
         }
 
-    def compute_digest(self) -> str:
+    @cached_property
+    def _payload_digest(self) -> str:
         text = json.dumps(self._payload_obj(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
+
+    def compute_digest(self) -> str:
+        return self._payload_digest
 
     def verify_digest(self) -> None:
         if self.digest != self.compute_digest():
@@ -107,7 +130,11 @@ class ConfigImage:
 
     @classmethod
     def from_json(cls, text: str) -> "ConfigImage":
-        """Rebuild an image; malformed text raises ConfigIntegrityError."""
+        """Rebuild an image; malformed text raises ConfigIntegrityError.
+
+        The image keeps the digest stored in the file, so verify_digest
+        checks the payload against it.
+        """
         try:
             obj = json.loads(text)
         except ValueError as exc:
@@ -118,26 +145,27 @@ class ConfigImage:
         if missing:
             raise ConfigIntegrityError(f"configuration image lacks {', '.join(missing)}")
         try:
+            slot_of = obj["slot_of"]
+            if not all_ints(slot_of.values()):
+                raise ValueError("slots must be integers")
             img = cls(
-                label=str(obj["label"]),
-                n=int(obj["n"]),
-                k_i=int(obj["k_i"]),
-                n_d=int(obj["n_d"]),
-                n_pc=int(obj["n_pc"]),
-                pipeline_depth=int(obj["pipeline_depth"]),
-                rm=[[int(w) for w in node] for node in obj["rm"]],
-                wag=[[int(a) for a in pe] for pe in obj["wag"]],
-                cnt_cmp=[[tuple(map(int, x)) for x in pe] for pe in obj["cnt_cmp"]],
-                fifo_depth=np.asarray(obj["fifo_depth"], dtype=np.int64),
-                slot_of={
-                    tuple(map(int, k.split(":"))): int(v) for k, v in obj["slot_of"].items()
-                },
-                trace_digest=str(obj["trace_digest"]),
-                mapping_digest=str(obj["mapping_digest"]),
-                h_digest=str(obj["h_digest"]),
-                digest=str(obj.get("digest", "")),
+                label=typed(obj, "label", str),
+                n=typed(obj, "n"),
+                k_i=typed(obj, "k_i"),
+                n_d=typed(obj, "n_d"),
+                n_pc=typed(obj, "n_pc"),
+                pipeline_depth=typed(obj, "pipeline_depth"),
+                rm=[int_list(node, "routing memory") for node in obj["rm"]],
+                wag=[int_list(pe, "WAG table") for pe in obj["wag"]],
+                cnt_cmp=[int_records(pe, 2, "CNT/CMP") for pe in obj["cnt_cmp"]],
+                fifo_depth=int_records(obj["fifo_depth"], 5, "FIFO depth"),
+                slot_of={tuple(map(int, k.split(":"))): v for k, v in slot_of.items()},
+                trace_digest=typed(obj, "trace_digest", str),
+                mapping_digest=typed(obj, "mapping_digest", str),
+                h_digest=typed(obj, "h_digest", str),
+                digest=typed(obj, "digest", str) if "digest" in obj else "",
             )
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigIntegrityError(f"malformed configuration image: {exc}") from None
         p = img.p
         if len(img.rm) != p or any(len(node) != img.k_i for node in img.rm):
@@ -146,8 +174,6 @@ class ConfigImage:
             )
         if len(img.wag) != p or len(img.cnt_cmp) != p:
             raise ConfigIntegrityError(f"WAG and CNT/CMP tables must cover {p} PEs")
-        if any(len(x) != 2 for pe in img.cnt_cmp for x in pe):
-            raise ConfigIntegrityError("CNT/CMP entries need an offset and a degree")
         if any(len(k) != 2 for k in img.slot_of):
             raise ConfigIntegrityError("slot map keys must read check:position")
         if img.fifo_depth.shape != (p, 5):
@@ -249,7 +275,7 @@ def gen_config(
         fifo_depth = 1 << np.ceil(np.log2(np.maximum(fifo_depth, 1))).astype(np.int64)
         fifo_depth[trace.fifo_max == 0] = 0
 
-    img = ConfigImage(
+    return ConfigImage(
         label=trace.label or h.label,
         n=trace.n,
         k_i=trace.k_i,
@@ -265,5 +291,3 @@ def gen_config(
         mapping_digest=hashlib.sha256(mapping.to_json().encode()).hexdigest(),
         h_digest=h.content_digest(),
     )
-    img.digest = img.compute_digest()
-    return img

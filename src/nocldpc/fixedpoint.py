@@ -76,7 +76,11 @@ def quantize(x, fmt: QFormat) -> np.ndarray:
 
 def saturate(codes, fmt: QFormat) -> np.ndarray:
     """Clamp (wider) integer codes into the representable range."""
-    return np.clip(codes, fmt.min_code, fmt.max_code).astype(np.int32)
+    codes = np.asarray(codes)
+    # bounds of the codes' own dtype: np.clip with Python ints looks up
+    # np.iinfo on every call
+    t = codes.dtype.type
+    return codes.clip(t(fmt.min_code), t(fmt.max_code)).astype(np.int32)
 
 
 def reciprocal_scale_table(alpha: float, fmt: QFormat) -> np.ndarray:

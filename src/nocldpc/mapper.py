@@ -224,10 +224,15 @@ def _greedy_grow(g: _Graph, target: int, rng) -> list[int]:
 
 
 def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) -> None:
-    """Boundary refinement with per-pass rollback to the best prefix."""
-    adj, vw, wdeg = g.adj, g.vw, g.wdeg
+    """Boundary refinement with per-pass rollback to the best prefix.
+
+    The heap holds int keys (top - gain) * n + v: no gain exceeds top, so
+    they pop by highest gain, then lowest vertex, as (-gain, v) tuples would.
+    """
+    adj, vw, wdeg, n = g.adj, g.vw, g.wdeg, g.n
     heappush, heappop = heapq.heappush, heapq.heappop
     lo, hi = target0 - tol, target0 + tol
+    top = max(wdeg, default=0)
     w0 = _weight0(g, side)
     for _ in range(passes):
         # gain of moving v: weight to the other side minus weight kept on its own
@@ -238,9 +243,9 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
                 if side[u] != sv:
                     ext += w
             gain.append(2 * ext - wdeg[v])
-        heap = [(-gv, v) for v, gv in enumerate(gain)]
+        heap = [(top - gv) * n + v for v, gv in enumerate(gain)]
         heapq.heapify(heap)
-        locked = [False] * g.n
+        locked = [False] * n
         trail: list[int] = []
         cum = 0
         best_cum, best_len = 0, 0
@@ -248,8 +253,8 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
         cur_w0 = w0
         limit = 2 * len(heap) + 64
         while heap:
-            g_neg, v = heappop(heap)
-            if locked[v] or -g_neg != gain[v]:
+            rank, v = divmod(heappop(heap), n)
+            if locked[v] or top - rank != gain[v]:
                 continue
             sv = side[v]
             moved_w0 = cur_w0 - vw[v] if sv == 0 else cur_w0 + vw[v]
@@ -265,12 +270,13 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
                 if not locked[u]:
                     gu = gain[u] + (2 * w if side[u] != sv else -2 * w)
                     gain[u] = gu
-                    heappush(heap, (-gu, u))
+                    heappush(heap, (top - gu) * n + u)
             gain[v] = -gv
             if len(heap) > limit:
                 # drop entries that can never be taken: moved vertices and
                 # outdated gains; the valid entries keep their order
-                heap = [e for e in heap if not locked[e[1]] and -e[0] == gain[e[1]]]
+                heap = [k for k in heap
+                        if not locked[k % n] and k == (top - gain[k % n]) * n + k % n]
                 heapq.heapify(heap)
                 limit = 2 * len(heap) + 64
             if cum > best_cum or (cum == best_cum and abs(cur_w0 - target0) < start_dev):
@@ -300,8 +306,8 @@ def _rebalance_exact(g: _Graph, side: list[int], target0: int) -> None:
         w0 += -1 if src == 0 else 1
 
 
-def _bisect(g: _Graph, target0: int, rng, exact: bool) -> list[int]:
-    """Multilevel bisection of g; side 0 gets weight target0."""
+def _bisect(g: _Graph, target0: int, rng) -> list[int]:
+    """Multilevel bisection of g; side 0 gets weight exactly target0."""
     levels: list[tuple[_Graph, list[int]]] = []
     cur = g
     while cur.n > 48:
@@ -330,9 +336,7 @@ def _bisect(g: _Graph, target0: int, rng, exact: bool) -> list[int]:
 
     if not levels:
         _fm_refine(g, side, target0, 1, passes=3)
-    if exact:
-        _rebalance_exact(g, side, target0)
-        _fm_refine(g, side, target0, 0, passes=2)
+    _rebalance_exact(g, side, target0)
     return side
 
 
@@ -356,7 +360,7 @@ def partition_kway(graph: CheckGraph, p: int, seed: int) -> Mapping:
         target0 = int(sizes[lo:mid].sum())
         ss_here, ss_left, ss_right = ss.spawn(3)
         rng = np.random.Generator(np.random.PCG64(ss_here))
-        side = _bisect(gr, target0, rng, exact=True)
+        side = _bisect(gr, target0, rng)
         left = [v for v, s in enumerate(side) if s == 0]
         right = [v for v, s in enumerate(side) if s]
         recurse(gr.subgraph(left), [vertices[v] for v in left], lo, mid, ss_left)

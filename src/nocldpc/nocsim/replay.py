@@ -88,8 +88,8 @@ def validate_config(
     degs = [len(row) for row in h.rows]
 
     for pe in range(p):
-        want = [(serve_pos[m] * n_d, degs[m]) for m in mapping.order[pe]]
-        if [tuple(x) for x in config.cnt_cmp[pe]] != want:
+        want = tuple((serve_pos[m] * n_d, degs[m]) for m in mapping.order[pe])
+        if config.cnt_cmp[pe] != want:
             raise ReplayIntegrityError(f"CNT/CMP table mismatch on PE {pe}")
 
     # walk the routing memories through the shared timing model; the flits

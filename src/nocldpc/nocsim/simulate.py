@@ -14,8 +14,6 @@ hold the received soft values instead.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .engine import HOP_CYCLES, LOCAL, CycleEngine
 from .schedule import InjectionSchedule
 from .topology import Topology, route_o1turn
@@ -135,10 +133,10 @@ def simulate_iteration(
         k_i=max(receipt, default=-1) + 1,
         rm_ops=rm_ops,
         arrivals=arrivals,
-        fifo_max=np.array(engine.fifo_max, dtype=np.int64).reshape(p, 5),
+        fifo_max=engine.fifo_max,
         flits=records,
-        check_start=np.array(engine.check_start, dtype=np.int64),
-        check_complete=np.array(engine.check_complete, dtype=np.int64),
+        check_start=engine.check_start,
+        check_complete=engine.check_complete,
         n_network=len(flits),
         n_bypass=schedule.n_bypass,
         label=label,

@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +21,7 @@ class SimulationDeadlock(RuntimeError):
     """No flit or PE made progress for a full watchdog window."""
 
 
-@dataclass
-class FlitRecord:
+class FlitRecord(NamedTuple):
     uid: int
     var: int
     src_check: int
@@ -34,24 +36,36 @@ class FlitRecord:
     hops: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class NocTrace:
-    """Everything the configuration generator needs from one iteration."""
+    """Everything the configuration generator needs from one iteration.
+
+    A trace is immutable: its records are tuples and its arrays read-only,
+    so its canonical JSON text and digest are computed at most once.
+    """
 
     n: int
     seed: int
     pipeline_depth: int
     k_i: int
-    rm_ops: list[list[tuple[int, int, int]]]  # per node: (cycle, out_port, in_port)
-    arrivals: list[list[tuple[int, int, int, int, int]]]
+    rm_ops: tuple[tuple[tuple[int, int, int], ...], ...]  # per node: (cycle, out_port, in_port)
+    arrivals: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
     # per PE: (dst_check, dst_pos, src_pe, uid, receipt_cycle) in arrival order
     fifo_max: np.ndarray  # (P, 5) peak occupancy
-    flits: list[FlitRecord]
+    flits: tuple[FlitRecord, ...]
     check_start: np.ndarray  # (M,) first read cycle per check
     check_complete: np.ndarray  # (M,) emission-ready cycle per check
     n_network: int
     n_bypass: int
     label: str = ""
+
+    def __post_init__(self):
+        # records arrive as tuples; freeze the containers and the arrays
+        for name in ("rm_ops", "arrivals"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+        object.__setattr__(self, "flits", tuple(self.flits))
+        for name in ("fifo_max", "check_start", "check_complete"):
+            object.__setattr__(self, name, frozen_int64(getattr(self, name)))
 
     @property
     def p(self) -> int:
@@ -94,19 +108,10 @@ class NocTrace:
             "pipeline_depth": self.pipeline_depth,
             "k_i": self.k_i,
             "label": self.label,
-            "rm_ops": [
-                [[int(cycle), int(out), int(inp)] for cycle, out, inp in ops] for ops in self.rm_ops
-            ],
-            "arrivals": [
-                [[int(c), int(pos), int(src), int(uid), int(t)] for c, pos, src, uid, t in pe]
-                for pe in self.arrivals
-            ],
+            "rm_ops": self.rm_ops,
+            "arrivals": self.arrivals,
             "fifo_max": self.fifo_max.tolist(),
-            "flits": [
-                [f.uid, f.var, f.src_check, f.dst_check, f.dst_pos, f.src_pe,
-                 f.dst_pe, f.coin, int(f.wrap), f.inject_cycle, f.receipt_cycle, f.hops]
-                for f in self.flits
-            ],
+            "flits": [(*f[:8], int(f.wrap), *f[9:]) for f in self.flits],
             "check_start": self.check_start.tolist(),
             "check_complete": self.check_complete.tolist(),
             "n_network": self.n_network,
@@ -122,40 +127,68 @@ class NocTrace:
         if missing:
             raise ValueError(f"trace file lacks {', '.join(missing)}")
         try:
-            n = int(obj["n"])
+            n = typed(obj, "n")
+            flits = int_records(obj["flits"], 12, "flit")
+            if not {f[8] for f in flits} <= {0, 1}:
+                raise ValueError("flit wrap flags must be 0 or 1")
             trace = cls(
                 n=n,
-                seed=int(obj["seed"]),
-                pipeline_depth=int(obj["pipeline_depth"]),
-                k_i=int(obj["k_i"]),
-                rm_ops=[_records(ops, 3, "routing operation")
+                seed=typed(obj, "seed"),
+                pipeline_depth=typed(obj, "pipeline_depth"),
+                k_i=typed(obj, "k_i"),
+                rm_ops=[int_records(ops, 3, "routing operation")
                         for ops in _per_node(obj, "rm_ops", n)],
-                arrivals=[_records(pe, 5, "arrival") for pe in _per_node(obj, "arrivals", n)],
-                fifo_max=np.asarray(obj["fifo_max"], dtype=np.int64).reshape(n * n, 5),
-                flits=[
-                    FlitRecord(*f[:8], wrap=bool(f[8]), inject_cycle=f[9], receipt_cycle=f[10],
-                               hops=f[11])
-                    for f in _records(obj["flits"], 12, "flit")
-                ],
-                check_start=np.asarray(obj["check_start"], dtype=np.int64).reshape(-1),
-                check_complete=np.asarray(obj["check_complete"], dtype=np.int64).reshape(-1),
-                n_network=int(obj["n_network"]),
-                n_bypass=int(obj["n_bypass"]),
-                label=str(obj.get("label", "")),
+                arrivals=[int_records(pe, 5, "arrival") for pe in _per_node(obj, "arrivals", n)],
+                fifo_max=int_records(_per_node(obj, "fifo_max", n), 5, "FIFO peak"),
+                flits=[FlitRecord(*f[:8], bool(f[8]), *f[9:]) for f in flits],
+                check_start=int_list(obj["check_start"], "check_start"),
+                check_complete=int_list(obj["check_complete"], "check_complete"),
+                n_network=typed(obj, "n_network"),
+                n_bypass=typed(obj, "n_bypass"),
+                label=typed(obj, "label", str) if "label" in obj else "",
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed trace file: {exc}") from None
         return trace
 
-    def to_json(self) -> str:
+    @cached_property
+    def _canonical(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+
+    @cached_property
+    def _digest(self) -> str:
+        return hashlib.sha256(self._canonical.encode()).hexdigest()
+
+    def to_json(self) -> str:
+        return self._canonical
 
     @classmethod
     def from_json(cls, text: str) -> "NocTrace":
         return cls.from_json_obj(json.loads(text))
 
     def content_digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return self._digest
+
+
+def frozen_int64(values) -> np.ndarray:
+    """A read-only int64 copy of values.  It is a view of a private read-only
+    array, so its writeable flag cannot be set back."""
+    base = np.array(values, dtype=np.int64)
+    base.flags.writeable = False
+    return base.view()
+
+
+def all_ints(values) -> bool:
+    """True iff every value is a plain int (JSON true/false and floats are not)."""
+    return set(map(type, values)) <= {int}
+
+
+def typed(obj: dict, key: str, kind: type = int):
+    """obj[key], which must be exactly of the given type (an int is no bool)."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def _per_node(obj: dict, key: str, n: int) -> list:
@@ -165,11 +198,19 @@ def _per_node(obj: dict, key: str, n: int) -> list:
     return rows
 
 
-def _records(rows, width: int, what: str) -> list[tuple]:
+def int_list(values, key: str) -> list[int]:
+    if not isinstance(values, list) or not all_ints(values):
+        raise ValueError(f"{key} must be a list of integers")
+    return values
+
+
+def int_records(rows, width: int, what: str) -> tuple[tuple[int, ...], ...]:
     """JSON records as int tuples of the given width."""
     if not isinstance(rows, list):
         raise ValueError(f"{what} records must be a list")
-    out = [tuple(map(int, r)) for r in rows]
-    if any(len(r) != width for r in out):
+    out = tuple(map(tuple, rows))
+    if set(map(len, out)) - {width}:
         raise ValueError(f"{what} records need {width} fields each")
+    if not all_ints(chain.from_iterable(out)):
+        raise ValueError(f"{what} records must hold integers")
     return out

@@ -252,6 +252,20 @@ class TestPipeline:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--rp-baseline", "0"), ("--check-frames", "0"), ("--check-frames", "-1"),
+    ])
+    def test_rejects_nonpositive_counts(self, flag, value, tmp_path, capsys):
+        # no random baseline to beat, or no replay frame compared, is no pass
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "pipeline", "--code", "wimax_576_288", "--torus-n", "2",
+                flag, value, "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert f"{flag}: must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_single_pe_degenerate(self, tmp_path, capsys):
         rc = run([
             "pipeline", "--code", "wimax_576_288", "--torus-n", "1",

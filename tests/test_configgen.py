@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from nocldpc.configgen import (
 )
 from nocldpc.configgen.upload import _feasible
 from nocldpc.mapper import Mapping, serving_order
-from nocldpc.nocsim import Topology, build_schedule, simulate_iteration
+from nocldpc.nocsim import NocTrace, Topology, build_schedule, simulate_iteration
 
 
 def make_h(rows, n_cols):
@@ -69,14 +72,14 @@ class TestGenConfig:
     def test_cnt_cmp_offsets(self):
         h, m, tr = feeder_pipeline()
         cfg = gen_config(tr, m, h)
-        assert cfg.cnt_cmp[0] == [(0, 3), (3, 3)]
-        assert cfg.cnt_cmp[1] == [(0, 2), (3, 2), (6, 2)]
+        assert cfg.cnt_cmp[0] == ((0, 3), (3, 3))
+        assert cfg.cnt_cmp[1] == ((0, 2), (3, 2), (6, 2))
 
     def test_empty_pe(self):
         h, m, tr = feeder_pipeline()
         cfg = gen_config(tr, m, h)
-        assert cfg.wag[2] == [] and cfg.wag[3] == []
-        assert cfg.cnt_cmp[2] == [] and cfg.cnt_cmp[3] == []
+        assert cfg.wag[2] == () and cfg.wag[3] == ()
+        assert cfg.cnt_cmp[2] == () and cfg.cnt_cmp[3] == ()
 
     def test_rm_length_is_k_i(self):
         h, m, tr = feeder_pipeline()
@@ -98,9 +101,13 @@ class TestGenConfig:
         cfg2 = ConfigImage.from_json(cfg.to_json())
         cfg2.verify_digest()
         assert cfg2.rm == cfg.rm and cfg2.wag == cfg.wag
-        cfg2.rm[0][0] ^= 1
+        with pytest.raises(TypeError):
+            cfg2.rm[0][0] ^= 1
+        cfg2.verify_digest()
+        node0 = (cfg2.rm[0][0] ^ 1, *cfg2.rm[0][1:])
+        broken = dataclasses.replace(cfg2, rm=(node0, *cfg2.rm[1:]))
         with pytest.raises(ConfigIntegrityError):
-            cfg2.verify_digest()
+            broken.verify_digest()
 
     @pytest.mark.parametrize("text", ["[1]", "3", "null", "{}", "not json",
                                       '{"format": "nocldpc-config-v1"}'])
@@ -116,13 +123,20 @@ class TestGenConfig:
         ("slot_of", []),
         ("fifo_depth", [[0]]),
         ("k_i", None),
+        # values that are not plain ints are rejected, not coerced; a
+        # callable edits the stored value in place of replacing it
+        ("rm", lambda rm: [[float(w) for w in node] for node in rm]),
+        ("wag", lambda wag: [[str(a) for a in pe] for pe in wag]),
+        ("cnt_cmp", lambda cc: [[[True, d] for _, d in pe] for pe in cc]),
+        ("fifo_depth", lambda fd: [[x + 0.5 for x in row] for row in fd]),
+        ("slot_of", lambda so: {k: str(v) for k, v in so.items()}),
+        ("n", 2.0),
+        ("label", 5),
     ])
     def test_malformed_records_rejected(self, key, value):
-        import json
-
         h, m, tr = feeder_pipeline()
         obj = json.loads(gen_config(tr, m, h).to_json())
-        obj[key] = value
+        obj[key] = value(obj[key]) if callable(value) else value
         with pytest.raises(ConfigIntegrityError):
             ConfigImage.from_json(json.dumps(obj))
 
@@ -137,16 +151,17 @@ class TestGenConfig:
             "rm-cycle-negative", "rm-out-port", "rm-in-port"])
     def test_trace_records_out_of_range_rejected(self, record, field, value, match):
         h, m, tr = feeder_pipeline()
-        recs = next(r for r in getattr(tr, record) if r)
-        rec = list(recs[0])
-        rec[field] = value
-        recs[0] = tuple(rec)
+        obj = json.loads(tr.to_json())
+        next(r for r in obj[record] if r)[0][field] = value
+        tr = NocTrace.from_json(json.dumps(obj))
         with pytest.raises(ConfigIntegrityError, match=match):
             gen_config(tr, m, h)
 
     def test_trace_missing_arrival_rejected(self):
         h, m, tr = feeder_pipeline()
-        check, pos, *_ = tr.arrivals[0].pop()
+        obj = json.loads(tr.to_json())
+        check, pos, *_ = obj["arrivals"][0].pop()
+        tr = NocTrace.from_json(json.dumps(obj))
         lost = rf"input \({check}, {pos}\) is in the schedule only"
         with pytest.raises(ConfigIntegrityError, match=lost):
             gen_config(tr, m, h)
@@ -154,7 +169,7 @@ class TestGenConfig:
     def test_rm_binary_roundtrip(self):
         h, m, tr = feeder_pipeline()
         cfg = gen_config(tr, m, h)
-        assert ConfigImage.rm_from_binary(cfg.rm_to_binary()) == cfg.rm
+        assert ConfigImage.rm_from_binary(cfg.rm_to_binary()) == [list(node) for node in cfg.rm]
 
     def test_determinism(self):
         h, m, tr = feeder_pipeline()

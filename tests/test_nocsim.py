@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,16 @@ class TestTraceSerialization:
         ("fifo_max", [[0, 0]]),
         ("n", "two"),
         ("flits", 7),
+        # values that are not plain ints are rejected, not coerced
+        ("rm_ops", [[[10.7, 0, 4]], [], [], []]),
+        ("arrivals", [[[0, 1, 2, "14", 5]], [], [], []]),
+        ("flits", [[True] * 12]),
+        ("flits", [[0] * 8 + [2] + [0] * 3]),  # wrap flag other than 0/1
+        ("fifo_max", [[0, 0, 0, 0, True]] * 4),
+        ("check_start", [0.5, 1, 2]),
+        ("k_i", 10.7),
+        ("n_network", "3"),
+        ("label", 7),
     ])
     def test_malformed_records_rejected(self, key, value):
         import json
@@ -246,6 +259,59 @@ class TestTraceSerialization:
         obj[key] = value
         with pytest.raises(ValueError):
             NocTrace.from_json(json.dumps(obj))
+
+
+C06 = (("wimax_2304_1152", 5), ("wimax_576_288", 5), ("wifi_1944_486", 4), ("random_1057_244", 5))
+
+
+@pytest.mark.parametrize("name,side", C06)
+def test_trace_and_image_are_frozen_and_serialised_once(name, side):
+    import hashlib
+
+    from nocldpc.configgen import ConfigImage
+
+    h = load_code(name)
+    m = partition_kway(build_check_graph(h), side * side, seed=20250808)
+    serving_order(h, m)
+    tr = simulate_iteration(Topology(side), build_schedule(h, m), seed=20250808, label=h.label)
+    cfg = gen_config(tr, m, h)
+
+    # no field can be set and no table written
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.k_i = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.digest = ""
+    with pytest.raises(TypeError):
+        cfg.rm[0][0] = 1
+    with pytest.raises(TypeError):
+        tr.rm_ops[0][0] = (0, 0, 0)
+    with pytest.raises(TypeError):
+        tr.arrivals[0][0] = (0, 0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        cfg.slot_of[(0, 0)] = 1
+    for arr in (tr.fifo_max, tr.check_start, cfg.fifo_depth):
+        with pytest.raises(ValueError):
+            arr[0] = 99
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+    # the canonical text is json.dumps's, computed once
+    text = json.dumps(tr.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    assert tr.to_json() == text and tr.to_json() is tr.to_json()
+    assert tr.content_digest() == hashlib.sha256(text.encode()).hexdigest()
+    assert ConfigImage.from_json(cfg.to_json()).compute_digest() == cfg.digest
+
+    # a copy with one record changed gets its own digest
+    node = next(i for i, ops in enumerate(tr.rm_ops) if ops)
+    cycle, out, inp = tr.rm_ops[node][0]
+    ops = ((cycle + 1, out, inp), *tr.rm_ops[node][1:])
+    moved = dataclasses.replace(tr, rm_ops=(*tr.rm_ops[:node], ops, *tr.rm_ops[node + 1:]))
+    assert moved.content_digest() != tr.content_digest()
+    assert dataclasses.replace(tr).content_digest() == tr.content_digest()
+    wag = next(i for i, addrs in enumerate(cfg.wag) if addrs)
+    addrs = (cfg.wag[wag][0] ^ 1, *cfg.wag[wag][1:])
+    moved_cfg = dataclasses.replace(cfg, wag=(*cfg.wag[:wag], addrs, *cfg.wag[wag + 1:]))
+    assert moved_cfg.digest == cfg.digest != moved_cfg.compute_digest()
 
 
 @pytest.fixture(scope="module")
@@ -313,67 +379,82 @@ class TestReplay:
             validate_config(h, m, other, cfg)
 
     def test_corrupted_rm_word_detected(self, pipeline):
-        import json
-
-        from nocldpc.configgen import ConfigImage, ConfigIntegrityError
+        from nocldpc.configgen import ConfigIntegrityError
         from nocldpc.nocsim import ReplayIntegrityError
 
         h, m, tr, cfg, _ = pipeline
+
+        def corrupt(obj):
+            cyc = next(c for c, w in enumerate(obj["rm"][12]) if w)
+            obj["rm"][12][cyc] ^= 0x8
+
         # corruption without digest repair trips the integrity check
-        broken = ConfigImage.from_json(cfg.to_json())
-        cyc = next(c for c, w in enumerate(broken.rm[12]) if w)
-        broken.rm[12][cyc] ^= 0x8
+        broken = _edited(cfg, corrupt)
         with pytest.raises((ConfigIntegrityError, ReplayIntegrityError)):
             broken.verify_digest()
         # corruption with a recomputed digest is caught by the RM walk
-        broken.digest = broken.compute_digest()
+        broken = _resealed(broken)
         with pytest.raises(ReplayIntegrityError):
             validate_config(h, m, tr, broken)
 
     @pytest.mark.parametrize("field", ["input_port", "torus_side"])
     def test_resealed_image_with_bad_geometry_rejected(self, pipeline, field):
-        from nocldpc.configgen import ConfigImage
         from nocldpc.nocsim import ReplayIntegrityError
 
         h, m, tr, cfg, _ = pipeline
-        broken = ConfigImage.from_json(cfg.to_json())
         if field == "input_port":
-            cyc = next(c for c, w in enumerate(broken.rm[3]) if w)
-            broken.rm[3][cyc] |= 0xF  # output 0 selects input 7
+            def bad_port(obj):
+                cyc = next(c for c, w in enumerate(obj["rm"][3]) if w)
+                obj["rm"][3][cyc] |= 0xF  # output 0 selects input 7
+
+            broken = _edited(cfg, bad_port)
         else:
-            broken.n = 4
-        broken.digest = broken.compute_digest()
+            broken = dataclasses.replace(cfg, n=4)
         with pytest.raises(ReplayIntegrityError):
-            validate_config(h, m, tr, broken)
+            validate_config(h, m, tr, _resealed(broken))
 
     @pytest.mark.parametrize("tamper", ["fifo_depth", "wag_address", "short_program", "long_program"])
     def test_resealed_program_faults_rejected(self, pipeline, tamper):
-        from nocldpc.configgen import ConfigImage
         from nocldpc.nocsim import ReplayIntegrityError
 
         h, m, tr, cfg, _ = pipeline
-        broken = ConfigImage.from_json(cfg.to_json())
-        if tamper == "fifo_depth":  # one queue one flit short of the walk's peak
-            node, port = np.argwhere(broken.fifo_depth > 0)[0]
-            broken.fifo_depth[node, port] -= 1
-        elif tamper == "wag_address":
-            pe = next(pe for pe, addrs in enumerate(broken.wag) if addrs)
-            broken.wag[pe][0] ^= 1
-        elif tamper == "short_program":  # the program stops before its last flits land
-            broken.k_i -= 3
-            broken.rm = [words[: broken.k_i] for words in broken.rm]
-        else:  # idle cycles past the trace's k_i would size the switch buffers wrong
-            broken.k_i += 50
-            broken.rm = [words + [0] * 50 for words in broken.rm]
-        broken.digest = broken.compute_digest()
+
+        def edit(obj):
+            if tamper == "fifo_depth":  # one queue one flit short of the walk's peak
+                node, port = np.argwhere(np.array(obj["fifo_depth"]) > 0)[0]
+                obj["fifo_depth"][node][port] -= 1
+            elif tamper == "wag_address":
+                pe = next(pe for pe, addrs in enumerate(obj["wag"]) if addrs)
+                obj["wag"][pe][0] ^= 1
+            elif tamper == "short_program":  # the program stops before its last flits land
+                obj["k_i"] -= 3
+                obj["rm"] = [words[: obj["k_i"]] for words in obj["rm"]]
+            else:  # idle cycles past the trace's k_i would size the switch buffers wrong
+                obj["k_i"] += 50
+                obj["rm"] = [words + [0] * 50 for words in obj["rm"]]
+
         with pytest.raises(ReplayIntegrityError):
-            validate_config(h, m, tr, broken)
+            validate_config(h, m, tr, _resealed(_edited(cfg, edit)))
 
     def test_flipped_digest_rejected(self, pipeline):
-        from nocldpc.configgen import ConfigImage, ConfigIntegrityError
+        from nocldpc.configgen import ConfigIntegrityError
 
         h, m, tr, cfg, _ = pipeline
-        broken = ConfigImage.from_json(cfg.to_json())
-        broken.digest = ("1" if broken.digest[0] == "0" else "0") + broken.digest[1:]
+        flipped = ("1" if cfg.digest[0] == "0" else "0") + cfg.digest[1:]
+        broken = dataclasses.replace(cfg, digest=flipped)
         with pytest.raises(ConfigIntegrityError):
             validate_config(h, m, tr, broken)
+
+
+def _edited(cfg, edit):
+    """A copy of an image loaded from its JSON after edit(obj); the stored
+    digest is left as it was."""
+    from nocldpc.configgen import ConfigImage
+
+    obj = json.loads(cfg.to_json())
+    edit(obj)
+    return ConfigImage.from_json(json.dumps(obj))
+
+
+def _resealed(img):
+    return dataclasses.replace(img, digest=img.compute_digest())
