@@ -25,7 +25,6 @@ import numpy as np
 
 from .codes.matrix import ParityCheckMatrix
 from .decoder import CodeLayout, DecodeParams, decode_flooding_spa_batch, decode_layered_nms_batch
-from .fixedpoint import QFormat
 
 _BLOCK = 32  # frames per block; fixed so the stop rule sees the same boundaries
 
@@ -161,37 +160,3 @@ def run_ber(
         )
     return points
 
-
-def quantization_sweep(
-    h: ParityCheckMatrix,
-    formats: list[QFormat],
-    snr_db: float,
-    params: DecodeParams,
-    stop: StopRule | dict,
-    seed: int = 0,
-    threads: int = 1,
-    layout: CodeLayout | None = None,
-) -> list[BerPoint]:
-    """BER of several fixed-point formats at one SNR with shared noise.
-
-    threads is passed to run_ber, which rejects values below 1.
-    """
-    if len(formats) < 2:
-        raise ValueError("need at least two formats to compare")
-    if layout is None:
-        layout = CodeLayout.build(h)
-    out = []
-    for fmt in formats:
-        p = DecodeParams(
-            alpha=params.alpha,
-            it_max=params.it_max,
-            fmt=fmt,
-            early_stop=params.early_stop,
-        )
-        point = run_ber(
-            h, p, [snr_db], stop, seed=seed, algorithm="layered-nms",
-            threads=threads, layout=layout,
-        )[0]
-        point.fmt = str(fmt)
-        out.append(point)
-    return out

@@ -132,19 +132,20 @@ def compute_layers(h: ParityCheckMatrix) -> list[np.ndarray]:
     return layers
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CheckGraph:
     """Graph of parity-check constraints with message multiplicities.
 
-    Vertices are the rows of H.  Two kinds of adjacency are kept:
+    Vertices are the rows of H.  Two kinds of adjacency are kept, both as
+    read-only int32 arrays sorted by (first check, second check):
 
-    * ``edges`` maps each unordered pair of checks that are consecutive in
-      some variable's serving cycle to the number of extrinsic messages
-      exchanged between them per iteration.  The total over all pairs,
+    * ``u``, ``v``, ``weight``: each unordered pair u < v of checks that are
+      consecutive in some variable's serving cycle, with the number of
+      extrinsic messages exchanged between them per iteration.  The total,
       ``n_messages``, is the per-iteration NoC message count (a variable of
       degree d contributes d messages once d >= 2).
-    * ``shared_pairs`` is the plain set of check pairs sharing at least one
-      variable, regardless of multiplicity.
+    * ``shared``: the (S, 2) pairs of checks sharing at least one variable,
+      regardless of multiplicity.
 
     Partitioning minimizes the message-weighted cut.  For variables of
     degree <= 3 the two pair sets coincide; above that the serving cycle
@@ -152,59 +153,67 @@ class CheckGraph:
     """
 
     n_vertices: int
-    edges: dict[tuple[int, int], int]
-    shared_pairs: frozenset[tuple[int, int]]
-    _edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    u: np.ndarray
+    v: np.ndarray
+    weight: np.ndarray
+    shared: np.ndarray
 
     @property
     def n_edges(self) -> int:
         """Distinct message-carrying pairs."""
-        return len(self.edges)
+        return len(self.u)
 
     @property
     def n_messages(self) -> int:
         """Total extrinsic messages per decoding iteration."""
-        return sum(self.edges.values())
+        return int(self.weight.sum())
 
     @property
     def n_shared_pairs(self) -> int:
-        return len(self.shared_pairs)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge list as read-only (u, v, weight) int32 arrays sorted by (u, v).
-
-        Built on first use and kept: ``edges`` must not change afterwards.
-        """
-        if self._edge_arrays is None:
-            items = sorted(self.edges.items())
-            uv = np.asarray([e for e, _ in items], dtype=np.int32).reshape(-1, 2)
-            arrays = (
-                np.ascontiguousarray(uv[:, 0]),
-                np.ascontiguousarray(uv[:, 1]),
-                np.asarray([w for _, w in items], dtype=np.int32),
-            )
-            for a in arrays:
-                a.flags.writeable = False
-            self._edge_arrays = arrays
-        return self._edge_arrays
+        return len(self.shared)
 
 
-def serving_rank(h: ParityCheckMatrix) -> np.ndarray:
-    """Global processing order of rows: layer index first, row index second."""
+def serving_sequence(h: ParityCheckMatrix) -> np.ndarray:
+    """Rows in global processing order: layer index first, row index second.
+
+    Plain row order when H has no layer schedule.
+    """
     if h.layers is None:
-        order = np.arange(h.n_rows, dtype=np.int64)
-    else:
-        lor = h.layer_of_row().astype(np.int64)
-        order = np.argsort(lor * h.n_rows + np.arange(h.n_rows), kind="stable")
+        return np.arange(h.n_rows, dtype=np.int64)
+    lor = h.layer_of_row().astype(np.int64)
+    return np.argsort(lor * h.n_rows + np.arange(h.n_rows), kind="stable")
+
+
+def serving_chains(h: ParityCheckMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every edge of H as (check, position), sorted by (variable, serving rank).
+
+    Returns (check, position, col_deg), where col_deg[j] is the degree of
+    variable j: the first col_deg[0] entries are variable 0's serving chain,
+    the next col_deg[1] variable 1's, and so on.  Each chain lists the
+    variable's checks in (layer, row) order; its value travels from one entry
+    to the next and wraps from the last back to the first.
+    """
+    deg = np.array([len(row) for row in h.rows], dtype=np.int64)
+    edge_row = np.repeat(np.arange(h.n_rows, dtype=np.int64), deg)
+    edge_pos = np.arange(len(edge_row), dtype=np.int64) - np.repeat(np.cumsum(deg) - deg, deg)
+    edge_col = np.concatenate(h.rows).astype(np.int64)
     rank = np.empty(h.n_rows, dtype=np.int64)
-    rank[order] = np.arange(h.n_rows)
-    return rank
+    rank[serving_sequence(h)] = np.arange(h.n_rows)
+    chain_order = np.lexsort((rank[edge_row], edge_col))
+    return edge_row[chain_order], edge_pos[chain_order], np.bincount(edge_col, minlength=h.n_cols)
+
+
+def _pairs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The distinct unordered check pairs (a[i], b[i]) as a read-only (3, P)
+    int32 array of low check, high check and multiplicity, sorted by pair."""
+    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
+    out = np.stack([keys // n, keys % n, counts]).astype(np.int32)
+    out.flags.writeable = False
+    return out
 
 
 def build_check_graph(h: ParityCheckMatrix) -> CheckGraph:
-    """Derive the check graph of H.
+    """Derive the check graph of H from its serving chains.
 
     Messages follow each variable's serving cycle: after a check updates the
     variable, the value travels to the variable's next check in (layer, row)
@@ -212,20 +221,19 @@ def build_check_graph(h: ParityCheckMatrix) -> CheckGraph:
     therefore puts weight 2 on its single pair.  Uses the layer schedule when
     present, plain row order otherwise.
     """
-    rank = serving_rank(h)
-    edges: dict[tuple[int, int], int] = {}
-    shared: set[tuple[int, int]] = set()
-    for rows in h.cols():
-        if len(rows) < 2:
-            continue
-        chain = rows[np.argsort(rank[rows], kind="stable")]
-        d = len(chain)
-        for a in range(d):
-            for b in range(a + 1, d):
-                i, k = int(chain[a]), int(chain[b])
-                shared.add((i, k) if i < k else (k, i))
-        for t in range(d):
-            i, k = int(chain[t]), int(chain[(t + 1) % d])
-            key = (i, k) if i < k else (k, i)
-            edges[key] = edges.get(key, 0) + 1
-    return CheckGraph(h.n_rows, edges, frozenset(shared))
+    n = h.n_rows
+    chain, _, col_deg = serving_chains(h)
+    head = np.cumsum(col_deg) - col_deg
+    multi = col_deg >= 2
+    # each entry of a shared variable's chain and its successor, wrapping
+    nxt = np.arange(1, len(chain) + 1)
+    nxt[(head + col_deg - 1)[multi]] = head[multi]
+    on_cycle = np.repeat(multi, col_deg)
+    u, v, weight = _pairs(chain[on_cycle], chain[nxt[on_cycle]], n)
+    # every two entries of one chain, as (2, pairs) blocks per column degree
+    both = [np.empty((2, 0), dtype=np.int64)]
+    for d in np.unique(col_deg[multi]).tolist():
+        chains = chain[head[col_deg == d][:, None] + np.arange(d)]
+        both.append(chains[:, np.triu_indices(d, 1)].swapaxes(0, 1).reshape(2, -1))
+    shared = _pairs(*np.concatenate(both, axis=1), n)[:2].T
+    return CheckGraph(n, u, v, weight, shared)

@@ -22,9 +22,10 @@ from types import MappingProxyType
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
+from ..jsonfields import all_ints, int_list, int_records, typed
 from ..mapper import Mapping
 from ..nocsim.schedule import build_schedule
-from ..nocsim.trace import NocTrace, all_ints, frozen_int64, int_list, int_records, typed
+from ..nocsim.trace import NocTrace, frozen_int64
 
 FORMAT = "nocldpc-config-v1"
 _BIN_MAGIC = b"NOCLDPCC"
@@ -288,6 +289,6 @@ def gen_config(
         fifo_depth=fifo_depth,
         slot_of=slot_of,
         trace_digest=trace.content_digest(),
-        mapping_digest=hashlib.sha256(mapping.to_json().encode()).hexdigest(),
+        mapping_digest=mapping.content_digest(),
         h_digest=h.content_digest(),
     )

@@ -9,13 +9,15 @@ under their seed; child seeds are derived from the parent by a fixed rule.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes.matrix import CheckGraph, ParityCheckMatrix
+from .codes.matrix import CheckGraph, ParityCheckMatrix, serving_sequence
+from .jsonfields import int_list, typed
 
 
 @dataclass
@@ -45,6 +47,10 @@ class Mapping:
             sort_keys=True,
         )
 
+    def content_digest(self) -> str:
+        """SHA-256 of the canonical JSON; configuration images record it."""
+        return hashlib.sha256(self.to_json().encode()).hexdigest()
+
     @classmethod
     def from_json(cls, text: str) -> "Mapping":
         """Rebuild a mapping; malformed text raises ValueError."""
@@ -52,12 +58,13 @@ class Mapping:
         if not isinstance(data, dict) or "p" not in data or "assignment" not in data:
             raise ValueError("not a nocldpc mapping file")
         try:
+            order = typed(data, "order", list) if "order" in data else []
             mapping = cls(
-                p=int(data["p"]),
-                assignment=np.asarray(data["assignment"], dtype=np.int32).reshape(-1),
-                order=[[int(x) for x in pe] for pe in data.get("order", [])],
+                p=typed(data, "p"),
+                assignment=np.asarray(int_list(data["assignment"], "assignment"), dtype=np.int32),
+                order=[int_list(pe, "order") for pe in order],
             )
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"malformed mapping file: {exc}") from None
         a = mapping.assignment
         if mapping.p < 1 or (len(a) and (a.min() < 0 or a.max() >= mapping.p)):
@@ -85,26 +92,19 @@ def partition_random(graph: CheckGraph, p: int, seed: int) -> Mapping:
     return Mapping(p=p, assignment=assignment)
 
 
-def cutset(graph: CheckGraph, mapping: Mapping, distinct: bool = False) -> int:
-    """Messages per iteration crossing PE boundaries.
-
-    With distinct=True, counts crossing pairs once each instead of weighting
-    by message multiplicity.
-    """
+def cutset(graph: CheckGraph, mapping: Mapping) -> int:
+    """Messages per iteration crossing PE boundaries."""
     part = mapping.assignment
-    if distinct:
-        return sum(1 for (i, j) in graph.edges if part[i] != part[j])
-    u, v, w = graph.edge_arrays()
-    return int(w[part[u] != part[v]].sum())
+    return int(graph.weight[part[graph.u] != part[graph.v]].sum())
 
 
 def serving_order(h: ParityCheckMatrix, mapping: Mapping) -> list[list[int]]:
-    """Per-PE rows ordered by (layer index, row index); stored on the mapping."""
-    lor = h.layer_of_row()
+    """Per-PE rows in the serving order of the chains (`serving_sequence`):
+    by (layer index, row index), or by row without layers.  Stored on the mapping."""
     order: list[list[int]] = [[] for _ in range(mapping.p)]
-    key = lor.astype(np.int64) * h.n_rows + np.arange(h.n_rows)
-    for m in np.argsort(key, kind="stable"):
-        order[mapping.assignment[m]].append(int(m))
+    seq = serving_sequence(h)
+    for m, pe in zip(seq.tolist(), mapping.assignment[seq].tolist()):
+        order[pe].append(m)
     mapping.order = order
     return order
 
@@ -134,8 +134,7 @@ class _Graph:
     def from_check_graph(cls, graph: CheckGraph) -> "_Graph":
         n = graph.n_vertices
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        u, v, w = graph.edge_arrays()
-        for i, j, x in zip(u.tolist(), v.tolist(), w.tolist()):
+        for i, j, x in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist()):
             adj[i].append((j, x))
             adj[j].append((i, x))
         return cls(n, adj, [1] * n)

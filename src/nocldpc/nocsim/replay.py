@@ -27,7 +27,6 @@ has two parts:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,7 @@ def validate_config(
     config.verify_digest()
     if config.trace_digest != trace.content_digest():
         raise ReplayIntegrityError("configuration was generated from a different trace")
-    if config.mapping_digest != hashlib.sha256(mapping.to_json().encode()).hexdigest():
+    if config.mapping_digest != mapping.content_digest():
         raise ReplayIntegrityError("configuration was generated from a different mapping")
     if config.h_digest != h.content_digest():
         raise ReplayIntegrityError("configuration was generated from a different code")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codes.matrix import ParityCheckMatrix, serving_rank
+from ..codes.matrix import ParityCheckMatrix, serving_chains
 from ..mapper import Mapping
 
 
@@ -83,18 +83,9 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
     if -1 in serve_pos:
         raise ValueError("serving order does not cover all checks")
 
-    # every edge of H as (check, position, variable); one stable sort by
-    # (variable, serving rank) lays out each variable's serving chain
-    deg = np.array([len(row) for row in h.rows], dtype=np.int64)
-    edge_row = np.repeat(np.arange(m_checks, dtype=np.int64), deg)
-    edge_pos = np.arange(len(edge_row), dtype=np.int64) - np.repeat(np.cumsum(deg) - deg, deg)
-    edge_col = np.concatenate(h.rows).astype(np.int64)
-    chain_order = np.lexsort((serving_rank(h)[edge_row], edge_col))
-    chain_rows = edge_row[chain_order].tolist()
-    chain_pos = edge_pos[chain_order].tolist()
-    col_deg = np.bincount(edge_col, minlength=h.n_cols)
-
-    emissions: list[list[Emission]] = [[None] * d for d in deg.tolist()]  # by position
+    chain, pos, col_deg = serving_chains(h)
+    chain_rows, chain_pos = chain.tolist(), pos.tolist()
+    emissions: list[list[Emission]] = [[None] * len(row) for row in h.rows]  # by position
     n_bypass = 0
     end = 0
     for j, d in enumerate(col_deg.tolist()):

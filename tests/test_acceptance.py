@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from nocldpc.channel import StopRule, quantization_sweep, run_ber
+from nocldpc.channel import StopRule, run_ber
 from nocldpc.codes import build_check_graph, load_code
 from nocldpc.configgen import gen_config, min_buffer_size, plan_upload, simulate_upload
 from nocldpc.decoder import CodeLayout, DecodeParams, decode_layered_nms
@@ -63,11 +63,11 @@ def sweep_20(wimax):
     events at desk scale, and the comparison needs at least 100 per format.
     """
     h, _, layout = wimax
-    params = DecodeParams(alpha=1.15, it_max=8)
-    return quantization_sweep(
-        h, [QFormat(9, 2), QFormat(8, 1)], 2.0, params,
-        StopRule(10**9, 8000), seed=SEED, layout=layout,
-    )
+    return [
+        run_ber(h, DecodeParams(alpha=1.15, it_max=8, fmt=fmt), [2.0],
+                StopRule(10**9, 8000), seed=SEED, layout=layout)[0]
+        for fmt in (QFormat(9, 2), QFormat(8, 1))
+    ]
 
 
 # ---------------------------------------------------------------------------

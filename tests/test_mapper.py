@@ -11,9 +11,16 @@ from nocldpc.mapper import (
 )
 
 
+def graph_of(n, edges):
+    """CheckGraph of a {(u, v): weight} dict with u < v; every edge also shares."""
+    pairs = sorted(edges)
+    uv = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+    weight = np.asarray([edges[e] for e in pairs], dtype=np.int32)
+    return CheckGraph(n, uv[:, 0].copy(), uv[:, 1].copy(), weight, uv)
+
+
 def path_graph(n):
-    edges = {(i, i + 1): 1 for i in range(n - 1)}
-    return CheckGraph(n, edges, frozenset(edges))
+    return graph_of(n, {(i, i + 1): 1 for i in range(n - 1)})
 
 
 def random_graph(rng, n, n_edges):
@@ -21,7 +28,13 @@ def random_graph(rng, n, n_edges):
     while len(edges) < n_edges:
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         edges[(int(i), int(j))] = int(rng.integers(1, 4))
-    return CheckGraph(n, edges, frozenset(edges))
+    return graph_of(n, edges)
+
+
+def distinct_cut(g, m):
+    """Crossing pairs, each counted once whatever its message weight."""
+    part = m.assignment
+    return int(np.count_nonzero(part[g.u] != part[g.v]))
 
 
 class TestCutset:
@@ -34,25 +47,26 @@ class TestCutset:
         g = path_graph(3)
         m = Mapping(p=2, assignment=np.array([0, 1, 1], dtype=np.int32))
         assert cutset(g, m) == 1
-        assert cutset(g, m, distinct=True) == 1
+        assert distinct_cut(g, m) == 1
 
     def test_all_singletons_cut_everything(self):
         h = load_code("wimax_576_288")
         g = build_check_graph(h)
         m = Mapping(p=g.n_vertices, assignment=np.arange(g.n_vertices, dtype=np.int32))
         assert cutset(g, m) == g.n_messages
-        assert cutset(g, m, distinct=True) == g.n_edges
+        assert distinct_cut(g, m) == g.n_edges
 
     def test_against_bruteforce(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = random_graph(rng, 12, 20)
+            edges = dict(zip(zip(g.u.tolist(), g.v.tolist()), g.weight.tolist()))
             part = rng.integers(0, 3, size=12).astype(np.int32)
             m = Mapping(p=3, assignment=part)
-            brute_w = sum(w for (i, j), w in g.edges.items() if part[i] != part[j])
-            brute_d = sum(1 for (i, j) in g.edges if part[i] != part[j])
+            brute_w = sum(w for (i, j), w in edges.items() if part[i] != part[j])
+            brute_d = sum(1 for (i, j) in edges if part[i] != part[j])
             assert cutset(g, m) == brute_w
-            assert cutset(g, m, distinct=True) == brute_d
+            assert distinct_cut(g, m) == brute_d
 
 
 class TestRandomPartition:
@@ -60,7 +74,7 @@ class TestRandomPartition:
         g = path_graph(6)
         m = partition_random(g, 6, seed=0)
         assert sorted(m.assignment.tolist()) == list(range(6))
-        assert cutset(g, m) == sum(g.edges.values())
+        assert cutset(g, m) == int(g.weight.sum())
 
     def test_balance_and_determinism(self):
         g = path_graph(103)
@@ -87,7 +101,7 @@ class TestKwayPartition:
             for b in range(a + 1, 5):
                 edges[(a, b)] = 3
                 edges[(a + 5, b + 5)] = 3
-        g = CheckGraph(10, edges, frozenset(edges))
+        g = graph_of(10, edges)
         m = partition_kway(g, 2, seed=1)
         assert cutset(g, m) == 0
         assert set(m.assignment[:5].tolist()) != set(m.assignment[5:].tolist())
@@ -155,12 +169,22 @@ def test_mapping_json_roundtrip():
     assert m2.p == m.p
     assert np.array_equal(m2.assignment, m.assignment)
     assert m2.order == m.order
+    assert m2.content_digest() == m.content_digest()
 
 
 @pytest.mark.parametrize("text", [
     "[1]", "3", "null", "{}", '{"p": 2}', '{"p": "two", "assignment": [0]}',
     '{"p": 2, "assignment": [[0, 1], [1]]}', '{"p": 2, "assignment": [0, 2]}',
     '{"p": 0, "assignment": []}', '{"p": 2, "assignment": [0], "order": [3]}',
+    # plain JSON integers only: nothing is coerced or flattened
+    '{"p": 2.5, "assignment": [0]}', '{"p": true, "assignment": [0]}',
+    '{"p": "2", "assignment": [0]}', '{"p": 2, "assignment": [0.9, 1.2]}',
+    '{"p": 2, "assignment": ["0", "1"]}', '{"p": 2, "assignment": [true, false]}',
+    '{"p": 2, "assignment": [[0, 1], [1, 0]]}', '{"p": 2, "assignment": 1}',
+    '{"p": 2, "assignment": [0, 1], "order": [[0.0], [1]]}',
+    '{"p": 2, "assignment": [0, 1], "order": [[false], [1]]}',
+    '{"p": 2, "assignment": [0, 1], "order": "01"}',
+    '{"p": 4294967296, "assignment": [4294967295]}',
 ])
 def test_mapping_json_rejects_malformed(text):
     with pytest.raises(ValueError):

@@ -115,11 +115,11 @@ class TestSchedule:
                 rows[int(m)].append(j)
         h = make_h(rows, 18)
         g = build_check_graph(h)
-        assert set(g.edges) == set(g.shared_pairs)
+        assert np.array_equal(np.stack([g.u, g.v], axis=1), g.shared)
         m = mapped(h, rng.integers(0, 4, size=9), 4)
         part = m.assignment
-        shared_cut = sum(1 for (i, j) in g.shared_pairs if part[i] != part[j])
-        assert cutset(g, m, distinct=True) == shared_cut
+        shared_cut = sum(1 for (i, j) in g.shared.tolist() if part[i] != part[j])
+        assert np.count_nonzero(part[g.u] != part[g.v]) == shared_cut
 
 
 class TestSimulate:

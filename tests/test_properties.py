@@ -1,17 +1,19 @@
-"""Randomised properties: the code parsers on malformed text, batched decoders
-against their single-frame goldens, and the codegen path from check graph to
-replayed configuration image."""
+"""Randomised properties: the code parsers on malformed text, the check graph
+against its per-column loop reference, batched decoders against their
+single-frame goldens, and the codegen path from check graph to replayed
+configuration image."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nocldpc.codes import (  # noqa: E402
     AlistParseError,
     CodeError,
+    ParityCheckMatrix,
     QcValidationError,
     build_check_graph,
     compute_layers,
@@ -62,6 +64,70 @@ def test_code_parsers_raise_their_own_errors(text):
         except (AlistParseError, QcValidationError, CodeError):
             continue
         h.validate()
+
+
+def reference_check_graph(h):
+    """The per-column loop that build_check_graph replaced.
+
+    Returns the message-carrying pairs as {(u, v): weight} and the sharing
+    pairs as a set, each pair with u < v.
+    """
+    if h.layers is None:
+        rank = np.arange(h.n_rows)
+    else:
+        rank = h.layer_of_row().astype(np.int64) * h.n_rows + np.arange(h.n_rows)
+    edges: dict[tuple[int, int], int] = {}
+    shared: set[tuple[int, int]] = set()
+    for rows in h.cols():
+        if len(rows) < 2:
+            continue
+        chain = rows[np.argsort(rank[rows], kind="stable")]
+        d = len(chain)
+        for a in range(d):
+            for b in range(a + 1, d):
+                i, k = int(chain[a]), int(chain[b])
+                shared.add((i, k) if i < k else (k, i))
+        for t in range(d):
+            i, k = int(chain[t]), int(chain[(t + 1) % d])
+            key = (i, k) if i < k else (k, i)
+            edges[key] = edges.get(key, 0) + 1
+    return edges, shared
+
+
+def small_code(rows, n_cols, layers=None):
+    h = ParityCheckMatrix(n_cols, len(rows), [np.array(sorted(r), dtype=np.int32) for r in rows])
+    h.layers = layers
+    return h
+
+
+@st.composite
+def check_graph_cases(draw):
+    """Small codes without layers, or with a shuffled first-fit layer order,
+    so the serving order differs from row order."""
+    n_cols = draw(st.integers(1, 12))
+    support = st.sets(st.integers(0, n_cols - 1), min_size=1)
+    h = small_code(draw(st.lists(support, min_size=1, max_size=12)), n_cols)
+    if draw(st.booleans()):
+        h.layers = draw(st.permutations(compute_layers(h)))
+    return h
+
+
+# codes whose checks share no variable give empty arrays
+@example(small_code([[0, 1], [2]], 3))
+@example(small_code([[0, 1], [2]], 3, layers=[np.array([1]), np.array([0])]))
+@settings(max_examples=200, deadline=None)
+@given(check_graph_cases())
+def test_check_graph_matches_loop_reference(h):
+    g = build_check_graph(h)
+    edges, shared = reference_check_graph(h)
+    pairs = sorted(edges)
+    assert g.u.tolist() == [u for u, _ in pairs]
+    assert g.v.tolist() == [v for _, v in pairs]
+    assert g.weight.tolist() == [edges[e] for e in pairs]
+    assert g.shared.shape == (len(shared), 2)
+    assert g.shared.tolist() == [list(e) for e in sorted(shared)]
+    for a in (g.u, g.v, g.weight, g.shared):
+        assert a.dtype == np.int32 and not a.flags.writeable
 
 
 @st.composite
