@@ -107,6 +107,17 @@ def _positive(kind):
     return parse
 
 
+def _non_negative(text: str) -> int:
+    """argparse type: an int of at least zero."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+_non_negative.__name__ = "int"
+
+
 def _add_code_args(p):
     p.add_argument("--code", required=True, help="bundled code name or matrix file")
     p.add_argument("--format", choices=["auto", "name", "file", "alist", "qc"], default="auto")
@@ -421,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="partition and cycle-accurately simulate one iteration")
     _add_code_args(p)
     _add_common(p)
-    p.add_argument("--pe-pipeline", type=int, default=4)
+    p.add_argument("--pe-pipeline", type=_non_negative, default=4)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("genconfig", help="derive configuration memories from a trace")
@@ -469,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     _add_common(p)
     _add_decode_args(p)
-    p.add_argument("--pe-pipeline", type=int, default=4)
+    p.add_argument("--pe-pipeline", type=_non_negative, default=4)
     p.add_argument("--fifo-pow2", action="store_true")
     p.add_argument("--rp-baseline", type=_positive(int), default=20)
     p.add_argument("--check-frames", type=_positive(int), default=5)

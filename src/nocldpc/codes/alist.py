@@ -41,20 +41,6 @@ def _adjacency(line: str, line_no: int, degree: int, limit: int, kind: str) -> l
     return [v - 1 for v in entries]
 
 
-def to_alist(h: ParityCheckMatrix) -> str:
-    """Serialize a matrix to alist text (unpadded adjacency lines)."""
-    cols = h.cols()
-    out = [
-        f"{h.n_cols} {h.n_rows}",
-        f"{max(len(c) for c in cols)} {h.max_row_degree}",
-        " ".join(str(len(c)) for c in cols),
-        " ".join(str(len(r)) for r in h.rows),
-    ]
-    out += [" ".join(str(int(m) + 1) for m in c) for c in cols]
-    out += [" ".join(str(int(j) + 1) for j in r) for r in h.rows]
-    return "\n".join(out) + "\n"
-
-
 def parse_alist(text: str, label: str = "") -> ParityCheckMatrix:
     """Parse alist text into a ParityCheckMatrix (layers left unset)."""
     lines = text.splitlines()

@@ -38,10 +38,6 @@ class QcDescription:
             bad = int(self.entries.max())
             raise QcValidationError(f"shift {bad} >= expansion factor {self.z}")
 
-    @property
-    def n_nonnull(self) -> int:
-        return int((self.entries >= 0).sum())
-
 
 def parse_qc(text: str, label: str = "") -> QcDescription:
     tokens = text.split()

@@ -179,6 +179,8 @@ class ConfigImage:
             raise ConfigIntegrityError("slot map keys must read check:position")
         if img.fifo_depth.shape != (p, 5):
             raise ConfigIntegrityError(f"FIFO depths must be {p} x 5")
+        if img.pipeline_depth < 0:
+            raise ConfigIntegrityError(f"PE pipeline depth must be >= 0, got {img.pipeline_depth}")
         return img
 
     def rm_to_binary(self) -> bytes:
@@ -188,14 +190,6 @@ class ConfigImage:
             struct.pack(f"<{self.k_i}I", *node) for node in self.rm
         )
         return head + body
-
-    @classmethod
-    def rm_from_binary(cls, blob: bytes) -> list[list[int]]:
-        if blob[:8] != _BIN_MAGIC:
-            raise ConfigIntegrityError("bad RM binary magic")
-        n, k_i, p = struct.unpack("<III", blob[8:20])
-        words = struct.unpack(f"<{k_i * p}I", blob[20:])
-        return [list(words[i * k_i : (i + 1) * k_i]) for i in range(p)]
 
 
 def fill_free_slots(slot_of: dict[tuple[int, int], int], degs: list[int]) -> None:

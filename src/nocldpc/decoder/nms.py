@@ -310,8 +310,5 @@ def decode_layered_nms_batch(
     if layout is None:
         layout = CodeLayout.build(h)
     store = _code_store(h.n_cols + 1, len(llrs), params.fmt)
-    # frame by frame: one call on the whole block allocates block-sized
-    # temporaries and was slower
-    for f, frame in enumerate(llrs):
-        store[:-1, f] = quantize(frame, params.fmt)
+    store[:-1] = quantize(llrs, params.fmt).T
     return _layered_sweep(layout, params, store, [(lm.idx, lm.idx) for lm in layout.layer_maps])

@@ -37,18 +37,6 @@ class QFormat:
     def max_code(self) -> int:
         return (1 << (self.n_bits - 1)) - 1
 
-    @property
-    def lsb(self) -> float:
-        return 2.0 ** -self.frac_bits
-
-    @property
-    def min_value(self) -> float:
-        return self.min_code * self.lsb
-
-    @property
-    def max_value(self) -> float:
-        return self.max_code * self.lsb
-
     @classmethod
     def parse(cls, text: str) -> "QFormat":
         """Parse the ``n_m`` notation, e.g. ``8_1``."""
@@ -68,10 +56,14 @@ def quantize(x, fmt: QFormat) -> np.ndarray:
     Rounds to nearest with ties away from zero, then saturates.  Accepts a
     scalar or array; always returns int32 codes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    scaled = x * (1 << fmt.frac_bits)
-    codes = np.where(scaled >= 0.0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
-    return np.clip(codes, fmt.min_code, fmt.max_code).astype(np.int32)
+    # one float64 buffer, updated in place: +-0.5 toward the sign, then
+    # truncation, is floor(s + 0.5) for s >= 0 and ceil(s - 0.5) below
+    scaled = np.array(x, dtype=np.float64)
+    scaled *= 1 << fmt.frac_bits
+    scaled += np.copysign(0.5, scaled)
+    np.trunc(scaled, out=scaled)
+    np.clip(scaled, fmt.min_code, fmt.max_code, out=scaled)
+    return scaled.astype(np.int32)[()]  # a scalar for a scalar input
 
 
 def saturate(codes, fmt: QFormat) -> np.ndarray:

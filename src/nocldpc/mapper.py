@@ -27,6 +27,9 @@ class Mapping:
     p: int
     assignment: np.ndarray  # (n_rows,) PE id per row
     order: list[list[int]] = field(default_factory=list)
+    # nocsim.build_schedule's last plan for this mapping, keyed by the code
+    # and mapping digests; not part of the mapping's content
+    _schedule: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def part_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.p)

@@ -15,6 +15,7 @@ soft value on iteration one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,9 +23,12 @@ from ..codes.matrix import ParityCheckMatrix, serving_chains
 from ..mapper import Mapping
 
 
-@dataclass
-class Emission:
-    """One message out of a check: position p's updated value to its successor."""
+class Emission(NamedTuple):
+    """One message out of a check: position p's updated value to its successor.
+
+    uid numbers the network emissions in injection order; it is -1 for a
+    message that stays on its PE.
+    """
 
     var: int
     src_check: int
@@ -34,20 +38,24 @@ class Emission:
     dst_pe: int
     network: bool
     wrap: bool
-    uid: int = -1  # set for network emissions only
+    uid: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class InjectionSchedule:
     """The message plan of one iteration: every (check, position) sends one
-    emission and is the target of exactly one."""
+    emission and is the target of exactly one.
+
+    A schedule is immutable (tuples of tuples), so the stages that share
+    one build cannot change what the next stage reads.
+    """
 
     p: int
-    host: list[int]  # PE of each check
-    serve_pos: list[int]  # serving position of each check on its PE
-    order: list[list[int]]  # per-PE serving order
-    emissions: list[list[Emission]]  # per check, in position order
-    network_flits: list[Emission]  # in uid order
+    host: tuple[int, ...]  # PE of each check
+    serve_pos: tuple[int, ...]  # serving position of each check on its PE
+    order: tuple[tuple[int, ...], ...]  # per-PE serving order
+    emissions: tuple[tuple[Emission, ...], ...]  # per check, in position order
+    network_flits: tuple[Emission, ...]  # in uid order
     n_bypass: int = 0
 
     @property
@@ -64,6 +72,23 @@ class InjectionSchedule:
 
 
 def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
+    """The message plan of h under mapping.
+
+    The mapping keeps the last plan built from it, keyed by the content
+    digests of h and of the mapping, so the stages that are handed the same
+    (h, mapping) after the caller built it, gen_config and validate_config,
+    reuse that build.  A changed code, layer order, assignment or serving
+    order never matches the key and gets a fresh build.
+    """
+    key = (h.content_digest(), mapping.content_digest())
+    if mapping._schedule is not None and mapping._schedule[0] == key:
+        return mapping._schedule[1]
+    sched = _build_schedule(h, mapping)
+    mapping._schedule = (key, sched)
+    return sched
+
+
+def _build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
     if not mapping.order:
         raise ValueError("mapping has no serving order; run serving_order first")
     m_checks = h.n_rows
@@ -83,10 +108,11 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
     if -1 in serve_pos:
         raise ValueError("serving order does not cover all checks")
 
+    # per (check, position): the variable, the next (check, position) on its
+    # chain and whether that step wraps
     chain, pos, col_deg = serving_chains(h)
     chain_rows, chain_pos = chain.tolist(), pos.tolist()
-    emissions: list[list[Emission]] = [[None] * len(row) for row in h.rows]  # by position
-    n_bypass = 0
+    successor: list[list] = [[None] * len(row) for row in h.rows]
     end = 0
     for j, d in enumerate(col_deg.tolist()):
         head = end
@@ -94,32 +120,36 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
         # a degree-1 variable's only emission is a wrap onto its own slot
         for t in range(head, end):
             nxt = t + 1 if t + 1 < end else head
-            src, sp = chain_rows[t], chain_pos[t]
-            dst, dp = chain_rows[nxt], chain_pos[nxt]
-            network = host[src] != host[dst]
-            emissions[src][sp] = Emission(
-                var=j, src_check=src, src_pos=sp, dst_check=dst, dst_pos=dp,
-                dst_pe=host[dst], network=network, wrap=nxt == head,
-            )
-            n_bypass += not network and d > 1
+            successor[chain_rows[t]][chain_pos[t]] = (j, chain_rows[nxt], chain_pos[nxt], nxt == head)
 
     # uid in injection order: PE, serving position, position.  A PE emits a
     # check's messages in position order as it serves its checks, so this
     # order is fixed by the schedule alone; the replay relies on it to
     # identify header-less flits.
-    network_flits = [
-        e for rows in mapping.order for m in rows for e in emissions[m] if e.network
-    ]
-    for uid, e in enumerate(network_flits):
-        e.uid = uid
+    emissions: list[tuple[Emission, ...]] = [()] * m_checks
+    network_flits: list[Emission] = []
+    n_bypass = 0
+    for rows in mapping.order:
+        for src in rows:
+            ems = []
+            for sp, (j, dst, dp, wrap) in enumerate(successor[src]):
+                network = host[src] != host[dst]
+                e = Emission(j, src, sp, dst, dp, host[dst], network, wrap,
+                             len(network_flits) if network else -1)
+                if network:
+                    network_flits.append(e)
+                else:
+                    n_bypass += (dst, dp) != (src, sp)
+                ems.append(e)
+            emissions[src] = tuple(ems)
 
     sched = InjectionSchedule(
         p=mapping.p,
-        host=host,
-        serve_pos=serve_pos,
-        order=[list(rows) for rows in mapping.order],
-        emissions=emissions,
-        network_flits=network_flits,
+        host=tuple(host),
+        serve_pos=tuple(serve_pos),
+        order=tuple(map(tuple, mapping.order)),
+        emissions=tuple(emissions),
+        network_flits=tuple(network_flits),
         n_bypass=n_bypass,
     )
     _check_counts(sched, col_deg)

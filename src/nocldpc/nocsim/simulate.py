@@ -40,6 +40,8 @@ def simulate_iteration(
 ) -> NocTrace:
     if schedule.p != topo.p:
         raise ValueError(f"schedule is for {schedule.p} PEs, topology has {topo.p}")
+    if pipeline_depth < 0:
+        raise ValueError(f"PE pipeline depth must be >= 0, got {pipeline_depth}")
     p = topo.p
     links = topo.links()
 
@@ -121,7 +123,7 @@ def simulate_iteration(
         FlitRecord(
             uid=e.uid, var=e.var, src_check=e.src_check, dst_check=e.dst_check,
             dst_pos=e.dst_pos, src_pe=src_pe[e.uid], dst_pe=e.dst_pe, coin=coin[e.uid],
-            wrap=e.wrap, inject_cycle=engine.inject_cycle[e.uid],
+            wrap=int(e.wrap), inject_cycle=engine.inject_cycle[e.uid],
             receipt_cycle=receipt[e.uid], hops=hop[e.uid],
         )
         for e in flits

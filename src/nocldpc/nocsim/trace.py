@@ -31,7 +31,7 @@ class FlitRecord(NamedTuple):
     src_pe: int
     dst_pe: int
     coin: int
-    wrap: bool
+    wrap: int  # 0/1, as the trace file stores it
     inject_cycle: int = -1
     receipt_cycle: int = -1
     hops: int = 0
@@ -112,7 +112,7 @@ class NocTrace:
             "rm_ops": self.rm_ops,
             "arrivals": self.arrivals,
             "fifo_max": self.fifo_max.tolist(),
-            "flits": [(*f[:8], int(f.wrap), *f[9:]) for f in self.flits],
+            "flits": self.flits,
             "check_start": self.check_start.tolist(),
             "check_complete": self.check_complete.tolist(),
             "n_network": self.n_network,
@@ -132,16 +132,19 @@ class NocTrace:
             flits = int_records(obj["flits"], 12, "flit")
             if not {f[8] for f in flits} <= {0, 1}:
                 raise ValueError("flit wrap flags must be 0 or 1")
+            depth = typed(obj, "pipeline_depth")
+            if depth < 0:
+                raise ValueError(f"pipeline_depth must be >= 0, got {depth}")
             trace = cls(
                 n=n,
                 seed=typed(obj, "seed"),
-                pipeline_depth=typed(obj, "pipeline_depth"),
+                pipeline_depth=depth,
                 k_i=typed(obj, "k_i"),
                 rm_ops=[int_records(ops, 3, "routing operation")
                         for ops in _per_node(obj, "rm_ops", n)],
                 arrivals=[int_records(pe, 5, "arrival") for pe in _per_node(obj, "arrivals", n)],
                 fifo_max=int_records(_per_node(obj, "fifo_max", n), 5, "FIFO peak"),
-                flits=[FlitRecord(*f[:8], bool(f[8]), *f[9:]) for f in flits],
+                flits=map(FlitRecord._make, flits),
                 check_start=int_list(obj["check_start"], "check_start"),
                 check_complete=int_list(obj["check_complete"], "check_complete"),
                 n_network=typed(obj, "n_network"),

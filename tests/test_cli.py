@@ -282,3 +282,17 @@ class TestPipeline:
         assert report["replay_matches_golden"] is True
         # with one PE there is no traffic to beat, so only replay gates
         assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_pe_pipeline_below_zero_rejected(command, tmp_path, capsys):
+    # a negative depth used to reach the simulator, which deadlocked or let
+    # checks emit before their block read ended; zero stays valid
+    argv = [command, "--code", "wimax_576_288", "--torus-n", "2", "--out", str(tmp_path)]
+    if command == "pipeline":
+        argv += ["--check-frames", "1", "--rp-baseline", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--pe-pipeline", "-10"])
+    assert exc.value.code == 2
+    assert "--pe-pipeline: must be >= 0" in capsys.readouterr().err
+    assert run(argv + ["--pe-pipeline", "0"]) == 0

@@ -16,7 +16,20 @@ from nocldpc.codes import (
     random_code,
     scale_qc,
 )
-from nocldpc.codes.alist import to_alist
+
+
+def to_alist(h: ParityCheckMatrix) -> str:
+    """Serialize a matrix to alist text (unpadded adjacency lines)."""
+    cols = h.cols()
+    out = [
+        f"{h.n_cols} {h.n_rows}",
+        f"{max(len(c) for c in cols)} {h.max_row_degree}",
+        " ".join(str(len(c)) for c in cols),
+        " ".join(str(len(r)) for r in h.rows),
+    ]
+    out += [" ".join(str(int(m) + 1) for m in c) for c in cols]
+    out += [" ".join(str(int(j) + 1) for j in r) for r in h.rows]
+    return "\n".join(out) + "\n"
 
 
 def make_h(rows, n_cols, layers=None):

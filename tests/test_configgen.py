@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -16,9 +17,19 @@ from nocldpc.configgen import (
     simulate_upload,
     unpack_rm_word,
 )
+from nocldpc.configgen.image import _BIN_MAGIC
 from nocldpc.configgen.upload import _feasible
 from nocldpc.mapper import Mapping, serving_order
 from nocldpc.nocsim import NocTrace, Topology, build_schedule, simulate_iteration
+
+
+def rm_from_binary(blob: bytes) -> list[list[int]]:
+    """Routing memories read back from ConfigImage.rm_to_binary's dump."""
+    if blob[:8] != _BIN_MAGIC:
+        raise ConfigIntegrityError("bad RM binary magic")
+    n, k_i, p = struct.unpack("<III", blob[8:20])
+    words = struct.unpack(f"<{k_i * p}I", blob[20:])
+    return [list(words[i * k_i : (i + 1) * k_i]) for i in range(p)]
 
 
 def make_h(rows, n_cols):
@@ -132,6 +143,7 @@ class TestGenConfig:
         ("slot_of", lambda so: {k: str(v) for k, v in so.items()}),
         ("n", 2.0),
         ("label", 5),
+        ("pipeline_depth", -1),
     ])
     def test_malformed_records_rejected(self, key, value):
         h, m, tr = feeder_pipeline()
@@ -169,7 +181,7 @@ class TestGenConfig:
     def test_rm_binary_roundtrip(self):
         h, m, tr = feeder_pipeline()
         cfg = gen_config(tr, m, h)
-        assert ConfigImage.rm_from_binary(cfg.rm_to_binary()) == [list(node) for node in cfg.rm]
+        assert rm_from_binary(cfg.rm_to_binary()) == [list(node) for node in cfg.rm]
 
     def test_determinism(self):
         h, m, tr = feeder_pipeline()

@@ -50,7 +50,7 @@ def row_extrinsics(codes, alpha=1.0, fmt=QFormat(8, 1)):
     """
     codes = np.asarray(codes)
     h = make_h([list(range(len(codes)))], len(codes))
-    llrs = codes * fmt.lsb
+    llrs = codes * 2.0 ** -fmt.frac_bits  # one LSB per code step
     params = DecodeParams(alpha=alpha, it_max=1, fmt=fmt, early_stop=False)
     gold = decode_layered_nms(h, llrs, params).final_llrs - codes
     batch = decode_layered_nms_batch(h, llrs[None, :], params)[0].final_llrs - codes

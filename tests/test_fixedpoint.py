@@ -6,12 +6,17 @@ from nocldpc.decoder import CheckState, CodeLayout, DecodeParams, decode_layered
 from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table, saturate
 
 
+def lsb(fmt):
+    """The real value of one code step."""
+    return 2.0 ** -fmt.frac_bits
+
+
 def test_format_parse_roundtrip():
     fmt = QFormat.parse("8_1")
     assert (fmt.n_bits, fmt.frac_bits) == (8, 1)
     assert str(fmt) == "8_1"
     assert fmt.min_code == -128 and fmt.max_code == 127
-    assert fmt.min_value == -64.0 and fmt.max_value == 63.5
+    assert fmt.min_code * lsb(fmt) == -64.0 and fmt.max_code * lsb(fmt) == 63.5
 
 
 @pytest.mark.parametrize("bad", ["8", "8_9", "1_0", "x_y"])
@@ -25,10 +30,10 @@ def test_quantize_examples():
     assert quantize(0.0, fmt) == 0
     # 3.7 * 2 = 7.4 rounds to code 7 = 3.5
     assert quantize(3.7, fmt) == 7
-    assert quantize(3.7, fmt) * fmt.lsb == 3.5
+    assert quantize(3.7, fmt) * lsb(fmt) == 3.5
     # saturation at the positive bound
     assert quantize(1000.0, fmt) == 127
-    assert 127 * fmt.lsb == 63.5
+    assert 127 * lsb(fmt) == 63.5
     assert quantize(-1000.0, fmt) == -128
 
 
@@ -102,5 +107,5 @@ def test_layer_kernel_saturates_strong_llrs():
     # 60 is code 120, and one layer's extrinsic pushes every code past 127
     res = decode_layered_nms(h, np.full(h.n_cols, 60.0), params, layout)
     assert res.converged and res.iterations_run == 1
-    assert (res.final_llrs * fmt.lsb == fmt.max_value).all()
+    assert (res.final_llrs * lsb(fmt) == fmt.max_code * lsb(fmt)).all()
     assert saturate(-200, fmt) == -128

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from nocldpc.codes import ParityCheckMatrix, build_check_graph, compute_layers, load_code
+import nocldpc.nocsim.schedule as schedule_mod
+from nocldpc.codes import ParityCheckMatrix, build_check_graph, compute_layers, load_code, random_code
 from nocldpc.configgen import gen_config
 from nocldpc.decoder import CodeLayout, DecodeParams, decode_layered_nms
 from nocldpc.fixedpoint import QFormat
@@ -122,6 +123,82 @@ class TestSchedule:
         assert np.count_nonzero(part[g.u] != part[g.v]) == shared_cut
 
 
+def _c06_mapping(name="wimax_576_288", side=2):
+    h = load_code(name)
+    m = partition_kway(build_check_graph(h), side * side, seed=20250808)
+    serving_order(h, m)
+    return h, m
+
+
+class TestScheduleReuse:
+    """build_schedule keeps its last build on the mapping, keyed by content."""
+
+    def test_one_build_per_pipeline_pass(self, monkeypatch):
+        h, m = _c06_mapping()
+        calls = []
+        chains = schedule_mod.serving_chains
+        monkeypatch.setattr(schedule_mod, "serving_chains", lambda h: calls.append(1) or chains(h))
+        s = build_schedule(h, m)
+        tr = simulate_iteration(Topology(2), s, seed=20250808, label=h.label)
+        cfg = gen_config(tr, m, h)
+        validate_config(h, m, tr, cfg)
+        assert len(calls) == 1
+        assert build_schedule(h, m) is s
+
+    def test_changed_inputs_never_return_a_stale_schedule(self):
+        def check(h, m):
+            s = build_schedule(h, m)
+            assert s == schedule_mod._build_schedule(h, m)
+            return s
+
+        h, m = _c06_mapping()
+        first = check(h, m)
+        # the same layers in reverse: new chains, then a new serving order too
+        layers = h.layers
+        h.layers, h._layer_of_row = layers[::-1], None
+        relayered = check(h, m)
+        assert relayered != first
+        serving_order(h, m)
+        assert check(h, m).order != first.order
+        # greedy layers, then the original ones back
+        compute_layers(h)
+        serving_order(h, m)
+        check(h, m)
+        h.layers, h._layer_of_row = layers, None
+        serving_order(h, m)
+        assert check(h, m) == first
+
+        # an edited assignment: stale order is refused, a new one rebuilt
+        moved = int(np.flatnonzero(m.assignment == 0)[0])
+        m.assignment[moved] = 1
+        with pytest.raises(ValueError, match=f"PE 0 serves check {moved}, which is hosted on PE 1"):
+            build_schedule(h, m)
+        serving_order(h, m)
+        assert check(h, m).host[moved] == 1
+
+        # a different code of the same size under the same mapping
+        other = random_code(h.n_cols, h.n_rows, 6, seed=3)
+        compute_layers(other)
+        serving_order(other, m)
+        assert check(other, m) != check(h, m)
+
+    def test_schedule_is_frozen_tuples(self):
+        h, m = _c06_mapping()
+        s = build_schedule(h, m)
+        for name in [f.name for f in dataclasses.fields(s)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, getattr(s, name))
+        e = s.network_flits[0]
+        for name in e._fields:
+            with pytest.raises(AttributeError):
+                setattr(e, name, getattr(e, name))
+        containers = [s.host, s.serve_pos, s.order, s.emissions, s.network_flits]
+        containers += [*s.order, *s.emissions]
+        assert all(type(c) is tuple for c in containers)
+        assert [e.uid for e in s.network_flits] == list(range(s.n_network))
+        assert all(e.uid == -1 for ems in s.emissions for e in ems if not e.network)
+
+
 class TestSimulate:
     def test_single_hop_latency(self):
         # one variable over two adjacent PEs: chain and wrap flits travel in
@@ -176,6 +253,15 @@ class TestSimulate:
         tr = simulate_iteration(Topology(1), s, seed=0)
         assert tr.k_i == 0
         assert tr.n_network == 0
+
+    def test_negative_pipeline_depth_rejected(self):
+        # a negative depth would let a check emit before its block read ends
+        h = make_h([[0], [0]], 1)
+        s = build_schedule(h, mapped(h, [1, 0], 9))
+        with pytest.raises(ValueError, match="pipeline depth must be >= 0, got -3"):
+            simulate_iteration(Topology(3), s, seed=1, pipeline_depth=-3)
+        tr = simulate_iteration(Topology(3), s, seed=1, pipeline_depth=0)
+        assert (tr.check_complete == tr.check_start + 1).all()
 
     def test_conservation_and_bounds(self):
         h = load_code("random_1057_244")
@@ -247,6 +333,7 @@ class TestTraceSerialization:
         ("k_i", 10.7),
         ("n_network", "3"),
         ("label", 7),
+        ("pipeline_depth", -1),
     ])
     def test_malformed_records_rejected(self, key, value):
         import json

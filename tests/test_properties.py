@@ -1,7 +1,7 @@
 """Randomised properties: the code parsers on malformed text, the check graph
-against its per-column loop reference, batched decoders against their
-single-frame goldens, and the codegen path from check graph to replayed
-configuration image."""
+against its per-column loop reference, quantize against its floor/ceil
+reference, batched decoders against their single-frame goldens, and the
+codegen path from check graph to replayed configuration image."""
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from nocldpc.decoder import (  # noqa: E402
     decode_layered_nms,
     decode_layered_nms_batch,
 )
+from nocldpc.fixedpoint import QFormat, quantize  # noqa: E402
 from nocldpc.mapper import cutset, partition_kway, serving_order  # noqa: E402
 from nocldpc.nocsim import (  # noqa: E402
     NocTrace,
@@ -40,6 +41,7 @@ from nocldpc.nocsim import (  # noqa: E402
     simulate_iteration,
     validate_config,
 )
+from nocldpc.nocsim.schedule import _build_schedule  # noqa: E402
 from nocldpc.nocsim.simulate import HOP_CYCLES  # noqa: E402
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -130,6 +132,42 @@ def test_check_graph_matches_loop_reference(h):
         assert a.dtype == np.int32 and not a.flags.writeable
 
 
+def reference_quantize(x, fmt):
+    """quantize through floor and ceil on separate temporaries, as it was
+    first written."""
+    x = np.asarray(x, dtype=np.float64)
+    scaled = x * (1 << fmt.frac_bits)
+    codes = np.where(scaled >= 0.0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+    return np.clip(codes, fmt.min_code, fmt.max_code).astype(np.int32)
+
+
+@st.composite
+def quantize_cases(draw):
+    n_bits = draw(st.integers(2, 24))
+    fmt = QFormat(n_bits, draw(st.integers(0, n_bits - 1)))
+    lsb = 2.0 ** -fmt.frac_bits
+    values = st.one_of(
+        st.floats(allow_nan=False),  # includes +-0.0, +-inf and huge values
+        st.integers(-(1 << 25), 1 << 25).map(lambda k: (k + 0.5) * lsb),  # exact ties
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 0.5 * lsb, -0.5 * lsb]),
+    )
+    if draw(st.booleans()):
+        return draw(values), fmt
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    flat = draw(st.lists(values, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array(flat).reshape(shape), fmt
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantize_cases())
+def test_quantize_matches_floor_ceil_reference(case):
+    x, fmt = case
+    with np.errstate(over="ignore"):  # scaling the largest floats gives inf
+        got, want = quantize(x, fmt), reference_quantize(x, fmt)
+    assert type(got) is type(want) and got.dtype == np.int32
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
 @st.composite
 def decode_cases(draw):
     n = draw(st.integers(2, 60))
@@ -210,6 +248,10 @@ def test_codegen_path_properties(case):
     back.verify_digest()
     assert back.digest == config.digest
     wiring = validate_config(h, mapping, trace, back)
+    # gen_config and validate_config read the caller's build, which equals
+    # an uncached one
+    assert build_schedule(h, mapping) is schedule
+    assert schedule == _build_schedule(h, mapping)
 
     # both map sets of the shared layer sweep against one golden: the
     # variable maps of the batched decoder and the replay's slot maps
