@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -107,6 +108,17 @@ def _positive(kind):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float other than NaN or +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite.__name__ = "float"
+
+
 def _non_negative(text: str) -> int:
     """argparse type: an int of at least zero."""
     value = int(text)
@@ -131,7 +143,7 @@ def _add_common(p, torus=True):
 
 
 def _add_decode_args(p):
-    p.add_argument("--alpha", type=float, default=1.15)
+    p.add_argument("--alpha", type=_finite, default=1.15)
     p.add_argument("--itmax", type=int, default=10)
     p.add_argument("--quant", default="8_1", help="fixed-point format n_m")
     p.add_argument("--no-early-stop", action="store_true")
@@ -289,6 +301,8 @@ def cmd_ber(args) -> int:
     params = _decode_params(args)
     stop = StopRule(min_bit_errors=args.min_errors, max_frames=args.max_frames)
     snrs = [float(s) for s in args.snr.split(",")]
+    if not all(map(math.isfinite, snrs)):
+        raise ValueError(f"--snr values must be finite, got {args.snr}")
     points = run_ber(
         h, params, snrs, stop, seed=args.seed,
         algorithm=args.algorithm, threads=args.threads,
@@ -425,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     _add_common(p)
     p.add_argument("--strategy", choices=["kway", "random"], default="kway")
-    p.add_argument("--rp-baseline", type=int, default=0,
+    p.add_argument("--rp-baseline", type=_non_negative, default=0,
                    help="also report the mean random cut over this many seeds")
     p.set_defaults(func=cmd_partition)
 
@@ -484,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fifo-pow2", action="store_true")
     p.add_argument("--rp-baseline", type=_positive(int), default=20)
     p.add_argument("--check-frames", type=_positive(int), default=5)
-    p.add_argument("--check-snr", type=float, default=2.0)
+    p.add_argument("--check-snr", type=_finite, default=2.0)
     p.set_defaults(func=cmd_pipeline)
 
     return ap

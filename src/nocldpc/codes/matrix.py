@@ -67,43 +67,110 @@ class ParityCheckMatrix:
         return self._layer_of_row
 
     def validate(self) -> None:
+        """Check the rows, then the layer schedule, in whole-array passes.
+
+        Rows must be non-empty, in range at both ends and strictly rising;
+        the first offending row is named, with its faults in that order.
+        Layer entries are then taken in schedule order, and the first entry
+        that is out of range, repeats an earlier row, or shares a variable
+        with an earlier row of its layer is named.  Last, the layers must
+        cover every row.
+        """
         if self.n_cols < 1 or self.n_rows < 1:
             raise CodeError("empty matrix")
         if len(self.rows) != self.n_rows:
             raise CodeError("row count mismatch")
-        for m, row in enumerate(self.rows):
-            if len(row) == 0:
+        flat, deg = _joined(self.rows)
+        ends = np.cumsum(deg)
+        starts = ends - deg
+        full = deg > 0
+        out_of_range = np.zeros(self.n_rows, dtype=bool)
+        out_of_range[full] = (flat[starts[full]] < 0) | (flat[ends[full] - 1] >= self.n_cols)
+        # entries not above their predecessor, other than the first of a row
+        later = np.flatnonzero(np.diff(flat) <= 0) + 1
+        row = np.searchsorted(ends, later, side="right")
+        unsorted = np.zeros(self.n_rows, dtype=bool)
+        unsorted[row[later != starts[row]]] = True
+        bad = ~full | out_of_range | unsorted
+        if bad.any():
+            m = int(np.argmax(bad))
+            if not full[m]:
                 raise CodeError(f"row {m} is empty")
-            if row[0] < 0 or row[-1] >= self.n_cols:
+            if out_of_range[m]:
                 raise CodeError(f"row {m} has variable index out of range")
-            if np.any(np.diff(row) <= 0):
-                raise CodeError(f"row {m} is not sorted and duplicate-free")
+            raise CodeError(f"row {m} is not sorted and duplicate-free")
         if self.layers is not None:
-            seen = np.zeros(self.n_rows, dtype=bool)
-            for li, layer in enumerate(self.layers):
-                touched = np.zeros(self.n_cols, dtype=bool)
-                for m in layer:
-                    m = int(m)
-                    if seen[m]:
-                        raise CodeError(f"row {m} appears in more than one layer")
-                    seen[m] = True
-                    if np.any(touched[self.rows[m]]):
-                        raise CodeError(f"layer {li} has rows sharing a variable")
-                    touched[self.rows[m]] = True
-            if not seen.all():
-                raise CodeError("layers do not cover all rows")
+            self._validate_layers(flat, starts, deg)
+
+    def _validate_layers(self, flat: np.ndarray, starts: np.ndarray, deg: np.ndarray) -> None:
+        entry, sizes = _joined(self.layers)
+        layer = np.repeat(np.arange(len(sizes)), sizes)
+        # first failing entry position for each check, len(entry) when none
+        none = len(entry)
+        inside = (entry >= 0) & (entry < self.n_rows)
+        first_outside = int(np.argmin(inside)) if not inside.all() else none
+        at = np.flatnonzero(inside)
+        rows = entry[at]
+        d = deg[rows]
+        edges = np.repeat(starts[rows] - (np.cumsum(d) - d), d) + np.arange(int(d.sum()))
+        first_repeat = _first_repeat(rows, at, none)
+        layer_var = layer[at].repeat(d) * self.n_cols + flat[edges]
+        first_shared = _first_repeat(layer_var, at.repeat(d), none)
+        p = min(first_outside, first_repeat, first_shared)
+        if p == first_outside < none:
+            raise CodeError(
+                f"layer {layer[p]} lists row {entry[p]}, outside 0..{self.n_rows - 1}"
+            )
+        if p == first_repeat < none:
+            raise CodeError(f"row {entry[p]} appears in more than one layer")
+        if p == first_shared < none:
+            raise CodeError(f"layer {layer[p]} has rows sharing a variable")
+        if len(entry) != self.n_rows:
+            raise CodeError("layers do not cover all rows")
 
     def content_digest(self) -> str:
+        """SHA-256 of the code, over a byte layout that images and pins carry.
+
+        The stream is frozen: "M N\\n", then each row's variables as int64
+        bytes followed by b";", then, when set, each layer's rows as int64
+        bytes followed by b"|".
+        """
         h = hashlib.sha256()
         h.update(f"{self.n_rows} {self.n_cols}\n".encode())
-        for row in self.rows:
-            h.update(row.astype(np.int64).tobytes())
-            h.update(b";")
+        h.update(_framed(*_joined(self.rows), b";"))
         if self.layers is not None:
-            for layer in self.layers:
-                h.update(np.asarray(layer, dtype=np.int64).tobytes())
-                h.update(b"|")
+            h.update(_framed(*_joined(self.layers), b"|"))
         return h.hexdigest()
+
+
+def _joined(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays end to end as one int64 array, and each one's length."""
+    sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    joined = np.concatenate([np.empty(0, np.int64), *arrays])
+    return joined.astype(np.int64, copy=False), sizes
+
+
+def _first_repeat(keys: np.ndarray, at: np.ndarray, none: int) -> int:
+    """Smallest at[i] whose key already occurs at an earlier index, else none.
+
+    at must be nondecreasing, so a stable sort lists each key's entries
+    earliest first.
+    """
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    repeats = order[1:][k[1:] == k[:-1]]
+    return int(at[repeats].min()) if len(repeats) else none
+
+
+def _framed(values: np.ndarray, sizes: np.ndarray, sep: bytes) -> np.ndarray:
+    """The bytes of consecutive runs of int64 values, each run followed by
+    sep: one buffer equal to joining run.tobytes() + sep over the runs."""
+    ends = np.cumsum(sizes * 8 + 1)
+    buf = np.full(8 * len(values) + len(sizes), sep[0], dtype=np.uint8)
+    body = np.ones(len(buf), dtype=bool)
+    body[ends - 1] = False
+    buf[body] = values.view(np.uint8)
+    return buf
 
 
 def compute_layers(h: ParityCheckMatrix) -> list[np.ndarray]:
@@ -113,23 +180,41 @@ def compute_layers(h: ParityCheckMatrix) -> list[np.ndarray]:
     layer none of whose rows shares a variable with it; worst case every row
     becomes its own layer.  Returns the schedule and stores it on h.
     """
-    layer_vars: list[np.ndarray] = []  # per layer: bool mask of used variables
+    layer_vars: list[int] = []  # per layer: bitset of used variables
     layer_rows: list[list[int]] = []
-    for m, row in enumerate(h.rows):
+    for m, row in enumerate(_row_bitsets(h)):
         for li, used in enumerate(layer_vars):
-            if not used[row].any():
-                used[row] = True
+            if not used & row:
+                layer_vars[li] = used | row
                 layer_rows[li].append(m)
                 break
         else:
-            used = np.zeros(h.n_cols, dtype=bool)
-            used[row] = True
-            layer_vars.append(used)
+            layer_vars.append(row)
             layer_rows.append([m])
     layers = [np.asarray(rows, dtype=np.int32) for rows in layer_rows]
     h.layers = layers
     h._layer_of_row = None
     return layers
+
+
+def _row_bitsets(h: ParityCheckMatrix) -> list[int]:
+    """Each row's variables as a Python int with bit j set for variable j.
+
+    Rows are packed from dense boolean blocks of at most 4 MiB.
+    """
+    flat, deg = _joined(h.rows)
+    bounds = np.concatenate([[0], np.cumsum(deg)])
+    edge_row = np.repeat(np.arange(h.n_rows), deg)
+    step = max(1, (1 << 22) // h.n_cols)
+    bitsets = []
+    for lo in range(0, h.n_rows, step):
+        hi = min(lo + step, h.n_rows)
+        block = np.zeros((hi - lo, h.n_cols), dtype=bool)
+        e = slice(bounds[lo], bounds[hi])
+        block[edge_row[e] - lo, flat[e]] = True
+        packed = np.packbits(block, axis=1, bitorder="little")
+        bitsets += [int.from_bytes(row, "little") for row in packed]
+    return bitsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +278,9 @@ def serving_chains(h: ParityCheckMatrix) -> tuple[np.ndarray, np.ndarray, np.nda
     variable's checks in (layer, row) order; its value travels from one entry
     to the next and wraps from the last back to the first.
     """
-    deg = np.array([len(row) for row in h.rows], dtype=np.int64)
+    edge_col, deg = _joined(h.rows)
     edge_row = np.repeat(np.arange(h.n_rows, dtype=np.int64), deg)
     edge_pos = np.arange(len(edge_row), dtype=np.int64) - np.repeat(np.cumsum(deg) - deg, deg)
-    edge_col = np.concatenate(h.rows).astype(np.int64)
     rank = np.empty(h.n_rows, dtype=np.int64)
     rank[serving_sequence(h)] = np.arange(h.n_rows)
     chain_order = np.lexsort((rank[edge_row], edge_col))

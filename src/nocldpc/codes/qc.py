@@ -82,13 +82,15 @@ def expand_qc(desc: QcDescription) -> ParityCheckMatrix:
     """
     desc.validate()
     z = desc.z
+    r = np.arange(z, dtype=np.int64)[:, None]
     rows: list[np.ndarray] = []
-    for b in range(desc.base_rows):
-        shifts = desc.entries[b]
-        cols = np.nonzero(shifts >= 0)[0]
-        for r in range(z):
-            vars_ = cols.astype(np.int64) * z + (shifts[cols].astype(np.int64) + r) % z
-            rows.append(np.sort(vars_).astype(np.int32))
+    for shifts in desc.entries.astype(np.int64):
+        cols = np.flatnonzero(shifts >= 0)
+        # the block-row's z rows at once, one per line of a (z, d) block;
+        # column block c yields a variable in [c*Z, (c+1)*Z), so each line
+        # is already sorted
+        block = (cols * z + (shifts[cols] + r) % z).astype(np.int32)
+        rows += list(block)
     layers = [
         np.arange(b * z, (b + 1) * z, dtype=np.int32) for b in range(desc.base_rows)
     ]

@@ -43,10 +43,7 @@ def random_code(n: int, m: int, row_degree: int, seed: int, label: str = "") -> 
         # col_degree[c] rows, and a row of d <= n consecutive columns has no
         # duplicate
         cols = np.arange(sockets, dtype=np.int64) % n
-    rows = [
-        np.sort(cols[r * row_degree : (r + 1) * row_degree]).astype(np.int32)
-        for r in range(m)
-    ]
+    rows = list(np.sort(cols.reshape(m, row_degree), axis=1).astype(np.int32))
     h = ParityCheckMatrix(n_cols=n, n_rows=m, rows=rows, label=label)
     h.validate()
     return h

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codes.matrix import ParityCheckMatrix, compute_layers
+from ..codes.matrix import ParityCheckMatrix, _joined, compute_layers
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,11 @@ class CodeLayout:
         if h.layers is None:
             compute_layers(h)
         m = h.n_rows
-        n_d = h.max_row_degree
+        flat, deg = _joined(h.rows)
+        n_d = int(deg.max())
+        mask = np.arange(n_d) < deg[:, None]
         idx = np.zeros((m, n_d), dtype=np.int32)
-        mask = np.zeros((m, n_d), dtype=bool)
-        for r, row in enumerate(h.rows):
-            d = len(row)
-            idx[r, :d] = row
-            mask[r, :d] = True
+        idx[mask] = flat
         layer_rows = [np.sort(np.asarray(l, dtype=np.int64)) for l in h.layers]
 
         # the two-smallest pass needs two slots per row, so degree-1 codes get a pad

@@ -19,6 +19,7 @@ index and the NoC replay (nocsim.replay) through configured memory slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ class DecodeParams:
     early_stop: bool = True
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError(f"normalization factor must be >= 1, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
+            raise ValueError(f"normalization factor must be finite and >= 1, got {self.alpha}")
         if self.it_max < 1:
             raise ValueError(f"it_max must be >= 1, got {self.it_max}")
 

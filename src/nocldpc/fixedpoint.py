@@ -53,8 +53,9 @@ class QFormat:
 def quantize(x, fmt: QFormat) -> np.ndarray:
     """Quantize real LLRs to integer codes.
 
-    Rounds to nearest with ties away from zero, then saturates.  Accepts a
-    scalar or array; always returns int32 codes.
+    Rounds to nearest with ties away from zero, then saturates; +-inf
+    saturates too.  Accepts a scalar or array; always returns int32 codes.
+    Raises ValueError on NaN, which has no code.
     """
     # one float64 buffer, updated in place: +-0.5 toward the sign, then
     # truncation, is floor(s + 0.5) for s >= 0 and ceil(s - 0.5) below
@@ -63,6 +64,9 @@ def quantize(x, fmt: QFormat) -> np.ndarray:
     scaled += np.copysign(0.5, scaled)
     np.trunc(scaled, out=scaled)
     np.clip(scaled, fmt.min_code, fmt.max_code, out=scaled)
+    # clipped values are small and finite, so only a NaN makes the sum NaN
+    if np.isnan(scaled.sum()):
+        raise ValueError("cannot quantize NaN")
     return scaled.astype(np.int32)[()]  # a scalar for a scalar input
 
 

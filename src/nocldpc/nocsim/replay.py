@@ -79,6 +79,10 @@ def validate_config(
         raise ReplayIntegrityError(f"image is for {config.p} PEs, mapping for {mapping.p}")
     if config.k_i != trace.k_i:
         raise ReplayIntegrityError(f"image runs {config.k_i} cycles, trace {trace.k_i}")
+    if config.pipeline_depth != trace.pipeline_depth:
+        raise ReplayIntegrityError(
+            f"image has PE pipeline depth {config.pipeline_depth}, trace {trace.pipeline_depth}"
+        )
     schedule = build_schedule(h, mapping)
     p = config.p
     links = Topology(config.n).links()

@@ -296,3 +296,21 @@ def test_pe_pipeline_below_zero_rejected(command, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--pe-pipeline: must be >= 0" in capsys.readouterr().err
     assert run(argv + ["--pe-pipeline", "0"]) == 0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["ber", "--snr", "nan", "--max-frames", "1"], "--snr"),
+    (["ber", "--snr", "2.0,inf", "--max-frames", "1"], "--snr"),
+    (["ber", "--snr", "2.0", "--max-frames", "1", "--alpha", "nan"], "--alpha"),
+    (["pipeline", "--torus-n", "1", "--check-snr", "-inf"], "--check-snr"),
+    (["partition", "--torus-n", "2", "--rp-baseline", "-3"], "--rp-baseline"),
+])
+def test_rejects_bad_numbers(argv, flag, tmp_path, capsys):
+    # a negative --rp-baseline used to write a NaN baseline mean and exit 0
+    try:
+        rc = run([*argv, "--code", "wimax_576_288", "--out", str(tmp_path)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -109,3 +109,32 @@ def test_layer_kernel_saturates_strong_llrs():
     assert res.converged and res.iterations_run == 1
     assert (res.final_llrs * lsb(fmt) == fmt.max_code * lsb(fmt)).all()
     assert saturate(-200, fmt) == -128
+
+
+def test_quantize_rejects_nan_and_saturates_inf():
+    fmt = QFormat(8, 1)
+    assert quantize(np.inf, fmt) == 127 and quantize(-np.inf, fmt) == -128
+    for x in (np.nan, [1.0, np.nan, -2.0], np.full((2, 3), np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(x, fmt)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 0.9])
+def test_decode_params_reject_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="normalization factor"):
+        DecodeParams(alpha=alpha)
+
+
+def test_decoders_reject_nan_llrs():
+    # when NaN was let through, golden ended variable 5 of this frame at
+    # code -112 after 10 iterations and the batched decoder at 33 after one
+    from nocldpc.decoder import decode_layered_nms_batch
+
+    h = load_code("wimax_576_288")
+    layout = CodeLayout.build(h)
+    llrs = np.full(h.n_cols, 4.0)
+    llrs[5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        decode_layered_nms(h, llrs, DecodeParams(), layout)
+    with pytest.raises(ValueError, match="NaN"):
+        decode_layered_nms_batch(h, llrs[None], DecodeParams(), layout)

@@ -532,6 +532,20 @@ class TestReplay:
         with pytest.raises(ConfigIntegrityError):
             validate_config(h, m, tr, broken)
 
+    @pytest.mark.parametrize("depth", [0, 3, 5, 6])
+    def test_resealed_pipeline_depth_rejected(self, depth):
+        # one PE sends nothing over the network (k_i 0), so only the
+        # depth itself can tell the image from the trace
+        from nocldpc.nocsim import ReplayIntegrityError
+
+        h, m = _c06_mapping(side=1)
+        tr = simulate_iteration(Topology(1), build_schedule(h, m), seed=1, label=h.label)
+        cfg = gen_config(tr, m, h)
+        assert tr.k_i == 0 and tr.pipeline_depth == 4
+        validate_config(h, m, tr, cfg)
+        with pytest.raises(ReplayIntegrityError, match="pipeline depth"):
+            validate_config(h, m, tr, _resealed(dataclasses.replace(cfg, pipeline_depth=depth)))
+
 
 def _edited(cfg, edit):
     """A copy of an image loaded from its JSON after edit(obj); the stored

@@ -1,7 +1,11 @@
-"""Randomised properties: the code parsers on malformed text, the check graph
-against its per-column loop reference, quantize against its floor/ceil
-reference, batched decoders against their single-frame goldens, and the
-codegen path from check graph to replayed configuration image."""
+"""Randomised properties: the code parsers on malformed text, code
+construction, validation, digests and layouts against the per-row loops they
+replaced, the check graph against its per-column loop reference, quantize
+against its floor/ceil reference, batched decoders against their
+single-frame goldens, and the codegen path from check graph to replayed
+configuration image."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,13 +18,17 @@ from nocldpc.codes import (  # noqa: E402
     AlistParseError,
     CodeError,
     ParityCheckMatrix,
+    QcDescription,
     QcValidationError,
+    available_codes,
     build_check_graph,
     compute_layers,
     expand_qc,
+    load_code,
     parse_alist,
     parse_qc,
 )
+from nocldpc.codes.standards import qc_description  # noqa: E402
 from nocldpc.codes.randomgen import random_code  # noqa: E402
 from nocldpc.configgen import ConfigImage, gen_config  # noqa: E402
 from nocldpc.decoder import (  # noqa: E402
@@ -65,6 +73,301 @@ def test_code_parsers_raise_their_own_errors(text):
             h = parse(text)
         except (AlistParseError, QcValidationError, CodeError):
             continue
+        h.validate()
+
+
+# ---------------------------------------------------------------------------
+# Code construction against the per-row loops it was first written as
+
+
+def reference_expand_qc(desc):
+    """expand_qc's row loop: one sort per expanded row.  Returns the rows
+    and the block-row layers."""
+    z = desc.z
+    rows = []
+    for b in range(desc.base_rows):
+        shifts = desc.entries[b]
+        cols = np.nonzero(shifts >= 0)[0]
+        for r in range(z):
+            vars_ = cols.astype(np.int64) * z + (shifts[cols].astype(np.int64) + r) % z
+            rows.append(np.sort(vars_).astype(np.int32))
+    layers = [np.arange(b * z, (b + 1) * z, dtype=np.int32) for b in range(desc.base_rows)]
+    return rows, layers
+
+
+def reference_validate(h):
+    """ParityCheckMatrix.validate as a scan over rows, then layer entries."""
+    if h.n_cols < 1 or h.n_rows < 1:
+        raise CodeError("empty matrix")
+    if len(h.rows) != h.n_rows:
+        raise CodeError("row count mismatch")
+    for m, row in enumerate(h.rows):
+        if len(row) == 0:
+            raise CodeError(f"row {m} is empty")
+        if row[0] < 0 or row[-1] >= h.n_cols:
+            raise CodeError(f"row {m} has variable index out of range")
+        if np.any(np.diff(row) <= 0):
+            raise CodeError(f"row {m} is not sorted and duplicate-free")
+    if h.layers is not None:
+        seen = np.zeros(h.n_rows, dtype=bool)
+        for li, layer in enumerate(h.layers):
+            touched = np.zeros(h.n_cols, dtype=bool)
+            for m in layer:
+                m = int(m)
+                if seen[m]:
+                    raise CodeError(f"row {m} appears in more than one layer")
+                seen[m] = True
+                if np.any(touched[h.rows[m]]):
+                    raise CodeError(f"layer {li} has rows sharing a variable")
+                touched[h.rows[m]] = True
+        if not seen.all():
+            raise CodeError("layers do not cover all rows")
+
+
+def reference_content_digest(h):
+    """content_digest fed row by row and layer by layer."""
+    d = hashlib.sha256()
+    d.update(f"{h.n_rows} {h.n_cols}\n".encode())
+    for row in h.rows:
+        d.update(row.astype(np.int64).tobytes())
+        d.update(b";")
+    if h.layers is not None:
+        for layer in h.layers:
+            d.update(np.asarray(layer, dtype=np.int64).tobytes())
+            d.update(b"|")
+    return d.hexdigest()
+
+
+def reference_compute_layers(h):
+    """compute_layers' first fit with one boolean mask per layer; h is
+    left as it was."""
+    layer_vars, layer_rows = [], []
+    for m, row in enumerate(h.rows):
+        for li, used in enumerate(layer_vars):
+            if not used[row].any():
+                used[row] = True
+                layer_rows[li].append(m)
+                break
+        else:
+            used = np.zeros(h.n_cols, dtype=bool)
+            used[row] = True
+            layer_vars.append(used)
+            layer_rows.append([m])
+    return [np.asarray(rows, dtype=np.int32) for rows in layer_rows]
+
+
+def reference_layout(h):
+    """CodeLayout's idx and mask, filled row by row."""
+    n_d = max(len(r) for r in h.rows)
+    idx = np.zeros((h.n_rows, n_d), dtype=np.int32)
+    mask = np.zeros((h.n_rows, n_d), dtype=bool)
+    for r, row in enumerate(h.rows):
+        idx[r, :len(row)] = row
+        mask[r, :len(row)] = True
+    return idx, mask
+
+
+def validate_error(validate, h):
+    try:
+        validate(h)
+    except CodeError as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_matches_references(h):
+    """h is valid; its digest, first-fit layers and layout equal the loops'."""
+    assert reference_validate(h) is None and h.validate() is None
+    assert h.content_digest() == reference_content_digest(h)
+    bare = ParityCheckMatrix(h.n_cols, h.n_rows, h.rows)
+    assert_same_arrays(compute_layers(bare), reference_compute_layers(h))
+    assert bare.content_digest() == reference_content_digest(bare)
+    layout = CodeLayout.build(h)
+    idx, mask = reference_layout(h)
+    assert layout.n_d == idx.shape[1]
+    assert_same_arrays([layout.idx, layout.mask], [idx, mask])
+    # the rest of the layout derives from idx, mask and the layers: a layout
+    # built from copied rows and layers must equal it array for array
+    copy = ParityCheckMatrix(h.n_cols, h.n_rows, [r.copy() for r in h.rows],
+                             [np.array(l) for l in h.layers])
+    again = CodeLayout.build(copy)
+    assert_same_arrays([layout.check_idx, layout.var_edges, *layout.layer_rows],
+                       [again.check_idx, again.var_edges, *again.layer_rows])
+    for a, b in zip(layout.layer_maps, again.layer_maps, strict=True):
+        assert_same_arrays([a.idx], [b.idx])
+        assert a.span == b.span
+        assert (a.pad is None) == (b.pad is None)
+        assert a.pad is None or np.array_equal(a.pad, b.pad)
+
+
+# content_digest of every bundled code; configuration images carry it
+BUNDLED_DIGESTS = {
+    "wimax_576_288": "c31ee57be8e85eb040c634f9e831458e46efa0f09e20033f1bf896b342d34c7a",
+    "wimax_576_96": "adc3d0199c6acebb3bf86664e280daf392717a2e572c5a323dea4cb6f141f128",
+    "wimax_672_336": "e5593e0d4b8b60150b9896d930c0911eae12c0a5176e31789d2438c170a82df8",
+    "wimax_672_112": "5936c8ae9bbab7e434d34934d90bee73dac05d16fcc23f2458b138e284f5c628",
+    "wimax_768_384": "c095e7720b98f56043bcc2331c923dbe4d1a8162b9e0da7eee3376b96875651d",
+    "wimax_768_128": "2289db3288d87b6e0c7e583eb54cf952d19a0e50fc897bd4a9ddfa515718f271",
+    "wimax_864_432": "f34b520fe57ef9adb6df46290ba6df930b23310df8033c3db0cfc6bfdbeb0553",
+    "wimax_864_144": "cf4639fc4d3b02d337197d256fbd9ac1670ad43d4b3ccf0c15f1380b2c41798f",
+    "wimax_960_480": "89e7a70ef0f013435dc7ac052e0f06ffe49df2847115348c52fa04cc714ae2d9",
+    "wimax_960_160": "c445e1d0851ff9149922060033d0f86d0dccce3072429e66422a8556f386036e",
+    "wimax_1056_528": "7ad7e3a096080ffc906f447d612d07b6abccb483087a10a0fbd9c3eb60412838",
+    "wimax_1056_176": "be89f529f0255d575baf831e3cbf09e4cf5f7a05dbf3cce3ddf7034cfea8fa26",
+    "wimax_1152_576": "74e8258156638011bfd2e2ab08edb305877cca5c96fef5afb639c3946c00cda8",
+    "wimax_1152_192": "d34003312902742089562819ab14a5e797c8e994153e9aa48d5ec2f9ff135cdd",
+    "wimax_1248_624": "6bc579b87eb95aed97e6ae87b0bff4cb3f70a4f64c0e8b91f571108fe9db0086",
+    "wimax_1248_208": "ce14f145aacedf0942a8f7f5bdb302ef6d2d575ec99fe533076f23fd69e6dfeb",
+    "wimax_1344_672": "9056a3c5c5e09ce915d8ee243bd8a605366ef5581f880850463b867ae0d02d6d",
+    "wimax_1344_224": "006b4d78bdc1abb4a2650360d9adadb258820dbf6efc95821365df9cc645197e",
+    "wimax_1440_720": "cc04f0c179c5ae62b422da5a2997d4feec53ffdd50cec2011472ccde08f36d19",
+    "wimax_1440_240": "8534944199375da200d432ca3063bc0bc5fd1ad961739bae9f7689601476bb2f",
+    "wimax_1536_768": "4da2b36789fb6ed76414d21eb8c10787381a46859d65082e52cabd6c61415a9f",
+    "wimax_1536_256": "5f2caf579b2988d8daf71b1fa2e2cb77dd78b80de7ca3d5170a38c62cbe0ebaf",
+    "wimax_1632_816": "66f50d7afeb023b09d7e4b059709797440c25401370d115ee13ff7e33d3e683c",
+    "wimax_1632_272": "d237963d1bc270ace7ea2767df3645551bc8c7f73422d073998847153b84c229",
+    "wimax_1728_864": "e3f0e5888cb52b3ab0dc7ca4310dee2cd4725fb44eae3752dfc6c544a4d76827",
+    "wimax_1728_288": "5e5364b79386103495ed5a6d7d71704204dc65240f141aadd88428f527d3f777",
+    "wimax_1824_912": "40b9f10531b67004c213f01239a2accf4de4504d624388d9f199fe54030bf816",
+    "wimax_1824_304": "5e740c0280bde890dfbdf747508cc78b8b791c3d0b82b2419a7def3d25a09f07",
+    "wimax_1920_960": "9e1dca84bb960fd3426eea2239393dbb5d79d0a02e9f1ff6e24de937cf832a42",
+    "wimax_1920_320": "37129c71b6e3943a65d888e1ec004d307de958eab7479002bb6be4058bb18b0f",
+    "wimax_2016_1008": "5d2da5f9eb2fe61270cd1087a168a5b6098d135636c80ee63414ac1b9e4a0484",
+    "wimax_2016_336": "97bc2076592d87bd6572205e7621e1ba60460ea9dcb6b15a1a99a74da31f98ab",
+    "wimax_2112_1056": "5a30c2c4f6039981aa4e6430d13c672ff06581bfb427d1150ec31c5974b25b12",
+    "wimax_2112_352": "af4cd3da2bfca34facd3d8b2286c213906fd358e3d6c9afa0ca805c5b5a46a89",
+    "wimax_2208_1104": "89d1133fb8bb6f0afc777414be523c19326a14e99f4aa27925277ca9790c8e0c",
+    "wimax_2208_368": "7333ec4189c7ab32a70390a6f03798e2f5a22c654e1cfadf89dc176089cd7e2b",
+    "wimax_2304_1152": "ea6cc9aa316d6b46bd54a4fa70e67903dda11d93ad7dc15cbabdea6d1cfba396",
+    "wimax_2304_384": "8036393b7785c4f5663ee8a6ddb54bdb84866b26c70b0cf485d94d75d6266f8b",
+    "wifi_1944_486": "fbddfb516a1d6567843330c67b0fc7dee415911a9e57608b483ab9262d0164d1",
+    "random_1057_244": "f065b856051bd576dcfb928a67c34aa39911be6a5849d7712da042120184a974",
+}
+
+
+@pytest.mark.parametrize("name", available_codes())
+def test_bundled_codes_match_references(name):
+    h = load_code(name)
+    assert h.content_digest() == BUNDLED_DIGESTS[name]
+    if name.startswith("random"):
+        assert_same_arrays(h.layers, reference_compute_layers(h))
+    else:
+        rows, layers = reference_expand_qc(qc_description(name))
+        assert_same_arrays(h.rows, rows)
+        assert_same_arrays(h.layers, layers)
+    assert_matches_references(h)
+
+
+@st.composite
+def qc_cases(draw):
+    rows, cols, z = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entries = draw(st.lists(st.integers(-1, z - 1), min_size=rows * cols, max_size=rows * cols))
+    return QcDescription(rows, cols, z, np.array(entries, dtype=np.int32).reshape(rows, cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qc_cases())
+def test_expand_qc_matches_row_loop(desc):
+    rows, layers = reference_expand_qc(desc)
+    want = validate_error(reference_validate, ParityCheckMatrix(
+        desc.base_cols * desc.z, desc.base_rows * desc.z, rows, layers))
+    try:
+        h = expand_qc(desc)
+    except CodeError as exc:  # a base row of null blocks only
+        assert str(exc) == want
+        return
+    assert want is None
+    assert_same_arrays(h.rows, rows)
+    assert_same_arrays(h.layers, layers)
+    assert_matches_references(h)
+
+
+@st.composite
+def matrix_cases(draw):
+    """Small matrices, often malformed: rows of any order and range, and
+    either no layers, first-fit layers, or layers drawn over valid rows."""
+    n_cols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-1, n_cols), max_size=5), min_size=1, max_size=8))
+    shape = draw(st.sampled_from(["raw", "sorted", "valid"]))
+    if shape == "sorted":
+        rows = [sorted(set(r)) for r in rows]
+    elif shape == "valid":
+        rows = [sorted({v % n_cols for v in r} or {0}) for r in rows]
+    h = ParityCheckMatrix(n_cols, len(rows), [np.array(r, dtype=np.int32) for r in rows])
+    kind = draw(st.sampled_from(["none", "first-fit", "drawn"]))
+    if kind == "first-fit" and all(0 <= v < n_cols for r in rows for v in r):
+        h.layers = reference_compute_layers(h)
+    elif kind == "drawn":
+        entries = st.lists(st.integers(0, len(rows) - 1), max_size=len(rows))
+        h.layers = [np.array(l, dtype=np.int32) for l in draw(st.lists(entries, max_size=4))]
+    return h
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_cases())
+def test_validate_and_digest_match_loops(h):
+    want = validate_error(reference_validate, h)
+    assert validate_error(ParityCheckMatrix.validate, h) == want
+    assert h.content_digest() == reference_content_digest(h)
+    if want is None:
+        if h.layers is None:
+            compute_layers(h)
+        assert_matches_references(h)
+
+
+def malformed(rows, n_cols=4, layers=None):
+    h = ParityCheckMatrix(n_cols, len(rows), [np.array(r, dtype=np.int32) for r in rows])
+    if layers is not None:
+        h.layers = [np.array(l, dtype=np.int32) for l in layers]
+    return h
+
+
+@pytest.mark.parametrize("h", [
+    malformed([[0, 1], []]),
+    malformed([[0, 1], [-1, 2]]),
+    malformed([[0, 1], [1, 4]]),
+    malformed([[0, 1], [2, 1]]),
+    malformed([[0, 1], [1, 1]]),
+    malformed([[0, 1], [2, 3], [1]], layers=[[0, 1], [1, 2]]),
+    malformed([[0, 1], [2, 3], [1]], layers=[[0, 1, 0], [2]]),
+    malformed([[0, 1], [1, 2]], layers=[[0, 1]]),
+    malformed([[0, 1], [2, 3], [1]], layers=[[0, 1]]),
+    malformed([[0, 1], [2, 3], [1]], layers=[[0], [], [1]]),
+    # precedence: the first faulty row, then within a row empty, range, order
+    malformed([[1, 0], [], [5]]),
+    malformed([[0, 1], [], [2, 1]]),
+    malformed([[-1, 3, 2]]),
+    malformed([[0, 5, 2]]),
+    # precedence among layer entries: the first faulty entry in layer order
+    malformed([[0, 1], [1, 2], [3]], layers=[[0, 1], [2, 2]]),
+    malformed([[0, 1], [1, 2], [3]], layers=[[2, 0], [0, 1]]),
+    malformed([[0, 1], [1, 2], [3]], layers=[[0, 2, 1, 2]]),
+], ids=[
+    "empty-row", "first-index-range", "last-index-range", "unsorted-row", "duplicate-in-row",
+    "row-in-two-layers", "row-twice-in-a-layer", "layer-shares-variable", "rows-uncovered",
+    "empty-layer-uncovered", "first-row-wins", "empty-before-unsorted", "range-before-order",
+    "middle-index-only-unsorted",
+    "shared-before-repeat", "repeat-across-layers", "shared-before-later-repeat",
+])
+def test_malformed_matrix_errors_match_reference(h):
+    want = validate_error(reference_validate, h)
+    assert want is not None
+    with pytest.raises(CodeError) as exc:
+        h.validate()
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("entry", [3, -1])
+def test_layer_entry_out_of_range_is_a_code_error(entry):
+    # the row scan failed on these with IndexError, or read -1 as the last row
+    h = malformed([[0, 1], [2, 3], [1]], layers=[[0, 1], [entry, 2]])
+    with pytest.raises(CodeError, match=f"layer 1 lists row {entry}, outside 0..2"):
         h.validate()
 
 
@@ -147,9 +450,10 @@ def quantize_cases(draw):
     fmt = QFormat(n_bits, draw(st.integers(0, n_bits - 1)))
     lsb = 2.0 ** -fmt.frac_bits
     values = st.one_of(
-        st.floats(allow_nan=False),  # includes +-0.0, +-inf and huge values
+        st.floats(),  # includes NaN, +-0.0, +-inf and huge values
         st.integers(-(1 << 25), 1 << 25).map(lambda k: (k + 0.5) * lsb),  # exact ties
-        st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 0.5 * lsb, -0.5 * lsb]),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300,
+                         0.5 * lsb, -0.5 * lsb]),
     )
     if draw(st.booleans()):
         return draw(values), fmt
@@ -163,6 +467,10 @@ def quantize_cases(draw):
 def test_quantize_matches_floor_ceil_reference(case):
     x, fmt = case
     with np.errstate(over="ignore"):  # scaling the largest floats gives inf
+        if np.isnan(x).any():
+            with pytest.raises(ValueError, match="NaN"):
+                quantize(x, fmt)
+            return
         got, want = quantize(x, fmt), reference_quantize(x, fmt)
     assert type(got) is type(want) and got.dtype == np.int32
     assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
