@@ -33,7 +33,6 @@ class ParityCheckMatrix:
     rows: list[np.ndarray]
     layers: list[np.ndarray] | None = None
     label: str = ""
-    _cols: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
     _layer_of_row: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -44,16 +43,6 @@ class ParityCheckMatrix:
     def n_edges(self) -> int:
         """Number of ones in H (Tanner-graph edge count)."""
         return sum(len(r) for r in self.rows)
-
-    def cols(self) -> list[np.ndarray]:
-        """Column adjacency: cols()[j] lists the rows that check variable j."""
-        if self._cols is None:
-            buckets: list[list[int]] = [[] for _ in range(self.n_cols)]
-            for m, row in enumerate(self.rows):
-                for j in row:
-                    buckets[int(j)].append(m)
-            self._cols = [np.asarray(b, dtype=np.int32) for b in buckets]
-        return self._cols
 
     def layer_of_row(self) -> np.ndarray:
         """Map row index -> layer index.  Requires layers to be set."""

@@ -1,17 +1,14 @@
 from .layout import CodeLayout
 from .nms import (
-    CheckState,
     DecodeParams,
     DecodeResult,
     decode_layered_nms,
     decode_layered_nms_batch,
-    layer_update,
     syndrome_check,
 )
 from .spa import decode_flooding_spa, decode_flooding_spa_batch
 
 __all__ = [
-    "CheckState",
     "CodeLayout",
     "DecodeParams",
     "DecodeResult",
@@ -19,6 +16,5 @@ __all__ = [
     "decode_flooding_spa_batch",
     "decode_layered_nms",
     "decode_layered_nms_batch",
-    "layer_update",
     "syndrome_check",
 ]

@@ -11,10 +11,22 @@ signs of the other operands (an even number of negative inputs yields a
 positive extrinsic), which is the convergent min-sum update for LLRs defined
 as log(P0/P1).
 
-decode_layered_nms and layer_update are the plain reference.  The one
-production kernel is _layered_sweep, a frames-last sweep over per-layer
-gather/scatter maps: decode_layered_nms_batch runs it through the variable
-index and the NoC replay (nocsim.replay) through configured memory slots.
+decode_layered_nms is the golden: a plain row-major transcription of the
+datapath, one frame at a time, sharing no code with the production kernel.
+Once per call it builds each layer's tables: the layer's rows cut to its
+widest row (at least two slots, so every row has a second minimum), with
+padded slots pointing at a spare variable slot, their pad mask, and the
+layer's extrinsics as one contiguous block.  It computes in int32, which
+holds every difference and sum of two codes of the widest (24-bit) format.
+
+The one production kernel is _layered_sweep, a frames-last sweep over
+per-layer gather/scatter maps: decode_layered_nms_batch runs it through the
+variable index and the NoC replay (nocsim.replay) through configured memory
+slots.  Its two smallest magnitudes per row come from one np.partition over
+the slot axis when the store holds one frame, as replay's does, and from a
+pass over the slots when it holds more: there one ufunc call per slot moves
+all frames at once, and a partition along the slot axis costs several
+times more.
 """
 
 from __future__ import annotations
@@ -24,11 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fixedpoint import QFormat, quantize, reciprocal_scale_table, saturate
+from ..fixedpoint import QFormat, quantize, reciprocal_scale_table
 from ..codes.matrix import ParityCheckMatrix
 from .layout import CodeLayout
-
-_PAD_MAG = np.int32(1) << 30
 
 
 @dataclass
@@ -52,67 +62,6 @@ class DecodeResult:
     converged: bool
     final_llrs: np.ndarray  # int32 codes (fixed point) or float64 (float oracle)
     fmt: QFormat | None = None
-
-
-@dataclass
-class CheckState:
-    """Decoder state: per-variable LLR codes and per-(row, position) extrinsics."""
-
-    lq: np.ndarray  # (N,) int32 codes
-    r: np.ndarray  # (M, N_d) int32 codes, 0 beyond each row's degree
-    fmt: QFormat
-
-    @classmethod
-    def init(cls, layout: CodeLayout, channel_llrs: np.ndarray, fmt: QFormat) -> "CheckState":
-        lq = quantize(channel_llrs, fmt)
-        r = np.zeros((layout.h.n_rows, layout.n_d), dtype=np.int32)
-        return cls(lq=lq, r=r, fmt=fmt)
-
-
-def _check_node_update(q: np.ndarray, mask: np.ndarray, alpha_lut: np.ndarray) -> np.ndarray:
-    """Vectorized check update on a block of rows.
-
-    q holds saturated L(q_mj) codes, one row per check.  Returns the new
-    extrinsic codes before final saturation, zero at padded positions.
-    """
-    mag = np.abs(q.astype(np.int64))
-    mag[~mask] = _PAD_MAG
-    neg = (q < 0) & mask
-    parity = (neg.sum(axis=1) & 1).astype(bool)
-    odd_others = parity[:, None] ^ neg  # odd negative count among the other positions
-
-    t = mag.argmin(axis=1)
-    rows = np.arange(q.shape[0])
-    min1 = mag[rows, t]
-    mag[rows, t] = _PAD_MAG
-    min2_ = mag.min(axis=1)
-
-    pos = np.arange(q.shape[1])[None, :]
-    sel = np.where(pos == t[:, None], min2_[:, None], min1[:, None])
-    sel = np.minimum(sel, len(alpha_lut) - 1)  # degree-1 rows see an empty minimum
-    rmag = alpha_lut[sel]
-    rnew = np.where(odd_others, -rmag, rmag)
-    rnew[~mask] = 0
-    return rnew
-
-
-def layer_update(layout: CodeLayout, layer_index: int, state: CheckState, params: DecodeParams,
-                 alpha_lut: np.ndarray | None = None) -> CheckState:
-    """Apply one layer's check updates in place and return the state."""
-    if alpha_lut is None:
-        alpha_lut = reciprocal_scale_table(params.alpha, state.fmt)
-    rows = layout.layer_rows[layer_index]
-    idx = layout.idx[rows]
-    mask = layout.mask[rows]
-
-    q = saturate(state.lq[idx].astype(np.int64) - state.r[rows], state.fmt)
-    rnew = _check_node_update(q, mask, alpha_lut)
-    rnew = saturate(rnew, state.fmt)
-    lq_new = saturate(q.astype(np.int64) + rnew, state.fmt)
-
-    state.r[rows] = rnew
-    state.lq[idx[mask]] = lq_new[mask]  # disjoint support inside a layer
-    return state
 
 
 def hard_decision(lq_codes: np.ndarray) -> np.ndarray:
@@ -148,37 +97,82 @@ def decode_layered_nms(
         raise ValueError(f"expected {h.n_cols} channel LLRs, got {len(llrs)}")
     if layout is None:
         layout = CodeLayout.build(h)
-    state = CheckState.init(layout, llrs, params.fmt)
-    alpha_lut = reciprocal_scale_table(params.alpha, params.fmt)
+    fmt = params.fmt
+    n = h.n_cols
+    lq = np.empty(n + 1, dtype=np.int32)  # the variables, then a spare slot
+    lq[:n] = quantize(llrs, fmt)
+    lut = reciprocal_scale_table(params.alpha, fmt)
+    lo, hi = np.int32(fmt.min_code), np.int32(fmt.max_code)
+    empty = np.int32(len(lut) - 1)  # |min_code|: what a padded slot reads as
+
+    # per-layer tables (see the module docstring)
+    layers = []
+    for rows in layout.layer_rows:
+        mask = layout.mask[rows]
+        width = int(mask.sum(axis=1).max(initial=0))
+        idx = np.full((len(rows), max(width, 2)), n, dtype=np.intp)
+        idx[:, :width][mask[:, :width]] = layout.idx[rows][mask]
+        pad = idx == n
+        layers.append((idx, pad if pad.any() else None, np.arange(len(rows)),
+                       np.zeros(idx.shape, dtype=np.int32)))
 
     iterations = 0
     converged = False
     for _ in range(params.it_max):
-        for li in range(len(layout.layer_rows)):
-            layer_update(layout, li, state, params, alpha_lut)
+        for idx, pad, row, r in layers:
+            q = lq[idx]
+            q -= r
+            q.clip(lo, hi, out=q)
+            if pad is not None:
+                q[pad] = empty  # no sign, and never below a real magnitude
+            mag = np.abs(q)
+            two = np.partition(mag, 1, axis=1)
+            t = mag.argmin(axis=1)  # the lowest position holding the minimum
+            # every position takes the scaled minimum but the minimum's own,
+            # which takes the scaled second minimum (equal to it on a tie)
+            r[:] = lut[two[:, :1]]
+            r[row, t] = lut[two[:, 1]]
+            # the sign is the product of the other positions' signs: with
+            # s = -1 where q < 0 and 0 elsewhere, s ^ (xor of the row's s) is
+            # -1 where the others hold an odd count of negatives, and
+            # (r ^ s) - s negates r exactly there
+            s = q >> 31
+            s ^= np.bitwise_xor.reduce(s, axis=1, keepdims=True)
+            r ^= s
+            r -= s
+            np.minimum(r, hi, out=r)  # alpha near 1 maps |min_code| past max_code
+            q += r
+            q.clip(lo, hi, out=q)
+            lq[idx] = q  # disjoint support inside a layer; pads hit the spare
         iterations += 1
         if params.early_stop:
-            if layout.syndrome_ok(hard_decision(state.lq)):
+            if layout.syndrome_ok(hard_decision(lq[:n])):
                 converged = True
                 break
-    bits = hard_decision(state.lq)
+    final = lq[:n].copy()
+    bits = hard_decision(final)
     if not converged:
         converged = layout.syndrome_ok(bits)
     return DecodeResult(
         hard_bits=bits,
         iterations_run=iterations,
         converged=converged,
-        final_llrs=state.lq.copy(),
-        fmt=params.fmt,
+        final_llrs=final,
+        fmt=fmt,
     )
 
 
 def _two_smallest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and second smallest over the slot axis, counting repeats.
 
-    A tie for the minimum gives m2 == m1.  One pass over the W >= 2 slots;
-    np.partition along this axis costs several times more.
+    A tie for the minimum gives m2 == m1.  For one frame a single
+    np.partition over the W >= 2 slots takes both; for more frames one pass
+    over the slots is faster, where np.partition along this axis costs
+    several times more.
     """
+    if mag.shape[-1] == 1:
+        two = np.partition(mag, 1, axis=0)
+        return two[0], two[1]
     m1 = np.minimum(mag[0], mag[1])
     m2 = np.maximum(mag[0], mag[1])
     for slot in mag[2:]:

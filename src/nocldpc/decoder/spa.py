@@ -27,6 +27,15 @@ def psi(x) -> np.ndarray:
     return -np.log(np.tanh(ax / 2.0))
 
 
+def _reject_nan(llrs: np.ndarray) -> None:
+    """Raise ValueError if any LLR is NaN; +-inf passes.
+
+    One pass: the minimum is NaN exactly when some entry is.
+    """
+    if llrs.size and np.isnan(llrs.min()):
+        raise ValueError("cannot decode NaN channel LLRs")
+
+
 def decode_flooding_spa(
     h: ParityCheckMatrix,
     channel_llrs,
@@ -36,6 +45,7 @@ def decode_flooding_spa(
     llrs = np.asarray(channel_llrs, dtype=np.float64)
     if len(llrs) != h.n_cols:
         raise ValueError(f"expected {h.n_cols} channel LLRs, got {len(llrs)}")
+    _reject_nan(llrs)
     if layout is None:
         layout = CodeLayout.build(h)
 
@@ -153,6 +163,7 @@ def decode_flooding_spa_batch(
     llrs = np.asarray(channel_llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != h.n_cols:
         raise ValueError(f"expected (frames, {h.n_cols}) channel LLRs, got {llrs.shape}")
+    _reject_nan(llrs)
     if layout is None:
         layout = CodeLayout.build(h)
     n, n_frames = h.n_cols, len(llrs)

@@ -70,15 +70,6 @@ def quantize(x, fmt: QFormat) -> np.ndarray:
     return scaled.astype(np.int32)[()]  # a scalar for a scalar input
 
 
-def saturate(codes, fmt: QFormat) -> np.ndarray:
-    """Clamp (wider) integer codes into the representable range."""
-    codes = np.asarray(codes)
-    # bounds of the codes' own dtype: np.clip with Python ints looks up
-    # np.iinfo on every call
-    t = codes.dtype.type
-    return codes.clip(t(fmt.min_code), t(fmt.max_code)).astype(np.int32)
-
-
 def reciprocal_scale_table(alpha: float, fmt: QFormat) -> np.ndarray:
     """Magnitude lookup table realizing division by the normalization factor.
 

@@ -230,11 +230,20 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
 
     The heap holds int keys (top - gain) * n + v: no gain exceeds top, so
     they pop by highest gain, then lowest vertex, as (-gain, v) tuples would.
+    Decrease-key is lazy.  live[v] is the gain of v's one live key, never
+    below its current gain: a rise pushes a new key, a fall keeps the old
+    one, and a live key that pops with a stale gain is pushed again at the
+    current gain.  No live key is above its vertex's exact key, so exact
+    keys pop in the order a heap updated on every change gives.  A popped
+    key whose gain is not live[v] is dropped.  After a rejected move a
+    vertex has no live key, and live[v] below every gain, so its next change
+    pushes one; a locked vertex has none and gets none.
     """
     adj, vw, wdeg, n = g.adj, g.vw, g.wdeg, g.n
     heappush, heappop = heapq.heappush, heapq.heappop
     lo, hi = target0 - tol, target0 + tol
     top = max(wdeg, default=0)
+    none = -top - 1
     w0 = _weight0(g, side)
     for _ in range(passes):
         # gain of moving v: weight to the other side minus weight kept on its own
@@ -245,6 +254,7 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
                 if side[u] != sv:
                     ext += w
             gain.append(2 * ext - wdeg[v])
+        live = gain[:]
         heap = [(top - gv) * n + v for v, gv in enumerate(gain)]
         heapq.heapify(heap)
         locked = [False] * n
@@ -253,11 +263,17 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
         best_cum, best_len = 0, 0
         start_dev = abs(w0 - target0)
         cur_w0 = w0
-        limit = 2 * len(heap) + 64
         while heap:
             rank, v = divmod(heappop(heap), n)
-            if locked[v] or top - rank != gain[v]:
+            gk = top - rank
+            if gk != live[v]:
+                continue  # superseded, or its vertex is locked or rejected
+            gv = gain[v]
+            if gk != gv:
+                live[v] = gv
+                heappush(heap, (top - gv) * n + v)
                 continue
+            live[v] = none
             sv = side[v]
             moved_w0 = cur_w0 - vw[v] if sv == 0 else cur_w0 + vw[v]
             if not lo <= moved_w0 <= hi:
@@ -265,22 +281,16 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
             locked[v] = True
             side[v] = sv = 1 - sv
             cur_w0 = moved_w0
-            gv = gain[v]
             cum += gv
             trail.append(v)
             for u, w in adj[v]:
                 if not locked[u]:
                     gu = gain[u] + (2 * w if side[u] != sv else -2 * w)
                     gain[u] = gu
-                    heappush(heap, (top - gu) * n + u)
+                    if gu > live[u]:
+                        live[u] = gu
+                        heappush(heap, (top - gu) * n + u)
             gain[v] = -gv
-            if len(heap) > limit:
-                # drop entries that can never be taken: moved vertices and
-                # outdated gains; the valid entries keep their order
-                heap = [k for k in heap
-                        if not locked[k % n] and k == (top - gain[k % n]) * n + k % n]
-                heapq.heapify(heap)
-                limit = 2 * len(heap) + 64
             if cum > best_cum or (cum == best_cum and abs(cur_w0 - target0) < start_dev):
                 best_cum, best_len = cum, len(trail)
         for v in trail[best_len:]:

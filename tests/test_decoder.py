@@ -5,19 +5,18 @@ import pytest
 
 from nocldpc.codes import ParityCheckMatrix, compute_layers, load_code
 from nocldpc.decoder import (
-    CheckState,
     CodeLayout,
     DecodeParams,
     decode_flooding_spa,
     decode_flooding_spa_batch,
     decode_layered_nms,
     decode_layered_nms_batch,
-    layer_update,
     syndrome_check,
 )
 from nocldpc.channel import awgn_llrs
 from nocldpc.decoder.spa import psi
 from nocldpc.fixedpoint import QFormat, reciprocal_scale_table
+from reference import CheckState, check_node_update, layer_update
 
 
 def make_h(rows, n_cols):
@@ -46,44 +45,61 @@ def row_extrinsics(codes, alpha=1.0, fmt=QFormat(8, 1)):
     """Extrinsics one check row gives positive inputs with these codes.
 
     Runs one iteration of a single-row code through the golden and the
-    batched decoder; returns both as lists (final LLR minus input code).
+    batched decoder, the latter on one frame and on two, which take the two
+    branches of its two-smallest step; returns the three as lists (final
+    LLR minus input code).
     """
     codes = np.asarray(codes)
     h = make_h([list(range(len(codes)))], len(codes))
     llrs = codes * 2.0 ** -fmt.frac_bits  # one LSB per code step
     params = DecodeParams(alpha=alpha, it_max=1, fmt=fmt, early_stop=False)
     gold = decode_layered_nms(h, llrs, params).final_llrs - codes
-    batch = decode_layered_nms_batch(h, llrs[None, :], params)[0].final_llrs - codes
-    return gold.tolist(), batch.tolist()
+    one, two = (decode_layered_nms_batch(h, np.tile(llrs, (f, 1)), params)[0].final_llrs - codes
+                for f in (1, 2))
+    return gold.tolist(), one.tolist(), two.tolist()
 
 
 class TestMin2:
     """Two-minimum selection of the check-node kernel, in both decoders."""
 
     def test_basic(self):
-        gold, batch = row_extrinsics([3, 1, 2])
-        assert gold == batch == [1, 2, 1]
+        gold, one, two = row_extrinsics([3, 1, 2])
+        assert gold == one == two == [1, 2, 1]
 
     def test_tie_lowest_index(self):
         # a tied minimum gives every position that magnitude, wherever the tie is
-        for codes in ([2, 2, 5], [5, 2, 2], [2, 5, 2, 2]):
-            gold, batch = row_extrinsics(codes)
-            assert gold == batch == [2] * len(codes)
+        for codes in ([2, 2, 5], [5, 2, 2], [2, 5, 2, 2], [4, 4]):
+            gold, one, two = row_extrinsics(codes)
+            assert gold == one == two == [min(codes)] * len(codes)
 
     def test_too_short(self):
         # a degree-1 row sees an empty minimum, read as the table's top entry
         fmt = QFormat(8, 1)
         top = int(reciprocal_scale_table(1.15, fmt)[-1])
-        gold, batch = row_extrinsics([3], alpha=1.15, fmt=fmt)
-        assert gold == batch == [top]
+        gold, one, two = row_extrinsics([3], alpha=1.15, fmt=fmt)
+        assert gold == one == two == [top]
 
     def test_against_two_pass_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             vals = rng.integers(0, 30, size=20)
-            gold, batch = row_extrinsics(vals)
+            gold, one, two = row_extrinsics(vals)
             want = [int(np.delete(vals, j).min()) for j in range(len(vals))]
-            assert gold == batch == want
+            assert gold == one == two == want
+
+    @pytest.mark.parametrize("n_frames", [1, 3])
+    def test_two_smallest_counts_repeats(self, n_frames):
+        # one frame takes np.partition, more take the slot loop; both give
+        # the two lowest of the sorted slots, so a tied minimum gives m2 == m1
+        from nocldpc.decoder.nms import _two_smallest
+
+        rng = np.random.default_rng(n_frames)
+        for w in (2, 3, 8, 13, 15):
+            mag = rng.integers(0, 4, size=(w, 40, n_frames)).astype(np.int16)
+            m1, m2 = _two_smallest(mag)
+            want = np.sort(mag, axis=0)
+            assert np.array_equal(m1, want[0]) and np.array_equal(m2, want[1])
+            assert (m1 == m2).any() and (m1 < m2).any()
 
 
 def scalar_layer_oracle(h, layer_rows, lq, r, fmt, alpha):
@@ -181,9 +197,6 @@ class TestLayerUpdate:
                 assert np.array_equal(state.r[m, : len(h.rows[m])], r_ref[m][: len(h.rows[m])])
 
     def test_negation_symmetry_without_saturation(self):
-        from nocldpc.decoder.nms import _check_node_update
-        from nocldpc.fixedpoint import reciprocal_scale_table
-
         fmt = QFormat(8, 1)
         lut = reciprocal_scale_table(1.15, fmt)
         rng = np.random.default_rng(17)
@@ -193,8 +206,8 @@ class TestLayerUpdate:
         q = (rng.integers(1, 31, size=(40, 6)) * rng.choice([-1, 1], size=(40, 6))).astype(np.int32)
         mask = np.ones_like(q, dtype=bool)
         mask[:20, 4:] = False  # degrees 4 and 6, both even
-        a = _check_node_update(q, mask, lut)
-        b = _check_node_update(-q, mask, lut)
+        a = check_node_update(q, mask, lut)
+        b = check_node_update(-q, mask, lut)
         assert np.array_equal(a, -b)
 
 

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from nocldpc.codes import load_code
-from nocldpc.decoder import CheckState, CodeLayout, DecodeParams, decode_layered_nms, layer_update
-from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table, saturate
+from nocldpc.decoder import (
+    CodeLayout,
+    DecodeParams,
+    decode_flooding_spa,
+    decode_flooding_spa_batch,
+    decode_layered_nms,
+)
+from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table
+from reference import CheckState, layer_update, saturate
 
 
 def lsb(fmt):
@@ -138,3 +145,24 @@ def test_decoders_reject_nan_llrs():
         decode_layered_nms(h, llrs, DecodeParams(), layout)
     with pytest.raises(ValueError, match="NaN"):
         decode_layered_nms_batch(h, llrs[None], DecodeParams(), layout)
+
+
+def test_spa_decoders_reject_nan_llrs():
+    # a NaN taken in ends, one iteration later, as NaN final LLRs that the
+    # syndrome reads as converged
+    h = load_code("wimax_576_288")
+    layout = CodeLayout.build(h)
+    llrs = np.full(h.n_cols, 4.0)
+    llrs[5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        decode_flooding_spa(h, llrs, DecodeParams(), layout)
+    with pytest.raises(ValueError, match="NaN"):
+        decode_flooding_spa_batch(h, np.stack([np.full(h.n_cols, 4.0), llrs]), DecodeParams(), layout)
+    # +-inf still decodes, and both decoders agree on it
+    llrs[5], llrs[6] = np.inf, -np.inf
+    gold = decode_flooding_spa(h, llrs, DecodeParams(), layout)
+    batch = decode_flooding_spa_batch(h, llrs[None], DecodeParams(), layout)[0]
+    assert not np.isnan(gold.final_llrs).any()
+    assert batch.iterations_run == gold.iterations_run
+    assert np.array_equal(batch.hard_bits, gold.hard_bits)
+    assert np.array_equal(batch.final_llrs, gold.final_llrs)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nocldpc.nocsim.schedule as schedule_mod
+from nocldpc.channel import awgn_llrs
 from nocldpc.codes import ParityCheckMatrix, build_check_graph, compute_layers, load_code, random_code
 from nocldpc.configgen import gen_config
 from nocldpc.decoder import CodeLayout, DecodeParams, decode_layered_nms
@@ -435,6 +436,29 @@ class TestReplay:
                 assert gold.iterations_run == rep.iterations_run
                 assert gold.converged == rep.converged
                 assert np.array_equal(gold.final_llrs, rep.final_llrs)
+
+    @pytest.mark.parametrize("fmt", [QFormat(8, 1), QFormat(16, 4)], ids=str)
+    def test_wide_rows_one_frame_match_golden(self, fmt):
+        # row degree 13: one-frame replay takes its two smallest slot
+        # magnitudes from np.partition over 13 slots
+        h = load_code("random_1057_244")
+        layout = CodeLayout.build(h)
+        assert layout.check_idx.shape[0] == 13
+        m = partition_kway(build_check_graph(h), 4, seed=1)
+        serving_order(h, m)
+        tr = simulate_iteration(Topology(2), build_schedule(h, m), seed=7, label=h.label)
+        cfg = gen_config(tr, m, h)
+        wiring = validate_config(h, m, tr, cfg)
+        rate = 1.0 - h.n_rows / h.n_cols
+        for f, snr in enumerate((1.0, 2.0, 2.6)):
+            llr = awgn_llrs(h.n_cols, rate, snr, seed=83, frame=f)
+            params = DecodeParams(alpha=1.15, it_max=10, fmt=fmt, early_stop=f != 2)
+            gold = decode_layered_nms(h, llr, params, layout)
+            rep = replay_decode(h, m, tr, cfg, llr, params, layout, wiring)
+            assert np.array_equal(gold.hard_bits, rep.hard_bits)
+            assert gold.iterations_run == rep.iterations_run
+            assert gold.converged == rep.converged
+            assert np.array_equal(gold.final_llrs, rep.final_llrs)
 
     def test_unchecked_variable_keeps_its_channel_value(self):
         h = make_h([[0, 1], [1, 2], [0, 2]], 4)  # variable 3 is in no check

@@ -1,8 +1,9 @@
 """Randomised properties: the code parsers on malformed text, code
 construction, validation, digests and layouts against the per-row loops they
 replaced, the check graph against its per-column loop reference, quantize
-against its floor/ceil reference, batched decoders against their
-single-frame goldens, and the codegen path from check graph to replayed
+against its floor/ceil reference, the golden layered decoder against the
+first golden in reference.py, batched decoders against their single-frame
+goldens, and the codegen path from check graph to replayed
 configuration image."""
 
 import hashlib
@@ -51,6 +52,7 @@ from nocldpc.nocsim import (  # noqa: E402
 )
 from nocldpc.nocsim.schedule import _build_schedule  # noqa: E402
 from nocldpc.nocsim.simulate import HOP_CYCLES  # noqa: E402
+import reference  # noqa: E402
 
 SEEDS = st.integers(0, 2**32 - 1)
 # a dense random code can spend a second or more in random_code's
@@ -383,7 +385,7 @@ def reference_check_graph(h):
         rank = h.layer_of_row().astype(np.int64) * h.n_rows + np.arange(h.n_rows)
     edges: dict[tuple[int, int], int] = {}
     shared: set[tuple[int, int]] = set()
-    for rows in h.cols():
+    for rows in reference.cols(h):
         if len(rows) < 2:
             continue
         chain = rows[np.argsort(rank[rows], kind="stable")]
@@ -503,6 +505,51 @@ def test_batched_decoders_match_goldens(case):
             assert res.iterations_run == gold.iterations_run
             assert res.converged == gold.converged
             assert np.array_equal(res.final_llrs.view(np.uint8), gold.final_llrs.view(np.uint8))
+
+
+GOLDEN_FORMATS = (QFormat(6, 0), QFormat(8, 1), QFormat(16, 4), QFormat(24, 2))
+
+
+@st.composite
+def golden_cases(draw):
+    """Small codes with rows of degree 1 up to 16 (so layers mix degrees and
+    reach W >= 8), LLRs on a few exact codes (tied minima), spread or
+    saturating, and every format, alpha, stop rule and it_max 1-8."""
+    n = draw(st.integers(2, 40))
+    support = st.sets(st.integers(0, n - 1), min_size=1, max_size=16)
+    h = small_code(draw(st.lists(support, min_size=1, max_size=12)), n)
+    fmt = draw(st.sampled_from(GOLDEN_FORMATS))
+    rng = np.random.default_rng(draw(SEEDS))
+    kind = draw(st.sampled_from(["ties", "spread", "saturating"]))
+    if kind == "ties":
+        llrs = rng.integers(-3, 4, size=n) * 2.0 ** -fmt.frac_bits
+    else:
+        llrs = rng.normal(1.0, 3.0, size=n) * (1e4 if kind == "saturating" else 1.0)
+    params = DecodeParams(alpha=draw(st.sampled_from([1.0, 1.15])), it_max=draw(st.integers(1, 8)),
+                          fmt=fmt, early_stop=draw(st.booleans()))
+    return h, llrs, params
+
+
+# a degree-1 row beside wider ones, one layer of degrees 13, 9 and 1 with
+# tied codes, and a code of degree-1 rows only (N_d == 1)
+@example((small_code([[0], [1, 2, 3]], 4), np.array([1.0, -2.0, 0.5, 0.5]),
+          DecodeParams(alpha=1.0, it_max=3, fmt=QFormat(6, 0))))
+@example((small_code([list(range(13)), list(range(13, 22)), [22]], 23),
+          np.tile([1.0, -1.0, 2.0, 1.0], 6)[:23], DecodeParams(alpha=1.15, it_max=4)))
+@example((small_code([[0], [1]], 2), np.array([-3.0, 2.0]),
+          DecodeParams(alpha=1.0, it_max=2, early_stop=False)))
+@settings(max_examples=200, deadline=None)
+@given(golden_cases())
+def test_golden_matches_reference_decoder(case):
+    h, llrs, params = case
+    layout = CodeLayout.build(h)  # first-fit layers
+    got = decode_layered_nms(h, llrs, params, layout)
+    want = reference.decode_layered_nms(h, llrs, params, layout)
+    assert np.array_equal(got.hard_bits, want.hard_bits)
+    assert got.iterations_run == want.iterations_run
+    assert got.converged == want.converged
+    assert np.array_equal(got.final_llrs, want.final_llrs)
+    assert got.final_llrs.dtype == want.final_llrs.dtype == np.int32
 
 
 @st.composite
