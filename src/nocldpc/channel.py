@@ -19,6 +19,7 @@ argument is kept for callers but changes neither the counts nor the speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,20 @@ class BerPoint:
 
 
 def noise_sigma(rate: float, snr_db: float) -> float:
+    """Noise standard deviation at Eb/N0 = snr_db dB.
+
+    Raises ValueError unless it is finite and positive: a NaN or infinite
+    snr_db, or one whose 10^(snr_db / 10) overflows or underflows, has none.
+    """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"code rate must be in (0, 1), got {rate}")
-    return float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0))))
+    try:
+        sigma = float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"Eb/N0 of {snr_db} dB has no finite positive noise sigma")
+    return sigma
 
 
 def _frame_rng(seed: int, frame: int) -> np.random.Generator:

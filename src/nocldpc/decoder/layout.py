@@ -18,11 +18,13 @@ from ..codes.matrix import ParityCheckMatrix, _joined, compute_layers
 class LayerMap:
     """Slot-major gather/scatter map of one layer for the batched decoder.
 
-    ``idx`` is (W, rows) with W = max(N_d, 2): entry (k, i) is the variable
-    in slot k of the layer's row i, and padded slots point at the spare
+    ``idx`` is (W, rows), with W the layer's widest row but at least 2 so
+    that every row has a second minimum: entry (k, i) is the variable in
+    slot k of the layer's row i, and padded slots point at the spare
     variable row N, so a layer reads and writes its variables with one fancy
-    index each.  ``pad`` is True at padded slots, shaped (W, rows, 1) to
-    broadcast over frames, or None when the layer has no padded slot.
+    index each.  ``pad`` is True at padded slots, which only rows shorter
+    than W have, shaped (W, rows, 1) to broadcast over frames, or None when
+    the layer has no padded slot.
     ``span`` is the layer's block of rows in the batched extrinsic store,
     which keeps the layers contiguous in sweep order.
     """
@@ -59,10 +61,12 @@ class CodeLayout:
         w = max(n_d, 2)
         check_idx = np.full((w, m), h.n_cols, dtype=np.intp)
         check_idx[:n_d].T[mask] = idx[mask]
+        # each layer is cut to its own widest row, so only shorter rows pad
         layer_maps = []
         start = 0
         for rows in layer_rows:
-            lidx = np.ascontiguousarray(check_idx[:, rows])
+            width = max(int(deg[rows].max(initial=0)), 2)
+            lidx = np.ascontiguousarray(check_idx[:width, rows])
             pad = lidx == h.n_cols
             span = slice(start, start + len(rows))
             layer_maps.append(LayerMap(lidx, pad[:, :, None] if pad.any() else None, span))
@@ -93,8 +97,15 @@ class CodeLayout:
 
         lq is (N + 1, F) LLR codes whose row N, the pad slot, is ignored;
         returns an (F,) bool array, True where every parity check holds.
+        Each check XORs eight frames at a time: the frames' one-byte hard
+        decisions, zero-padded to a multiple of eight, are read as uint64
+        words, and a byte of the XOR is the parity of its frame.
         """
-        bits = lq < 0
+        n_frames = lq.shape[1]
+        bits = np.zeros((len(lq), -(-n_frames // 8) * 8), dtype=bool)
+        np.less(lq, 0, out=bits[:, :n_frames])
         bits[-1] = False
-        par = np.logical_xor.reduce(bits[self.check_idx], axis=0)
-        return ~par.any(axis=0)
+        par = np.bitwise_xor.reduce(np.take(bits.view(np.uint64), self.check_idx, axis=0), axis=0)
+        # or over the checks; the transposed copy makes it one pass per word
+        failed = np.bitwise_or.reduce(np.ascontiguousarray(par.T), axis=1)
+        return ~failed.view(bool)[:n_frames]

@@ -200,18 +200,20 @@ def _layered_sweep(
     """Layered normalized min-sum over a frames-last code store.
 
     store is (S, F) codes from _code_store whose last row is the spare slot
-    that padded positions read and write.  maps holds one (gather, scatter)
-    pair per layer of layout, each shaped like its LayerMap.idx: the code in
-    slot k of the layer's row i is read from store row gather[k, i], and its
-    update is written to row scatter[k, i].  home, when given, is the
-    (N + 1,) store row of each variable's current code followed by the spare
-    row; without it, store rows 0..N-1 are the variables themselves.  The
-    extrinsics are (W, rows, F) with each layer a contiguous block of rows.
+    that padded positions read and write; the sweep overwrites it.  maps
+    holds one (gather, scatter) pair per layer of layout, each shaped like
+    its LayerMap.idx: the code in slot k of the layer's row i is read from
+    store row gather[k, i], and its update is written to row scatter[k, i].
+    home, when given, is the (N + 1,) store row of each variable's current
+    code followed by the spare row; without it, store rows 0..N-1 are the
+    variables themselves.  The extrinsics are (W, rows, F) with each layer a
+    contiguous block of rows, of which a layer uses its own W slots.
     Each frame's result is taken at the first iteration whose syndrome it
     satisfies; the batch runs until every frame has converged or it_max is
-    reached.  Converged frames are not compacted out: at 32 frames the
-    per-call overhead dominates, and copying the state was slower than
-    carrying them along.
+    reached.  Once the frames still decoding fall to three quarters of the
+    columns, their store and extrinsic columns move to the front of the same
+    buffers and the sweep goes on over that narrower prefix, so converged
+    frames stop costing work.
     """
     fmt = params.fmt
     sign_shift = store.dtype.itemsize * 8 - 1
@@ -234,10 +236,11 @@ def _layered_sweep(
     final = np.empty((n_frames, n), dtype=np.int32)
     iterations = np.full(n_frames, params.it_max)
     converged = np.zeros(n_frames, dtype=bool)
-    done = np.zeros(n_frames, dtype=bool)  # result taken; the frame still rides along
+    frame = np.arange(n_frames)  # the frame id of each column
+    done = np.zeros(n_frames, dtype=bool)  # per column: result taken, the frame rides along
     for it in range(1, params.it_max + 1):
         for lm, floor, (gather, scatter) in zip(layout.layer_maps, pad_floor, maps):
-            r_l = r[:, lm.span]
+            r_l = r[:len(gather), lm.span]
             q = np.take(store, gather, axis=0)
             q -= r_l
             q.clip(lo, hi, out=q)
@@ -264,14 +267,20 @@ def _layered_sweep(
         lq = variables()
         ok = layout.syndrome_ok_batch(lq) & ~done
         if ok.any():
-            final[ok] = lq[:n, ok].T
-            iterations[ok] = it
-            converged[ok] = True
+            taken = frame[ok]
+            final[taken] = lq[:n, ok].T
+            iterations[taken] = it
+            converged[taken] = True
             done |= ok
             if done.all():
                 break
+            live = np.flatnonzero(~done)
+            if 4 * len(live) <= 3 * len(done):
+                store = _front(store, live)
+                r = _front(r, live)
+                frame, done = frame[live], done[live]
     lq = variables()
-    final[~done] = lq[:n, ~done].T
+    final[frame[~done]] = lq[:n, ~done].T
     if not params.early_stop:
         converged = layout.syndrome_ok_batch(lq)
     return [
@@ -284,6 +293,18 @@ def _layered_sweep(
         )
         for f in range(n_frames)
     ]
+
+
+def _front(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The given last-axis columns of contiguous a, moved to the front of a's
+    own buffer and returned as a contiguous array over it.
+
+    The fancy index copies the columns out before any is written back, so
+    the overlap of source and destination does no harm.
+    """
+    out = a.reshape(-1)[:a.size // a.shape[-1] * len(columns)].reshape(*a.shape[:-1], len(columns))
+    out[...] = a[..., columns]
+    return out
 
 
 def decode_layered_nms_batch(

@@ -186,7 +186,7 @@ def _coarsen(g: _Graph, rng) -> tuple[_Graph, list[int]] | None:
             cu = coarse_id[u]
             if cu != cv:
                 cmap[cu] = cmap.get(cu, 0) + w
-    return _Graph(nc, [sorted(m.items()) for m in cadj_maps], cvw), coarse_id
+    return _Graph(nc, [list(m.items()) for m in cadj_maps], cvw), coarse_id
 
 
 def _cut_of(g: _Graph, side: list[int]) -> int:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,15 @@ class TestAwgn:
         with pytest.raises(ValueError):
             noise_sigma(1.5, 2.0)
 
+    # NaN and +inf used to give NaN or zero sigma, and 1e308 / -1e308 /
+    # -inf an OverflowError or ZeroDivisionError
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 1e308, -1e308, 4000.0, -4000.0])
+    def test_snr_without_finite_positive_sigma_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="noise sigma"):
+            noise_sigma(0.5, snr_db)
+        with pytest.raises(ValueError, match="noise sigma"):
+            awgn_llrs(16, 0.5, snr_db, seed=0)
+
 
 class TestRunBer:
     def test_stops_on_error_budget(self):
@@ -115,6 +126,32 @@ class TestRunBer:
         assert (pt.frames, pt.bit_errors, pt.frame_errors) == (frames, bit_errors, frame_errors)
         assert pt.avg_iterations == iterations / frames
         assert pt.frames == (32 if min_errors == 20 else 45)
+
+    # the benchmark's BER workloads at its default seed: (snr_db, blocks) ->
+    # (frames, bit errors, frame errors, iterations) summed over the blocks,
+    # block k drawing its frames from seed SeedSequence((20250808, k))
+    @pytest.mark.parametrize("snr_db,blocks,algorithm,want", [
+        (2.2, 8, "layered-nms", (256, 0, 0, 1305)),
+        (1.5, 4, "layered-nms", (128, 2555, 39, 1123)),
+        (1.5, 4, "flooding-spa", (128, 4196, 115, 1274)),
+    ], ids=["ber-converging", "ber-waterfall-2t-nms", "ber-waterfall-2t-spa"])
+    def test_benchmark_block_counts(self, snr_db, blocks, algorithm, want):
+        h = load_code("wimax_2304_1152")
+        layout = CodeLayout.build(h)
+        params = DecodeParams(alpha=1.15, it_max=10, fmt=QFormat(8, 1))
+        got = np.zeros(4, dtype=np.int64)
+        for k in range(blocks):
+            seed = int(np.random.SeedSequence((20250808, k)).generate_state(1)[0])
+            pt = run_ber(h, params, [snr_db], StopRule(10**9, 32), seed=seed,
+                         algorithm=algorithm, layout=layout)[0]
+            got += (pt.frames, pt.bit_errors, pt.frame_errors, round(pt.avg_iterations * pt.frames))
+        assert tuple(got.tolist()) == want
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.inf, math.nan, 1e308])
+    def test_snr_without_finite_positive_sigma_rejected(self, snr_db):
+        h = load_code("wimax_576_288")
+        with pytest.raises(ValueError, match="noise sigma"):
+            run_ber(h, DecodeParams(it_max=2), [snr_db], StopRule(1, 1))
 
     def test_threads_below_one_rejected(self):
         h = load_code("wimax_576_288")

@@ -180,6 +180,17 @@ class TestBerAndThroughput:
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "ber.csv").exists()
 
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_ber_rejects_snr_without_noise_sigma(self, snr, tmp_path, capsys):
+        # 10^(snr/10) overflows or underflows: this used to exit 1 with a traceback
+        rc = run([
+            "ber", "--code", "wimax_576_288", f"--snr={snr}", "--max-frames", "1",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "noise sigma" in capsys.readouterr().err
+        assert not (tmp_path / "ber.csv").exists()
+
     def test_throughput_formula(self, capsys):
         rc = run(["throughput", "--k-i", "843", "--f-clk", "300e6",
                   "--itmax", "10", "--block-length", "2304"])

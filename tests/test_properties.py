@@ -169,6 +169,23 @@ def reference_layout(h):
     return idx, mask
 
 
+def reference_layer_maps(h):
+    """Each layer's (idx, pad) as LayerMap holds them, filled row by row: W
+    is the layer's widest row but at least 2, and a row's slots from its
+    degree on are padded and point at the spare variable N."""
+    maps = []
+    for layer in h.layers:
+        rows = [h.rows[m] for m in sorted(layer)]
+        width = max(2, max((len(row) for row in rows), default=0))
+        idx = np.full((width, len(rows)), h.n_cols, dtype=np.intp)
+        pad = np.zeros((width, len(rows)), dtype=bool)
+        for i, row in enumerate(rows):
+            idx[:len(row), i] = row
+            pad[len(row):, i] = True
+        maps.append((idx, pad))
+    return maps
+
+
 def validate_error(validate, h):
     try:
         validate(h)
@@ -194,6 +211,15 @@ def assert_matches_references(h):
     idx, mask = reference_layout(h)
     assert layout.n_d == idx.shape[1]
     assert_same_arrays([layout.idx, layout.mask], [idx, mask])
+    start = 0
+    for lm, (lidx, pad) in zip(layout.layer_maps, reference_layer_maps(h), strict=True):
+        assert_same_arrays([lm.idx], [lidx])
+        if pad.any():
+            assert lm.pad.shape == (*pad.shape, 1) and np.array_equal(lm.pad[:, :, 0], pad)
+        else:
+            assert lm.pad is None
+        assert lm.span == slice(start, start + lidx.shape[1])
+        start = lm.span.stop
     # the rest of the layout derives from idx, mask and the layers: a layout
     # built from copied rows and layers must equal it array for array
     copy = ParityCheckMatrix(h.n_cols, h.n_rows, [r.copy() for r in h.rows],
@@ -264,6 +290,9 @@ def test_bundled_codes_match_references(name):
         assert_same_arrays(h.rows, rows)
         assert_same_arrays(h.layers, layers)
     assert_matches_references(h)
+    if name in ("wimax_2304_1152", "wimax_576_288"):
+        # every layer's rows are equally wide, so no slot is padded
+        assert all(lm.pad is None for lm in CodeLayout.build(h).layer_maps)
 
 
 @st.composite
@@ -478,21 +507,42 @@ def test_quantize_matches_floor_ceil_reference(case):
     assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
+# int16 stores (up to 14 bits) and int32 stores, each at two widths
+GOLDEN_FORMATS = (QFormat(6, 0), QFormat(8, 1), QFormat(16, 4), QFormat(24, 2))
+
+
 @st.composite
 def decode_cases(draw):
+    """Random codes, 1-40 frames (so the syndrome spans several 8-frame
+    words and converged frames get compacted out), every format and both
+    stop rules."""
     n = draw(st.integers(2, 60))
     m = draw(st.integers(1, 20))
     row_degree = draw(st.integers(1, n))
     assume(m * row_degree >= n)
     h = random_code(n, m, row_degree, seed=draw(SEEDS))
-    n_frames = draw(st.integers(1, 8))
+    n_frames = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(SEEDS))
-    llrs = rng.normal(draw(st.floats(0.0, 6.0)), draw(st.floats(0.5, 6.0)), size=(n_frames, n))
-    params = DecodeParams(it_max=draw(st.integers(1, 8)), early_stop=draw(st.booleans()))
+    # a mean per frame, so the frames converge at different iterations
+    mean = rng.uniform(0.0, draw(st.floats(0.0, 8.0)), size=(n_frames, 1))
+    llrs = rng.normal(mean, draw(st.floats(0.5, 6.0)), size=(n_frames, n))
+    params = DecodeParams(it_max=draw(st.integers(1, 8)), fmt=draw(st.sampled_from(GOLDEN_FORMATS)),
+                          early_stop=draw(st.booleans()))
     return h, llrs, params
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=SLOW_DRAWS)
+def spread_frames(seed, n_frames, n):
+    rng = np.random.default_rng(seed)
+    return rng.normal(rng.uniform(0.0, 6.0, size=(n_frames, 1)), 2.0, size=(n_frames, n))
+
+
+# 33 frames converging at 1 to 5 iterations or not at all: the sweep
+# compacts twice, over an int16 and over an int32 store
+@example((random_code(48, 24, 6, seed=1), spread_frames(4, 33, 48),
+          DecodeParams(it_max=8, fmt=QFormat(8, 1))))
+@example((random_code(48, 24, 6, seed=1), spread_frames(4, 33, 48),
+          DecodeParams(it_max=8, fmt=QFormat(16, 4))))
+@settings(max_examples=20, deadline=None, suppress_health_check=SLOW_DRAWS)
 @given(decode_cases())
 def test_batched_decoders_match_goldens(case):
     h, llrs, params = case
@@ -505,9 +555,6 @@ def test_batched_decoders_match_goldens(case):
             assert res.iterations_run == gold.iterations_run
             assert res.converged == gold.converged
             assert np.array_equal(res.final_llrs.view(np.uint8), gold.final_llrs.view(np.uint8))
-
-
-GOLDEN_FORMATS = (QFormat(6, 0), QFormat(8, 1), QFormat(16, 4), QFormat(24, 2))
 
 
 @st.composite
