@@ -80,17 +80,21 @@ class BerPoint:
 def noise_sigma(rate: float, snr_db: float) -> float:
     """Noise standard deviation at Eb/N0 = snr_db dB.
 
-    Raises ValueError unless it is finite and positive: a NaN or infinite
-    snr_db, or one whose 10^(snr_db / 10) overflows or underflows, has none.
+    Raises ValueError unless it is finite and positive and the LLR scale
+    2 / sigma^2 is finite: a NaN or infinite snr_db, one whose
+    10^(snr_db / 10) overflows or underflows, or one from about 3080 dB up,
+    where 2 / sigma^2 overflows, has none.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"code rate must be in (0, 1), got {rate}")
     try:
         sigma = float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0))))
+        llr_scale = 2.0 / (sigma * sigma)
     except (OverflowError, ZeroDivisionError):
-        sigma = math.nan
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"Eb/N0 of {snr_db} dB has no finite positive noise sigma")
+        sigma = llr_scale = math.nan
+    if not (math.isfinite(sigma) and sigma > 0.0 and math.isfinite(llr_scale)):
+        raise ValueError(f"Eb/N0 of {snr_db} dB has no finite positive noise sigma "
+                         "with a finite LLR scale")
     return sigma
 
 
@@ -121,6 +125,10 @@ def run_ber(
     Frames are decoded until min_bit_errors bit errors are seen or
     max_frames is reached, whichever first (checked between fixed blocks).
     threads must be >= 1 and has no effect on the counts or the speed.
+    Each block's channel LLRs, and the layered NMS decoder's large buffers,
+    are reused scratch of the layout (CodeLayout.scratch), one set per
+    thread for the layout's lifetime: pass the same layout to repeated calls
+    to keep them.
     """
     if isinstance(stop, dict):
         stop = StopRule(**stop)
@@ -132,7 +140,7 @@ def run_ber(
         layout = CodeLayout.build(h)
     rate = 1.0 - h.n_rows / h.n_cols
     n = h.n_cols
-    llrs = np.empty((min(_BLOCK, stop.max_frames), n))
+    llrs = layout.scratch("channel", (min(_BLOCK, stop.max_frames), n), np.float64)
 
     points = []
     for snr_db in snr_list:

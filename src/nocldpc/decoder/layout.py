@@ -2,12 +2,15 @@
 
 Decoding touches the same adjacency thousands of times per BER point, so the
 padded gather/scatter indices are built once per code and reused across
-frames.
+frames, and so are the large block buffers of the layered decoder (see
+CodeLayout.scratch).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +39,18 @@ class LayerMap:
 
 @dataclass
 class CodeLayout:
+    """Index arrays of one code, plus per-thread scratch buffers.
+
+    The scratch holds the large per-call buffers of the layered-NMS block
+    path, reused from one call to the next so that a run of blocks does not
+    map fresh pages for each: run_ber's (F, N) channel block, the frames-last
+    code store and its frame-chunked quantization, the (W, rows, F)
+    extrinsic store, the frames' final codes and the batched syndrome's
+    gather.  Each thread has its own buffers, so threads may decode on one
+    layout at once, and they live as long as the layout.  Decode results
+    own their arrays: none aliases the scratch.
+    """
+
     h: ParityCheckMatrix
     n_d: int
     idx: np.ndarray  # (M, N_d) variable index per (row, position), 0-padded
@@ -44,6 +59,8 @@ class CodeLayout:
     layer_maps: list[LayerMap]  # batched-decoder maps, one per layer
     check_idx: np.ndarray  # (W, M) variable per slot, padded slots at row N
     var_edges: np.ndarray  # (d_v, N) flat slot of each column's edges, see build
+    _scratch: threading.local = field(default_factory=threading.local, init=False, repr=False,
+                                      compare=False)
 
     @classmethod
     def build(cls, h: ParityCheckMatrix) -> "CodeLayout":
@@ -87,6 +104,21 @@ class CodeLayout:
         return cls(h=h, n_d=n_d, idx=idx, mask=mask, layer_rows=layer_rows,
                    layer_maps=layer_maps, check_idx=check_idx, var_edges=var_edges)
 
+    def scratch(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """This thread's buffer called name, as a C-contiguous array of shape
+        and dtype with undefined contents.
+
+        The buffer only grows, so the array is valid until the next request
+        for the same name on this thread; callers that nest must use
+        different names.
+        """
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = getattr(self._scratch, name, None)
+        if buf is None or len(buf) < nbytes:
+            buf = np.empty(nbytes, dtype=np.uint8)
+            setattr(self._scratch, name, buf)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
     def syndrome_ok(self, bits: np.ndarray) -> bool:
         """True iff every row's parity over its variables is zero."""
         par = (bits[self.idx].astype(np.int32) & self.mask).sum(axis=1) & 1
@@ -98,14 +130,20 @@ class CodeLayout:
         lq is (N + 1, F) LLR codes whose row N, the pad slot, is ignored;
         returns an (F,) bool array, True where every parity check holds.
         Each check XORs eight frames at a time: the frames' one-byte hard
-        decisions, zero-padded to a multiple of eight, are read as uint64
-        words, and a byte of the XOR is the parity of its frame.
+        decisions, padded to a multiple of eight, are read as uint64 words,
+        and a byte of the XOR is the parity of its frame.  Bytes never mix,
+        so the padding bytes, left as they were, only fill lanes that are
+        cut off at the end.
         """
         n_frames = lq.shape[1]
-        bits = np.zeros((len(lq), -(-n_frames // 8) * 8), dtype=bool)
+        words = -(-n_frames // 8)
+        bits = self.scratch("syndrome_bits", (len(lq), words * 8), bool)
         np.less(lq, 0, out=bits[:, :n_frames])
         bits[-1] = False
-        par = np.bitwise_xor.reduce(np.take(bits.view(np.uint64), self.check_idx, axis=0), axis=0)
+        gathered = self.scratch("syndrome_gather", (*self.check_idx.shape, words), np.uint64)
+        # mode="clip" takes the valid indices unbuffered; "raise" would copy via a temporary
+        np.take(bits.view(np.uint64), self.check_idx, axis=0, out=gathered, mode="clip")
+        par = np.bitwise_xor.reduce(gathered, axis=0)
         # or over the checks; the transposed copy makes it one pass per word
         failed = np.bitwise_or.reduce(np.ascontiguousarray(par.T), axis=1)
         return ~failed.view(bool)[:n_frames]

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fixedpoint import QFormat, quantize, reciprocal_scale_table
+from ..fixedpoint import QFormat, quantize, reciprocal_scale_table, round_codes
 from ..codes.matrix import ParityCheckMatrix
 from .layout import CodeLayout
 
@@ -181,13 +181,11 @@ def _two_smallest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m1, m2
 
 
-def _code_store(n_rows: int, n_frames: int, fmt: QFormat) -> np.ndarray:
-    """Zeroed frames-last code store for _layered_sweep.
-
-    Codes are int16 up to 14-bit formats, where every intermediate sum of
-    two saturated codes still fits, and int32 above.
+def _store_dtype(fmt: QFormat) -> type:
+    """Code type of a _layered_sweep store: int16 up to 14-bit formats, where
+    every intermediate sum of two saturated codes still fits, and int32 above.
     """
-    return np.zeros((n_rows, n_frames), dtype=np.int16 if fmt.n_bits <= 14 else np.int32)
+    return np.int16 if fmt.n_bits <= 14 else np.int32
 
 
 def _layered_sweep(
@@ -199,7 +197,7 @@ def _layered_sweep(
 ) -> list[DecodeResult]:
     """Layered normalized min-sum over a frames-last code store.
 
-    store is (S, F) codes from _code_store whose last row is the spare slot
+    store is (S, F) codes of _store_dtype whose last row is the spare slot
     that padded positions read and write; the sweep overwrites it.  maps
     holds one (gather, scatter) pair per layer of layout, each shaped like
     its LayerMap.idx: the code in slot k of the layer's row i is read from
@@ -207,7 +205,9 @@ def _layered_sweep(
     home, when given, is the (N + 1,) store row of each variable's current
     code followed by the spare row; without it, store rows 0..N-1 are the
     variables themselves.  The extrinsics are (W, rows, F) with each layer a
-    contiguous block of rows, of which a layer uses its own W slots.
+    contiguous block of rows, of which a layer uses its own W slots; they and
+    the frames' final codes live in the layout's scratch, and each result
+    gets a copy of its own.
     Each frame's result is taken at the first iteration whose syndrome it
     satisfies; the batch runs until every frame has converged or it_max is
     reached.  Once the frames still decoding fall to three quarters of the
@@ -218,7 +218,7 @@ def _layered_sweep(
     fmt = params.fmt
     sign_shift = store.dtype.itemsize * 8 - 1
     n, n_frames = layout.h.n_cols, store.shape[1]
-    lut = reciprocal_scale_table(params.alpha, fmt).astype(store.dtype)
+    lut = reciprocal_scale_table(params.alpha, fmt).astype(store.dtype, copy=False)
     # bounds of the store's own type: np.clip with Python ints looks up the
     # dtype's limits on every call, which dominates at a few frames
     lo, hi = store.dtype.type(fmt.min_code), store.dtype.type(fmt.max_code)
@@ -228,12 +228,13 @@ def _layered_sweep(
     pad_floor = [None if lm.pad is None else np.where(lm.pad, len(lut) - 1, lo).astype(store.dtype)
                  for lm in layout.layer_maps]
     r_rows = sum(len(rows) for rows in layout.layer_rows)
-    r = np.zeros((layout.check_idx.shape[0], r_rows, n_frames), dtype=store.dtype)
+    r = layout.scratch("extrinsics", (layout.check_idx.shape[0], r_rows, n_frames), store.dtype)
+    r.fill(0)
 
     def variables():
         return store if home is None else np.take(store, home, axis=0)
 
-    final = np.empty((n_frames, n), dtype=np.int32)
+    final = layout.scratch("final", (n_frames, n), np.int32)
     iterations = np.full(n_frames, params.it_max)
     converged = np.zeros(n_frames, dtype=bool)
     frame = np.arange(n_frames)  # the frame id of each column
@@ -288,7 +289,7 @@ def _layered_sweep(
             hard_bits=hard_decision(final[f]),
             iterations_run=int(iterations[f]),
             converged=bool(converged[f]),
-            final_llrs=final[f],
+            final_llrs=final[f].copy(),
             fmt=fmt,
         )
         for f in range(n_frames)
@@ -307,6 +308,9 @@ def _front(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
+_QUANTIZE_VALUES = 1 << 13  # LLRs per quantization chunk: 64 KiB of float64
+
+
 def decode_layered_nms_batch(
     h: ParityCheckMatrix,
     channel_llrs,
@@ -318,13 +322,24 @@ def decode_layered_nms_batch(
     channel_llrs is (F, N).  Result f equals decode_layered_nms on row f in
     bits, iterations_run, converged and final_llrs.  The variable codes are
     an (N + 1, F) store, row N being the spare slot, and every layer gathers
-    and scatters through the variable index of its LayerMap.
+    and scatters through the variable index of its LayerMap.  The store, the
+    quantization's frame chunks and the sweep's extrinsics are scratch of
+    layout (CodeLayout.scratch), reused by later calls on the same thread;
+    the results own their arrays.
     """
     llrs = np.asarray(channel_llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != h.n_cols:
         raise ValueError(f"expected (frames, {h.n_cols}) channel LLRs, got {llrs.shape}")
     if layout is None:
         layout = CodeLayout.build(h)
-    store = _code_store(h.n_cols + 1, len(llrs), params.fmt)
-    store[:-1] = quantize(llrs, params.fmt).T
+    n, n_frames = h.n_cols, len(llrs)
+    store = layout.scratch("store", (n + 1, n_frames), _store_dtype(params.fmt))
+    store[n] = 0
+    # quantize a few frames at a time, so no (F, N) temporary is made
+    step = max(1, _QUANTIZE_VALUES // n)
+    chunk = layout.scratch("quantize", (min(step, n_frames), n), np.float64)
+    for f0 in range(0, n_frames, step):
+        part = chunk[:min(step, n_frames - f0)]
+        part[...] = llrs[f0:f0 + len(part)]
+        store[:n, f0:f0 + len(part)] = round_codes(part, params.fmt).T
     return _layered_sweep(layout, params, store, [(lm.idx, lm.idx) for lm in layout.layer_maps])

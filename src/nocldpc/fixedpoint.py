@@ -9,6 +9,7 @@ those bounds and never wraps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,18 @@ def quantize(x, fmt: QFormat) -> np.ndarray:
     saturates too.  Accepts a scalar or array; always returns int32 codes.
     Raises ValueError on NaN, which has no code.
     """
-    # one float64 buffer, updated in place: +-0.5 toward the sign, then
-    # truncation, is floor(s + 0.5) for s >= 0 and ceil(s - 0.5) below
-    scaled = np.array(x, dtype=np.float64)
+    codes = round_codes(np.array(x, dtype=np.float64), fmt).astype(np.int32)
+    return codes[()]  # a scalar for a scalar input
+
+
+def round_codes(scaled: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """quantize's rounding, in place: real LLRs in the float64 array scaled
+    become its integer-valued codes; returns scaled.
+
+    Raises ValueError on NaN.
+    """
+    # +-0.5 toward the sign, then truncation, is floor(s + 0.5) for s >= 0
+    # and ceil(s - 0.5) below
     scaled *= 1 << fmt.frac_bits
     scaled += np.copysign(0.5, scaled)
     np.trunc(scaled, out=scaled)
@@ -67,9 +77,10 @@ def quantize(x, fmt: QFormat) -> np.ndarray:
     # clipped values are small and finite, so only a NaN makes the sum NaN
     if np.isnan(scaled.sum()):
         raise ValueError("cannot quantize NaN")
-    return scaled.astype(np.int32)[()]  # a scalar for a scalar input
+    return scaled
 
 
+@functools.lru_cache(maxsize=16)
 def reciprocal_scale_table(alpha: float, fmt: QFormat) -> np.ndarray:
     """Magnitude lookup table realizing division by the normalization factor.
 
@@ -77,10 +88,12 @@ def reciprocal_scale_table(alpha: float, fmt: QFormat) -> np.ndarray:
     precision followed by re-quantization to the working format.  Index i of
     the table holds the scaled magnitude code for input magnitude code i;
     indices run up to |min_code| because the most negative code has the
-    largest magnitude.
+    largest magnitude.  Tables are built once per (alpha, fmt), the last few
+    kept, and returned read-only because every caller shares them.
     """
     if alpha < 1.0:
         raise ValueError(f"normalization factor must be >= 1, got {alpha}")
     mags = np.arange(-fmt.min_code + 1, dtype=np.float64)
-    return np.floor(mags * (1.0 / alpha) + 0.5).astype(np.int32)
-
+    table = np.floor(mags * (1.0 / alpha) + 0.5).astype(np.int32)
+    table.setflags(write=False)
+    return table

@@ -34,7 +34,7 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix
 from ..configgen.image import ConfigImage, fill_free_slots, unpack_rm_word
 from ..decoder.layout import CodeLayout
-from ..decoder.nms import DecodeParams, DecodeResult, _code_store, _layered_sweep
+from ..decoder.nms import DecodeParams, DecodeResult, _layered_sweep, _store_dtype
 from ..fixedpoint import quantize
 from ..mapper import Mapping
 from .engine import HOP_CYCLES, LOCAL, CycleEngine
@@ -238,6 +238,6 @@ def replay_decode(
     if len(llrs) != h.n_cols:
         raise ValueError(f"expected {h.n_cols} channel LLRs, got {len(llrs)}")
 
-    store = _code_store(wiring.home[-1] + 1, 1, params.fmt)
+    store = np.zeros((wiring.home[-1] + 1, 1), dtype=_store_dtype(params.fmt))
     store[wiring.home[:-1], 0] = quantize(llrs, params.fmt)
     return _layered_sweep(layout, params, store, wiring.maps, wiring.home)[0]

@@ -71,9 +71,11 @@ class TestAwgn:
         with pytest.raises(ValueError):
             noise_sigma(1.5, 2.0)
 
-    # NaN and +inf used to give NaN or zero sigma, and 1e308 / -1e308 /
-    # -inf an OverflowError or ZeroDivisionError
-    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 1e308, -1e308, 4000.0, -4000.0])
+    # NaN and +inf used to give NaN or zero sigma, 1e308 / -1e308 / -inf an
+    # OverflowError or ZeroDivisionError, and 3080 a sigma^2 so small that
+    # the LLRs 2 y / sigma^2 overflowed to inf
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 1e308, -1e308, 4000.0, -4000.0,
+                                        3080.0])
     def test_snr_without_finite_positive_sigma_rejected(self, snr_db):
         with pytest.raises(ValueError, match="noise sigma"):
             noise_sigma(0.5, snr_db)
@@ -147,7 +149,7 @@ class TestRunBer:
             got += (pt.frames, pt.bit_errors, pt.frame_errors, round(pt.avg_iterations * pt.frames))
         assert tuple(got.tolist()) == want
 
-    @pytest.mark.parametrize("snr_db", [-math.inf, math.inf, math.nan, 1e308])
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.inf, math.nan, 1e308, 3080.0])
     def test_snr_without_finite_positive_sigma_rejected(self, snr_db):
         h = load_code("wimax_576_288")
         with pytest.raises(ValueError, match="noise sigma"):

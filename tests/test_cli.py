@@ -180,9 +180,10 @@ class TestBerAndThroughput:
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "ber.csv").exists()
 
-    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "3080"])
     def test_ber_rejects_snr_without_noise_sigma(self, snr, tmp_path, capsys):
-        # 10^(snr/10) overflows or underflows: this used to exit 1 with a traceback
+        # 10^(snr/10) overflows or underflows, or 2 / sigma^2 does: these used
+        # to exit 1 with a traceback, or decode inf LLRs
         rc = run([
             "ber", "--code", "wimax_576_288", f"--snr={snr}", "--max-frames", "1",
             "--out", str(tmp_path),

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from nocldpc.decoder import (
     decode_layered_nms_batch,
     syndrome_check,
 )
-from nocldpc.channel import awgn_llrs
+from nocldpc.channel import StopRule, awgn_llrs, run_ber
 from nocldpc.decoder.spa import psi
 from nocldpc.fixedpoint import QFormat, reciprocal_scale_table
 from reference import CheckState, check_node_update, layer_update
@@ -336,6 +339,87 @@ class TestBatchedDecode:
             decode_layered_nms_batch(TOY, np.zeros((2, 5)), DecodeParams())
 
 
+def awgn_block(h, snr_db, seed, n_frames):
+    rate = 1.0 - h.n_rows / h.n_cols
+    return np.stack([awgn_llrs(h.n_cols, rate, snr_db, seed=seed, frame=f) for f in range(n_frames)])
+
+
+class TestScratchReuse:
+    """The layered-NMS block path reuses per-thread buffers of its layout;
+    results must own their arrays and calls must not see each other."""
+
+    PARAMS = DecodeParams(alpha=1.15, it_max=10)
+
+    def test_earlier_results_survive_later_calls(self):
+        h = load_code("wimax_576_288")
+        layout = CodeLayout.build(h)
+        first = decode_layered_nms_batch(h, awgn_block(h, 1.5, 3, 32), self.PARAMS, layout)
+        kept = [(r.hard_bits.copy(), r.final_llrs.copy()) for r in first]
+        for seed, n_frames in ((4, 32), (5, 9)):
+            decode_layered_nms_batch(h, awgn_block(h, 1.0, seed, n_frames), self.PARAMS, layout)
+        for res, (bits, llrs) in zip(first, kept):
+            assert np.array_equal(res.hard_bits, bits) and np.array_equal(res.final_llrs, llrs)
+        assert not any(np.shares_memory(a.final_llrs, b.final_llrs) for a, b in zip(first, first[1:]))
+
+    def test_two_threads_on_one_layout_match_serial(self):
+        h = load_code("wimax_576_288")
+        layout = CodeLayout.build(h)
+        blocks = [awgn_block(h, 1.5, seed, 32) for seed in (6, 7)]
+        serial = [decode_layered_nms_batch(h, b, self.PARAMS, layout) for b in blocks]
+        failures, start = [], threading.Barrier(2)
+
+        def work(block, want):
+            start.wait(timeout=30)
+            for _ in range(4):
+                for got, res in zip(decode_layered_nms_batch(h, block, self.PARAMS, layout), want):
+                    if not (np.array_equal(got.final_llrs, res.final_llrs)
+                            and got.iterations_run == res.iterations_run):
+                        failures.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the sweeps
+        try:
+            threads = [threading.Thread(target=work, args=pair) for pair in zip(blocks, serial)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+
+    def test_changing_frame_counts_match_golden(self):
+        # the buffers grow to 32 frames, then serve 7, 32 and 1 from the same memory
+        h = load_code("wimax_576_288")
+        layout = CodeLayout.build(h)
+        for seed, n_frames in enumerate((32, 7, 32, 1)):
+            llrs = awgn_block(h, 1.8, seed, n_frames)
+            batch = decode_layered_nms_batch(h, llrs, self.PARAMS, layout)
+            assert len(batch) == n_frames
+            for row, res in zip(llrs, batch):
+                assert_same_decode(decode_layered_nms(h, row, self.PARAMS, layout), res)
+
+    def test_repeated_ber_block_allocates_little(self):
+        # a fresh (F, N) channel block, code store and extrinsic store came to
+        # about 2 MiB per 32-frame block; reused, the block's own temporaries
+        # and its 32 results stay under 1 MiB
+        h = load_code("wimax_2304_1152")
+        layout = CodeLayout.build(h)
+
+        def block(seed):
+            return run_ber(h, self.PARAMS, [2.2], StopRule(10**9, 32), seed=seed, layout=layout)
+
+        block(1)
+        tracemalloc.start()
+        try:
+            block(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+
 def assert_same_bits(gold, batch):
     """assert_same_decode, with final LLRs equal down to the sign of zeros."""
     assert_same_decode(gold, batch)
@@ -418,6 +502,26 @@ class TestSyndrome:
         bits = np.zeros(6, dtype=np.uint8)
         bits[0] = 1
         assert not syndrome_check(TOY, bits)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    def test_batch_matches_per_frame(self, dtype):
+        # rows of degree 1 to 4, so padded slots read the spare row N; it
+        # holds a negative value that must not count.  Frame counts go up
+        # and back down on one layout, whose syndrome buffers are reused.
+        h = make_h([[0, 1, 3], [1, 2], [0, 2, 4, 5], [3]], 6)
+        layout = CodeLayout.build(h)
+        rng = np.random.default_rng(19)
+        for n_frames in (1, 7, 8, 9, 33, 9, 8, 7, 1):
+            bits = rng.integers(0, 2, size=(n_frames, 6)).astype(np.uint8)
+            bits[::3] = 0  # every third frame is the all-zero codeword
+            bits[1::3, 3] = 0  # and the row-3 check of the others holds
+            mag = rng.integers(0, 5, size=bits.shape)
+            lq = np.empty((7, n_frames), dtype=dtype)
+            lq[:6] = np.where(bits == 1, -1 - mag, mag).T
+            lq[6] = -3
+            want = [layout.syndrome_ok(b) for b in bits]
+            assert any(want) and (n_frames == 1 or not all(want))
+            assert layout.syndrome_ok_batch(lq).tolist() == want
 
     def test_against_dense_gf2_oracle(self):
         rng = np.random.default_rng(37)
