@@ -125,10 +125,11 @@ def run_ber(
     Frames are decoded until min_bit_errors bit errors are seen or
     max_frames is reached, whichever first (checked between fixed blocks).
     threads must be >= 1 and has no effect on the counts or the speed.
-    Each block's channel LLRs, and the layered NMS decoder's large buffers,
-    are reused scratch of the layout (CodeLayout.scratch), one set per
-    thread for the layout's lifetime: pass the same layout to repeated calls
-    to keep them.
+    Each block's channel LLRs, and the large buffers of either block
+    decoder, are reused scratch of the layout (CodeLayout.scratch), one set
+    per thread for the layout's lifetime, as is the flooding SPA decoder's
+    plan (CodeLayout.spa_plan): pass the same layout to repeated calls to
+    keep them.
     """
     if isinstance(stop, dict):
         stop = StopRule(**stop)

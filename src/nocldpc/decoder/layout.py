@@ -2,7 +2,7 @@
 
 Decoding touches the same adjacency thousands of times per BER point, so the
 padded gather/scatter indices are built once per code and reused across
-frames, and so are the large block buffers of the layered decoder (see
+frames, and so are the large block buffers of the block decoders (see
 CodeLayout.scratch).
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,18 +38,85 @@ class LayerMap:
     span: slice
 
 
+_CHECK_CHUNK = 128  # checks per chunk of the batched flooding check update
+_VAR_CHUNK = 256  # columns per chunk of the batched flooding variable update
+
+
+@dataclass(frozen=True)
+class SpaPlan:
+    """Gather maps of the batched flooding sum-product decoder.
+
+    The checks are grouped by degree d, ascending, and each group is cut in
+    equal chunks of at most _CHECK_CHUNK checks, in ascending row order.
+    ``checks`` holds one (idx, block) pair per chunk: idx is (d, k), entry
+    (s, i) being the variable in slot s of the chunk's check i, and block is
+    the chunk's d * k rows of the (E + 1)-row message store, slot-major, so
+    no slot is padded and each chunk's messages are one contiguous (d, k)
+    block.  The store's last row, E, is a zero spare.  Column j of
+    ``var_edges`` lists the store rows of variable j's edges by ascending
+    check, padded with the spare.  ``columns`` cuts var_edges in chunks of
+    _VAR_CHUNK columns, each with the rows of var_edges that hold an edge
+    of one of its columns (at least one).  ``width`` is the code-wide row
+    width N_d over which the golden sums each row.
+    """
+
+    width: int
+    checks: tuple[tuple[np.ndarray, slice], ...]
+    var_edges: np.ndarray
+    columns: tuple[tuple[slice, tuple[np.ndarray, ...]], ...]
+
+    @classmethod
+    def build(cls, layout: "CodeLayout") -> "SpaPlan":
+        n = layout.h.n_cols
+        deg = layout.mask.sum(axis=1)
+        checks, check = [], []  # check holds the check of each store row
+        start = 0
+        for d in np.unique(deg[deg > 0]).tolist():
+            rows = np.flatnonzero(deg == d)
+            size = -(-len(rows) // -(-len(rows) // _CHECK_CHUNK))
+            for r0 in range(0, len(rows), size):
+                chunk = rows[r0:r0 + size]
+                idx = np.ascontiguousarray(layout.idx[chunk, :d].T, dtype=np.intp)
+                checks.append((idx, slice(start, start + idx.size)))
+                check.append(np.broadcast_to(chunk, idx.shape).ravel())
+                start += idx.size
+        # deal the store rows, sorted by (variable, check), down their columns
+        col = np.concatenate([idx.ravel() for idx, _ in checks])
+        order = np.lexsort((np.concatenate(check), col))
+        col = col[order]
+        col_deg = np.bincount(col, minlength=n)
+        depth = np.arange(len(col)) - (np.cumsum(col_deg) - col_deg)[col]
+        var_edges = np.full((int(col_deg.max()), n), start, dtype=np.intp)
+        var_edges[depth, col] = order
+        columns = []
+        for c0 in range(0, n, _VAR_CHUNK):
+            cs = slice(c0, min(c0 + _VAR_CHUNK, n))
+            rows = max(int(col_deg[cs].max()), 1)
+            columns.append((cs, tuple(var_edges[:rows, cs])))
+        return cls(width=layout.n_d, checks=tuple(checks), var_edges=var_edges,
+                   columns=tuple(columns))
+
+    @property
+    def n_edges(self) -> int:
+        """E, the store row of the zero spare."""
+        return self.checks[-1][1].stop
+
+
 @dataclass
 class CodeLayout:
     """Index arrays of one code, plus per-thread scratch buffers.
 
-    The scratch holds the large per-call buffers of the layered-NMS block
-    path, reused from one call to the next so that a run of blocks does not
-    map fresh pages for each: run_ber's (F, N) channel block, the frames-last
-    code store and its frame-chunked quantization, the (W, rows, F)
-    extrinsic store, the frames' final codes and the batched syndrome's
-    gather.  Each thread has its own buffers, so threads may decode on one
-    layout at once, and they live as long as the layout.  Decode results
-    own their arrays: none aliases the scratch.
+    The scratch holds the large per-call buffers of both block decoders,
+    reused from one call to the next so that a run of blocks does not map
+    fresh pages for each: run_ber's (F, N) channel block; for layered NMS
+    the frames-last code store and its frame-chunked quantization, the
+    (W, rows, F) extrinsic store and the frames' final codes; for flooding
+    SPA the variable totals, the message store, the per-chunk check buffers
+    and the column gather; and the batched syndrome's gather.
+    Each thread has its own buffers, so threads may decode on one layout at
+    once, and they live as long as the layout.  Decode results own their
+    arrays: none aliases the scratch.  The SPA decoder's gather maps
+    (spa_plan) are built on first use, since only that decoder reads them.
     """
 
     h: ParityCheckMatrix
@@ -58,7 +126,6 @@ class CodeLayout:
     layer_rows: list[np.ndarray]  # rows of each layer, ascending
     layer_maps: list[LayerMap]  # batched-decoder maps, one per layer
     check_idx: np.ndarray  # (W, M) variable per slot, padded slots at row N
-    var_edges: np.ndarray  # (d_v, N) flat slot of each column's edges, see build
     _scratch: threading.local = field(default_factory=threading.local, init=False, repr=False,
                                       compare=False)
 
@@ -88,21 +155,13 @@ class CodeLayout:
             span = slice(start, start + len(rows))
             layer_maps.append(LayerMap(lidx, pad[:, :, None] if pad.any() else None, span))
             start = span.stop
-
-        # column j of var_edges lists the (slot k, check r) edges of variable
-        # j as flat indices k * M + r into a (W * M + 1)-row store, by
-        # ascending check; columns of lower degree are padded with the spare
-        # last row
-        slot, check = np.nonzero(check_idx != h.n_cols)
-        col = check_idx[slot, check]
-        order = np.lexsort((check, col))
-        col = col[order]
-        deg = np.bincount(col, minlength=h.n_cols)
-        depth = np.arange(len(col)) - (np.cumsum(deg) - deg)[col]
-        var_edges = np.full((int(deg.max()), h.n_cols), w * m, dtype=np.intp)
-        var_edges[depth, col] = (slot * m + check)[order]
         return cls(h=h, n_d=n_d, idx=idx, mask=mask, layer_rows=layer_rows,
-                   layer_maps=layer_maps, check_idx=check_idx, var_edges=var_edges)
+                   layer_maps=layer_maps, check_idx=check_idx)
+
+    @cached_property
+    def spa_plan(self) -> SpaPlan:
+        """The flooding SPA decoder's gather maps, built on first use."""
+        return SpaPlan.build(self)
 
     def scratch(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """This thread's buffer called name, as a C-contiguous array of shape

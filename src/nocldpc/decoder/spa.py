@@ -10,14 +10,14 @@ arithmetic on many frames at once and equals it bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
-from .layout import CodeLayout
+from .layout import _VAR_CHUNK, CodeLayout
 from .nms import DecodeParams, DecodeResult, hard_decision
 
-_CHECK_CHUNK = 128  # checks per chunk of the batched check update
-_VAR_CHUNK = 256  # columns per chunk of the batched variable update
 PSI_EPS = 1e-12  # input magnitude floor of psi
 
 
@@ -100,16 +100,19 @@ def _sum_scratch(n: int) -> int:
     return max(_sum_scratch(half), 1 + _sum_scratch(n - half))
 
 
-def _slot_sum(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = x.sum(axis=0), adding in the order np.add.reduce sums a contiguous row.
+def _slot_sum(x: np.ndarray, out: np.ndarray, scratch: np.ndarray, n: int) -> None:
+    """out = x.sum(axis=0), adding in the order np.add.reduce sums a contiguous
+    row of n elements whose elements len(x)..n-1 are zeros.
 
     NumPy adds fewer than 8 elements in sequence.  From 8 to 128 it keeps 8
     accumulators, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
     adds the rest in sequence; above 128 it halves at a multiple of 8.  Doing
-    the same per slot plane makes these sums equal the golden's row sums over
-    its contiguous (M, N_d) rows, up to the sign of a zero sum.
+    the same per slot plane, and skipping each addition of an absent plane
+    (adding zero leaves a sum as it is, up to the sign of a zero), makes
+    these sums equal the golden's row sums over its zero-padded (M, n) rows,
+    up to the sign of a zero sum.
     """
-    n = len(x)
+    d = len(x)
     if n < 8:
         np.copyto(out, x[0])
         for plane in x[1:]:
@@ -117,22 +120,26 @@ def _slot_sum(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         return
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        _slot_sum(x[:half], out, scratch)
-        _slot_sum(x[half:], scratch[0], scratch[1:])
+        if d <= half:
+            _slot_sum(x, out, scratch, half)
+            return
+        _slot_sum(x[:half], out, scratch, half)
+        _slot_sum(x[half:], scratch[0], scratch[1:], n - half)
         out += scratch[0]
         return
-    full = n - n % 8
-    acc = scratch[:8]
-    np.copyto(acc, x[:8])
+    full = min(n - n % 8, d)
+    live = min(d, 8)  # accumulators that hold a plane
+    acc = scratch[:live]
+    np.copyto(acc, x[:live])
     for i in range(8, full, 8):
-        acc += x[i:i + 8]
-    acc[0] += acc[1]
-    acc[2] += acc[3]
-    acc[0] += acc[2]
-    acc[4] += acc[5]
-    acc[6] += acc[7]
-    acc[4] += acc[6]
-    np.add(acc[0], acc[4], out=out)
+        acc[:full - i] += x[i:min(i + 8, full)]
+    for step in (1, 2):  # (r0+r1)+(r2+r3) and (r4+r5)+(r6+r7), absent r's left out
+        for a in range(0, live - step, 2 * step):
+            acc[a] += acc[a + step]
+    if live > 4:
+        np.add(acc[0], acc[4], out=out)
+    else:
+        np.copyto(out, acc[0])
     for plane in x[full:]:
         out += plane
 
@@ -147,18 +154,21 @@ def decode_flooding_spa_batch(
 
     channel_llrs is (F, N).  Result f equals decode_flooding_spa on row f in
     bits, iterations_run, converged and final_llrs.  The state is frames
-    last: variable totals are (N + 1, F) and check-to-variable messages
-    (W, M, F) over the slots of CodeLayout.check_idx.  Row N of the totals,
-    which padded slots read, holds +inf: ln(tanh(inf)) is exactly 0, so
-    padded slots add nothing to a row sum without a mask.  Row sums add
-    ln(tanh(.)) = -Psi, which is exact because IEEE addition is sign
-    symmetric, in the golden's order (_slot_sum).  Each column adds its
-    messages in ascending row order, the order of the golden's bincount,
-    through CodeLayout.var_edges.  Checks and columns are processed in
-    chunks through buffers allocated once, so the working set stays in
-    cache.  Each frame's result is taken at the first iteration whose
-    syndrome it satisfies; the batch runs until every frame has converged
-    or it_max is reached.
+    last: variable totals are (N + 1, F), whose row N no check reads and the
+    syndrome ignores, and check-to-variable messages are an (E + 1, F) store
+    laid out by CodeLayout.spa_plan: checks grouped by degree, each chunk of
+    checks a contiguous (d, k, F) block with no padded slot, and a zero last
+    row that columns of lower degree read.  Row sums add ln(tanh(.)) = -Psi,
+    which is exact because IEEE addition is sign symmetric, in the order of
+    the golden's sum over its N_d-wide rows (_slot_sum).  Each column adds
+    its messages in ascending row order, the order of the golden's
+    bincount, through the plan's var_edges.  Checks and columns are
+    processed in chunks so that the working set stays in cache; every
+    buffer is scratch of layout (CodeLayout.scratch), reused by later calls
+    on the same thread, and the results own their arrays.
+    Each frame's result is taken at the first iteration whose syndrome it
+    satisfies; the batch runs until every frame has converged or it_max is
+    reached.
     """
     llrs = np.asarray(channel_llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != h.n_cols:
@@ -166,63 +176,59 @@ def decode_flooding_spa_batch(
     _reject_nan(llrs)
     if layout is None:
         layout = CodeLayout.build(h)
+    plan = layout.spa_plan
     n, n_frames = h.n_cols, len(llrs)
-    w, m = layout.check_idx.shape
 
     chan = llrs.T  # a view: a frames-last copy would cost more memory than time
-    total = np.empty((n + 1, n_frames))
+    total = layout.scratch("spa_total", (n + 1, n_frames), np.float64)
     total[:n] = chan
-    total[n] = np.inf
-    store = np.zeros((w * m + 1, n_frames))  # last row: the zero that pads read
-    c2v = store[:-1].reshape(w, m, n_frames)
+    total[n] = 0.0
+    # the first iteration reads no message, so only the spare row is cleared
+    store = layout.scratch("spa_messages", (plan.n_edges + 1, n_frames), np.float64)
+    store[-1] = 0.0
 
-    # equal chunks of at most _CHECK_CHUNK checks; each chunk views the front
-    # of one flat buffer per quantity, so every view is contiguous
-    rows = -(-m // -(-m // _CHECK_CHUNK))
-    n_scratch = _sum_scratch(w)
-    size = w * rows * n_frames
-    v_buf, t_buf, neg_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    s_buf, par_buf = np.empty(rows * n_frames), np.empty(rows * n_frames, dtype=bool)
-    scratch_buf = np.empty(n_scratch * rows * n_frames)
+    # each chunk views the front of one flat buffer per quantity, so every
+    # view is contiguous
+    slots = max(idx.size for idx, _ in plan.checks)
+    rows = max(idx.shape[1] for idx, _ in plan.checks)
+    n_scratch = _sum_scratch(plan.width)
+    v_buf = layout.scratch("spa_v2c", (slots * n_frames,), np.float64)
+    t_buf = layout.scratch("spa_terms", (slots * n_frames,), np.float64)
+    neg_buf = layout.scratch("spa_negative", (slots * n_frames,), bool)
+    s_buf = layout.scratch("spa_row_sum", (rows * n_frames,), np.float64)
+    par_buf = layout.scratch("spa_parity", (rows * n_frames,), bool)
+    scratch_buf = layout.scratch("spa_sum_scratch", (n_scratch * rows * n_frames,), np.float64)
 
     def front(buf, *shape):
-        return buf[:int(np.prod(shape))].reshape(shape)
+        return buf[:math.prod(shape)].reshape(shape)
 
     checks = []
-    for r0 in range(0, m, rows):
-        rs = slice(r0, min(r0 + rows, m))
-        k = rs.stop - r0
+    for idx, block in plan.checks:
+        d, k = idx.shape
         checks.append((
-            rs, np.ascontiguousarray(layout.check_idx[:, rs]),
-            front(v_buf, w, k, n_frames), front(t_buf, w, k, n_frames),
-            front(neg_buf, w, k, n_frames), front(s_buf, k, n_frames),
+            idx, store[block].reshape(d, k, n_frames),
+            front(v_buf, d, k, n_frames), front(t_buf, d, k, n_frames),
+            front(neg_buf, d, k, n_frames), front(s_buf, k, n_frames),
             front(par_buf, k, n_frames), front(scratch_buf, n_scratch, k, n_frames),
         ))
-    pad = w * m
-    columns = []
-    for c0 in range(0, n, _VAR_CHUNK):
-        cs = slice(c0, min(c0 + _VAR_CHUNK, n))
-        edges = layout.var_edges[:, cs]
-        depth = max(int((edges != pad).any(axis=1).sum()), 1)
-        columns.append((cs, list(edges[:depth])))
-    gather = np.empty((_VAR_CHUNK, n_frames))
+    gather = layout.scratch("spa_gather", (_VAR_CHUNK, n_frames), np.float64)
 
-    final = np.empty((n_frames, n))
+    final = [None] * n_frames  # each frame's final LLRs, an array of its own
     iterations = np.full(n_frames, params.it_max)
     converged = np.zeros(n_frames, dtype=bool)
     done = np.zeros(n_frames, dtype=bool)  # result taken; the frame still rides along
     for it in range(1, params.it_max + 1):
-        for rs, idx, v, t, neg, s, par, scratch in checks:
-            out = c2v[:, rs]
+        for idx, out, v, t, neg, s, par, scratch in checks:
             np.take(total, idx, axis=0, out=v, mode="clip")
-            v -= out  # v2c
+            if it > 1:  # x - (+0.0) is x, so the first iteration skips it
+                v -= out  # v2c
             np.less(v, 0.0, out=neg)
             np.abs(v, out=t)
             np.maximum(t, PSI_EPS, out=t)
             t *= 0.5
             np.tanh(t, out=t)
             np.log(t, out=t)  # -Psi(v2c)
-            _slot_sum(t, s, scratch)
+            _slot_sum(t, s, scratch, plan.width)
             np.subtract(t, s, out=v)  # the golden's row_sum - a, never negative
             np.maximum(v, PSI_EPS, out=v)
             v *= 0.5
@@ -236,7 +242,7 @@ def decode_flooding_spa_batch(
             flip = t.view(np.int64)
             np.left_shift(neg, 63, out=flip)
             np.bitwise_xor(out.view(np.int64), flip, out=out.view(np.int64))
-        for cs, edges in columns:
+        for cs, edges in plan.columns:
             acc = total[cs]
             g = gather[:len(acc)]
             np.take(store, edges[0], axis=0, out=acc, mode="clip")
@@ -249,13 +255,15 @@ def decode_flooding_spa_batch(
             continue
         ok = layout.syndrome_ok_batch(total) & ~done
         if ok.any():
-            final[ok] = total[:n, ok].T
+            for f in np.flatnonzero(ok):
+                final[f] = total[:n, f].copy()
             iterations[ok] = it
             converged[ok] = True
             done |= ok
             if done.all():
                 break
-    final[~done] = total[:n, ~done].T
+    for f in np.flatnonzero(~done):
+        final[f] = total[:n, f].copy()
     if not params.early_stop:
         converged = layout.syndrome_ok_batch(total)
     return [

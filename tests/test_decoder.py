@@ -349,14 +349,17 @@ class TestScratchReuse:
     results must own their arrays and calls must not see each other."""
 
     PARAMS = DecodeParams(alpha=1.15, it_max=10)
+    ALGORITHM = "layered-nms"
+    batch = staticmethod(decode_layered_nms_batch)
+    golden = staticmethod(decode_layered_nms)
 
     def test_earlier_results_survive_later_calls(self):
         h = load_code("wimax_576_288")
         layout = CodeLayout.build(h)
-        first = decode_layered_nms_batch(h, awgn_block(h, 1.5, 3, 32), self.PARAMS, layout)
+        first = self.batch(h, awgn_block(h, 1.5, 3, 32), self.PARAMS, layout)
         kept = [(r.hard_bits.copy(), r.final_llrs.copy()) for r in first]
         for seed, n_frames in ((4, 32), (5, 9)):
-            decode_layered_nms_batch(h, awgn_block(h, 1.0, seed, n_frames), self.PARAMS, layout)
+            self.batch(h, awgn_block(h, 1.0, seed, n_frames), self.PARAMS, layout)
         for res, (bits, llrs) in zip(first, kept):
             assert np.array_equal(res.hard_bits, bits) and np.array_equal(res.final_llrs, llrs)
         assert not any(np.shares_memory(a.final_llrs, b.final_llrs) for a, b in zip(first, first[1:]))
@@ -365,13 +368,13 @@ class TestScratchReuse:
         h = load_code("wimax_576_288")
         layout = CodeLayout.build(h)
         blocks = [awgn_block(h, 1.5, seed, 32) for seed in (6, 7)]
-        serial = [decode_layered_nms_batch(h, b, self.PARAMS, layout) for b in blocks]
+        serial = [self.batch(h, b, self.PARAMS, layout) for b in blocks]
         failures, start = [], threading.Barrier(2)
 
         def work(block, want):
             start.wait(timeout=30)
             for _ in range(4):
-                for got, res in zip(decode_layered_nms_batch(h, block, self.PARAMS, layout), want):
+                for got, res in zip(self.batch(h, block, self.PARAMS, layout), want):
                     if not (np.array_equal(got.final_llrs, res.final_llrs)
                             and got.iterations_run == res.iterations_run):
                         failures.append(got)
@@ -395,20 +398,21 @@ class TestScratchReuse:
         layout = CodeLayout.build(h)
         for seed, n_frames in enumerate((32, 7, 32, 1)):
             llrs = awgn_block(h, 1.8, seed, n_frames)
-            batch = decode_layered_nms_batch(h, llrs, self.PARAMS, layout)
+            batch = self.batch(h, llrs, self.PARAMS, layout)
             assert len(batch) == n_frames
             for row, res in zip(llrs, batch):
-                assert_same_decode(decode_layered_nms(h, row, self.PARAMS, layout), res)
+                assert_same_decode(self.golden(h, row, self.PARAMS, layout), res)
 
     def test_repeated_ber_block_allocates_little(self):
-        # a fresh (F, N) channel block, code store and extrinsic store came to
-        # about 2 MiB per 32-frame block; reused, the block's own temporaries
-        # and its 32 results stay under 1 MiB
+        # fresh per-call buffers came to about 2 MiB per 32-frame block for
+        # layered NMS and 3.9 MiB for flooding SPA; reused, the block's own
+        # temporaries and its 32 results stay under 1 MiB
         h = load_code("wimax_2304_1152")
         layout = CodeLayout.build(h)
 
         def block(seed):
-            return run_ber(h, self.PARAMS, [2.2], StopRule(10**9, 32), seed=seed, layout=layout)
+            return run_ber(h, self.PARAMS, [2.2], StopRule(10**9, 32), seed=seed,
+                           algorithm=self.ALGORITHM, layout=layout)
 
         block(1)
         tracemalloc.start()
@@ -418,6 +422,32 @@ class TestScratchReuse:
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20
+
+
+class TestSpaScratchReuse(TestScratchReuse):
+    """The same contract for the flooding SPA block path, whose buffers share
+    the layout's scratch with layered NMS and run_ber's channel block."""
+
+    ALGORITHM = "flooding-spa"
+    batch = staticmethod(decode_flooding_spa_batch)
+    golden = staticmethod(decode_flooding_spa)
+
+    def test_alternating_blocks_match_goldens(self):
+        # ber-waterfall-2t's pattern: NMS and SPA run_ber blocks in turn on
+        # one layout; a buffer name the two paths or run_ber shared would
+        # corrupt the counts
+        h = load_code("wimax_576_288")
+        layout = CodeLayout.build(h)
+        goldens = {"layered-nms": decode_layered_nms, "flooding-spa": decode_flooding_spa}
+        for seed in (8, 9):
+            llrs = awgn_block(h, 1.5, seed, 32)
+            for alg, golden in goldens.items():
+                pt = run_ber(h, self.PARAMS, [1.5], StopRule(10**9, 32), seed=seed,
+                             algorithm=alg, layout=layout)[0]
+                results = [golden(h, row, self.PARAMS, layout) for row in llrs]
+                errors = [int(r.hard_bits.sum()) for r in results]
+                assert (pt.bit_errors, pt.frame_errors) == (sum(errors), sum(e > 0 for e in errors))
+                assert pt.avg_iterations * 32 == sum(r.iterations_run for r in results)
 
 
 def assert_same_bits(gold, batch):
@@ -472,11 +502,15 @@ class TestBatchedSpa:
             for row, res in zip(llrs, batch):
                 assert_same_bits(decode_flooding_spa(h, row, params, layout), res)
 
-    @pytest.mark.parametrize("degrees", [[8], [15, 9], [16], [40, 23], [129], [140, 70], [300]],
-                             ids=str)
+    @pytest.mark.parametrize("degrees", [
+        [8], [15, 9], [16], [40, 23], [129], [140, 70], [300],
+        [9, 3], [9, 5], [17, 8, 1], [130, 9], [200, 129, 7],
+    ], ids=str)
     def test_wide_rows_match_golden(self, degrees):
         # N_d from 8 up takes numpy's 8-accumulator row sum, above 128 its
-        # recursive halving; the batched row sums must add in the same order
+        # recursive halving; the batched row sums must add in the same order,
+        # and a check of lower degree must skip the golden's zero pads
+        # without regrouping the rest
         rng = np.random.default_rng(sum(degrees))
         h = wide_code(rng, degrees)
         layout = CodeLayout.build(h)

@@ -40,6 +40,7 @@ from nocldpc.decoder import (  # noqa: E402
     decode_layered_nms,
     decode_layered_nms_batch,
 )
+from nocldpc.decoder.layout import _CHECK_CHUNK, _VAR_CHUNK  # noqa: E402
 from nocldpc.fixedpoint import QFormat, quantize  # noqa: E402
 from nocldpc.mapper import cutset, partition_kway, serving_order  # noqa: E402
 from nocldpc.nocsim import (  # noqa: E402
@@ -186,6 +187,58 @@ def reference_layer_maps(h):
     return maps
 
 
+def reference_spa_plan(h):
+    """SpaPlan's checks and var_edges, filled check by check: the checks of
+    each degree d, ascending, in equal chunks of at most _CHECK_CHUNK rows;
+    slot s of a chunk's check i is store row start + s * k + i; each column
+    lists its edges by ascending check, padded with the spare row E."""
+    checks, edges = [], [[] for _ in range(h.n_cols)]
+    where = {}  # (check, variable) -> store row
+    start = 0
+    for d in sorted({len(row) for row in h.rows} - {0}):
+        rows = [m for m, row in enumerate(h.rows) if len(row) == d]
+        size = -(-len(rows) // -(-len(rows) // _CHECK_CHUNK))
+        for part in (rows[i:i + size] for i in range(0, len(rows), size)):
+            idx = np.zeros((d, len(part)), dtype=np.intp)
+            for i, m in enumerate(part):
+                for slot, v in enumerate(h.rows[m]):
+                    idx[slot, i] = v
+                    where[m, int(v)] = start + slot * len(part) + i
+            checks.append((idx, slice(start, start + idx.size)))
+            start += idx.size
+    for m, row in enumerate(h.rows):
+        for v in row:
+            edges[v].append(where[m, int(v)])
+    var_edges = np.full((max(1, max(map(len, edges))), h.n_cols), start, dtype=np.intp)
+    for j, col in enumerate(edges):
+        var_edges[:len(col), j] = col
+    return checks, var_edges
+
+
+def assert_spa_plan_matches_reference(h, plan):
+    """plan is h's SpaPlan: the row-loop reference's checks and var_edges,
+    one degree and no padded slot per chunk, one store row per edge, and
+    column chunks that cut var_edges to their deepest column."""
+    checks, var_edges = reference_spa_plan(h)
+    assert plan.width == max(len(row) for row in h.rows)
+    assert len(plan.checks) == len(checks)
+    start = 0
+    for (idx, block), (want_idx, want_block) in zip(plan.checks, checks):
+        assert_same_arrays([idx], [want_idx])
+        assert block == want_block == slice(start, start + idx.size)
+        assert 0 < idx.shape[1] <= _CHECK_CHUNK and (idx < h.n_cols).all()
+        start = block.stop
+    assert plan.n_edges == start == sum(len(row) for row in h.rows)
+    assert_same_arrays([plan.var_edges], [var_edges])
+    stored = plan.var_edges[plan.var_edges != plan.n_edges]
+    assert np.array_equal(np.sort(stored), np.arange(plan.n_edges))
+    assert [cs for cs, _ in plan.columns] == [
+        slice(c, min(c + _VAR_CHUNK, h.n_cols)) for c in range(0, h.n_cols, _VAR_CHUNK)]
+    for cs, edges in plan.columns:
+        depth = max(1, int((var_edges[:, cs] != start).sum(axis=0).max()))
+        assert_same_arrays(edges, list(var_edges[:depth, cs]))
+
+
 def validate_error(validate, h):
     try:
         validate(h)
@@ -225,8 +278,10 @@ def assert_matches_references(h):
     copy = ParityCheckMatrix(h.n_cols, h.n_rows, [r.copy() for r in h.rows],
                              [np.array(l) for l in h.layers])
     again = CodeLayout.build(copy)
-    assert_same_arrays([layout.check_idx, layout.var_edges, *layout.layer_rows],
-                       [again.check_idx, again.var_edges, *again.layer_rows])
+    assert_same_arrays([layout.check_idx, *layout.layer_rows],
+                       [again.check_idx, *again.layer_rows])
+    for plan in (layout.spa_plan, again.spa_plan):
+        assert_spa_plan_matches_reference(h, plan)
     for a, b in zip(layout.layer_maps, again.layer_maps, strict=True):
         assert_same_arrays([a.idx], [b.idx])
         assert a.span == b.span
@@ -293,6 +348,35 @@ def test_bundled_codes_match_references(name):
     if name in ("wimax_2304_1152", "wimax_576_288"):
         # every layer's rows are equally wide, so no slot is padded
         assert all(lm.pad is None for lm in CodeLayout.build(h).layer_maps)
+
+
+@st.composite
+def mixed_degree_cases(draw):
+    """Random codes whose rows take a few degrees, with groups of up to 300
+    rows (so a degree spans several check chunks) and up to 600 columns
+    (several column chunks)."""
+    rng = np.random.default_rng(draw(SEEDS))
+    n = draw(st.integers(2, 600))
+    degrees = draw(st.lists(st.integers(1, min(n, 40)), min_size=1, max_size=4, unique=True))
+    counts = [draw(st.integers(1, 300)) for _ in degrees]
+    rows = [np.sort(rng.choice(n, size=d, replace=False)).astype(np.int32)
+            for d, count in zip(degrees, counts) for _ in range(count)]
+    order = rng.permutation(len(rows))  # the degrees interleave by row
+    return ParityCheckMatrix(n, len(rows), [rows[i] for i in order])
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=SLOW_DRAWS)
+@given(mixed_degree_cases())
+def test_spa_plan_matches_row_loop(h):
+    layout = CodeLayout.build(h)
+    assert_spa_plan_matches_reference(h, layout.spa_plan)
+    llrs = np.random.default_rng(h.n_rows).normal(2.0, 3.0, size=(3, h.n_cols))
+    params = DecodeParams(it_max=4)
+    for row, res in zip(llrs, decode_flooding_spa_batch(h, llrs, params, layout)):
+        gold = decode_flooding_spa(h, row, params, layout)
+        assert np.array_equal(res.hard_bits, gold.hard_bits)
+        assert (res.iterations_run, res.converged) == (gold.iterations_run, gold.converged)
+        assert np.array_equal(res.final_llrs.view(np.uint8), gold.final_llrs.view(np.uint8))
 
 
 @st.composite
