@@ -277,6 +277,31 @@ class TestLayeredDecode:
         assert res.final_llrs.max() <= fmt.max_code
 
 
+# The golden's (iterations_run, converged, bit errors) on the spot-check
+# frames 0-3 of each c06 case, as the program decodes them.  The spot check
+# compares golden with replay, and both stop on a syndrome, so a change to
+# the early stop would move both alike; these pins catch it.
+SPOT_PINS = {
+    ("wimax_2304_1152", 2.0): ((8, True, 0), (8, True, 0), (5, True, 0), (4, True, 0)),
+    ("wimax_576_288", 2.0): ((5, True, 0), (8, True, 0), (8, True, 0), (4, True, 0)),
+    ("wifi_1944_486", 2.6): ((9, True, 0), (7, True, 0), (4, True, 0), (6, True, 0)),
+    ("random_1057_244", 2.6): ((10, False, 16), (10, False, 9), (7, True, 0), (10, False, 31)),
+}
+
+
+@pytest.mark.parametrize("name, snr", SPOT_PINS)
+def test_spot_frames_pinned(name, snr):
+    h = load_code(name)
+    layout = CodeLayout.build(h)
+    rate = 1.0 - h.n_rows / h.n_cols
+    params = DecodeParams(alpha=1.15, it_max=10, fmt=QFormat(8, 1))
+    got = []
+    for f in range(4):
+        res = decode_layered_nms(h, awgn_llrs(h.n_cols, rate, snr, 20250808, f), params, layout)
+        got.append((res.iterations_run, res.converged, int(res.hard_bits.sum())))  # all-zero frames
+    assert tuple(got) == SPOT_PINS[name, snr]
+
+
 def assert_same_decode(gold, batch):
     assert np.array_equal(batch.hard_bits, gold.hard_bits)
     assert batch.hard_bits.dtype == gold.hard_bits.dtype
