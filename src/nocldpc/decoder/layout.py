@@ -179,9 +179,19 @@ class CodeLayout:
         return buf[:nbytes].view(dtype).reshape(shape)
 
     def syndrome_ok(self, bits: np.ndarray) -> bool:
-        """True iff every row's parity over its variables is zero."""
-        par = (bits[self.idx].astype(np.int32) & self.mask).sum(axis=1) & 1
-        return not par.any()
+        """True iff every row's parity over its variables is zero.
+
+        bits is (N,) and only the low bit of each value counts.  A uint8
+        copy of it gets a zero at row N, where check_idx's padded slots
+        point, and each check's parity is the low bit of the XOR over its
+        column of the (W, M) gather: one byte-wide pass per slot.
+        """
+        n = self.h.n_cols
+        padded = np.empty(n + 1, dtype=np.uint8)
+        padded[:n] = bits
+        padded[n] = 0
+        par = np.bitwise_xor.reduce(padded.take(self.check_idx), axis=0)
+        return not np.bitwise_and(par, 1, out=par).any()
 
     def syndrome_ok_batch(self, lq: np.ndarray) -> np.ndarray:
         """Per-frame syndrome of the hard decisions of frames-last codes.

@@ -25,6 +25,12 @@ def cols(h) -> list[np.ndarray]:
     return [np.asarray(b, dtype=np.int32) for b in buckets]
 
 
+def syndrome_ok(layout: CodeLayout, bits) -> bool:
+    """The row-sum syndrome: each row's int32 sum of its masked bits, mod 2."""
+    par = (np.asarray(bits)[layout.idx].astype(np.int32) & layout.mask).sum(axis=1) & 1
+    return not par.any()
+
+
 def saturate(codes, fmt: QFormat) -> np.ndarray:
     """Clamp (wider) integer codes into the representable range, as int32."""
     codes = np.asarray(codes)

@@ -562,6 +562,24 @@ class TestSyndrome:
         bits[0] = 1
         assert not syndrome_check(TOY, bits)
 
+    @pytest.mark.parametrize("bits, message", [
+        (np.uint8(0), r"1-d array of 6 bits, got shape \(\)"),
+        (np.zeros((6, 2), dtype=np.uint8), r"1-d array of 6 bits, got shape \(6, 2\)"),
+        (np.zeros(5, dtype=np.uint8), "expected 6 bits, got 5"),
+        (np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0]), "must each be 0 or 1"),
+        (np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.inf]), "must each be 0 or 1"),
+        (np.array([0.0, 0.5, 0.0, 0.0, 0.0, 1.0]), "must each be 0 or 1"),
+    ])
+    def test_rejects_malformed_bits(self, bits, message):
+        with pytest.raises(ValueError, match=message):
+            syndrome_check(TOY, bits)
+
+    def test_float_bits(self):
+        bits = np.zeros(6)
+        assert syndrome_check(TOY, bits)
+        bits[0] = 1.0
+        assert not syndrome_check(TOY, bits)
+
     @pytest.mark.parametrize("dtype", [np.int16, np.float64])
     def test_batch_matches_per_frame(self, dtype):
         # rows of degree 1 to 4, so padded slots read the spare row N; it

@@ -39,6 +39,7 @@ from nocldpc.decoder import (  # noqa: E402
     decode_flooding_spa_batch,
     decode_layered_nms,
     decode_layered_nms_batch,
+    syndrome_check,
 )
 from nocldpc.decoder.layout import _CHECK_CHUNK, _VAR_CHUNK  # noqa: E402
 from nocldpc.fixedpoint import QFormat, quantize  # noqa: E402
@@ -518,6 +519,49 @@ def small_code(rows, n_cols, layers=None):
     h = ParityCheckMatrix(n_cols, len(rows), [np.array(sorted(r), dtype=np.int32) for r in rows])
     h.layers = layers
     return h
+
+
+@st.composite
+def syndrome_cases(draw):
+    """Small codes with rows of degree 1 up to 12, so shorter rows pad
+    check_idx and N_d may be 1, and bits as bool, 0/1 uint8 or any uint8
+    value, whose low bits are all zero, random, or set only on columns that
+    no row checks (so some verdicts hold)."""
+    n = draw(st.integers(1, 40))
+    support = st.sets(st.integers(0, n - 1), min_size=1, max_size=12)
+    h = small_code(draw(st.lists(support, min_size=1, max_size=12)), n)
+    rng = np.random.default_rng(draw(SEEDS))
+    low = rng.integers(0, 2, size=n).astype(np.uint8)
+    kind = draw(st.sampled_from(["zero", "random", "unchecked"]))
+    if kind == "zero":
+        low[:] = 0
+    elif kind == "unchecked":
+        low[np.concatenate(h.rows)] = 0
+    form = draw(st.sampled_from(["bool", "0/1 uint8", "any uint8"]))
+    if form == "bool":
+        return h, low.astype(bool)
+    if form == "0/1 uint8":
+        return h, low
+    return h, low | (rng.integers(0, 128, size=n).astype(np.uint8) << 1)
+
+
+# degree-1 rows only (N_d == 1, so every row has a padded slot), and rows
+# of degree 3 and 1 read through values whose high bits are set
+@example((small_code([[0], [1]], 2), np.array([2, 3], dtype=np.uint8)))
+@example((small_code([[0], [1]], 2), np.array([True, False])))
+@example((small_code([[0, 1, 2], [3]], 4), np.array([255, 1, 4, 254], dtype=np.uint8)))
+@settings(max_examples=300, deadline=None)
+@given(syndrome_cases())
+def test_syndrome_matches_row_sum_and_dense_oracle(case):
+    h, bits = case
+    layout = CodeLayout.build(h)
+    dense = np.zeros((h.n_rows, h.n_cols), dtype=np.int64)
+    for m, row in enumerate(h.rows):
+        dense[m, row] = 1
+    want = not ((dense @ (bits & 1)) % 2).any()
+    assert reference.syndrome_ok(layout, bits) == want
+    assert layout.syndrome_ok(bits) is want
+    assert syndrome_check(h, bits, layout) is want
 
 
 @st.composite
