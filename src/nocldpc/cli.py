@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .channel import BerPoint, StopRule, run_ber
+from .channel import BerPoint, StopRule, awgn_llrs, run_ber
 from .codes import build_check_graph, compute_layers, load_code, parse_alist, parse_qc
 from .codes.qc import expand_qc
 from .configgen import (
@@ -369,8 +369,6 @@ def cmd_pipeline(args) -> int:
         layout = CodeLayout.build(h)
         params = _decode_params(args)
         rate = 1.0 - h.n_rows / h.n_cols
-        from .channel import awgn_llrs
-
         mismatches = 0
         for f in range(args.check_frames):
             llrs = awgn_llrs(h.n_cols, rate, args.check_snr, seed=args.seed, frame=f)

@@ -109,10 +109,12 @@ class CodeLayout:
     The scratch holds the large per-call buffers of both block decoders,
     reused from one call to the next so that a run of blocks does not map
     fresh pages for each: run_ber's (F, N) channel block; for layered NMS
-    the frames-last code store and its frame-chunked quantization, the
-    (W, rows, F) extrinsic store and the frames' final codes; for flooding
-    SPA the variable totals, the message store, the per-chunk check buffers
-    and the column gather; and the batched syndrome's gather.
+    the frames-last code store and its frame-chunked quantization and the
+    (W, rows, F) extrinsic store; for flooding SPA a frames-last copy of
+    the channel LLRs, the variable totals, the message store, the per-chunk
+    check buffers and the column gather; the frames' (F, N) final values,
+    one buffer for both decoders, which never nest on a thread; and the
+    batched syndrome's gather.
     Each thread has its own buffers, so threads may decode on one layout at
     once, and they live as long as the layout.  Decode results own their
     arrays: none aliases the scratch.  The SPA decoder's gather maps

@@ -30,6 +30,11 @@ times more.  Its gathers call the ndarray.take method, not np.take: the
 result is the same, and the method skips the Python wrapper of the
 function, about a microsecond on each of a layer's few calls, which is a
 visible share of a one-frame layer.
+
+The per-frame bookkeeping of a block decode is _Ledger, which the sweep and
+the flooding SPA block decoder share: it takes each frame's result at its
+first passing syndrome and tells the decoder when to move the columns of
+frames still decoding to the front of its buffers (_front).
 """
 
 from __future__ import annotations
@@ -91,6 +96,15 @@ def syndrome_check(h: ParityCheckMatrix, hard_bits, layout: CodeLayout | None = 
     return layout.syndrome_ok(bits)
 
 
+def _channel_llrs(h: ParityCheckMatrix, channel_llrs, frames: bool) -> np.ndarray:
+    """channel_llrs as float64, checked to hold N values, or (F, N) with frames."""
+    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    if llrs.ndim != 1 + frames or llrs.shape[-1] != h.n_cols:
+        want = f"(frames, {h.n_cols})" if frames else f"a 1-d array of {h.n_cols}"
+        raise ValueError(f"expected {want} channel LLRs, got shape {llrs.shape}")
+    return llrs
+
+
 def decode_layered_nms(
     h: ParityCheckMatrix,
     channel_llrs,
@@ -104,9 +118,7 @@ def decode_layered_nms(
     decoding ends after the first iteration whose hard decisions satisfy
     every parity check.
     """
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if len(llrs) != h.n_cols:
-        raise ValueError(f"expected {h.n_cols} channel LLRs, got {len(llrs)}")
+    llrs = _channel_llrs(h, channel_llrs, frames=False)
     if layout is None:
         layout = CodeLayout.build(h)
     fmt = params.fmt
@@ -217,19 +229,18 @@ def _layered_sweep(
     home, when given, is the (N + 1,) store row of each variable's current
     code followed by the spare row; without it, store rows 0..N-1 are the
     variables themselves.  The extrinsics are (W, rows, F) with each layer a
-    contiguous block of rows, of which a layer uses its own W slots; they and
-    the frames' final codes live in the layout's scratch, and each result
-    gets a copy of its own.
-    Each frame's result is taken at the first iteration whose syndrome it
-    satisfies; the batch runs until every frame has converged or it_max is
-    reached.  Once the frames still decoding fall to three quarters of the
-    columns, their store and extrinsic columns move to the front of the same
-    buffers and the sweep goes on over that narrower prefix, so converged
-    frames stop costing work.
+    contiguous block of rows, of which a layer uses its own W slots; they
+    live in the layout's scratch.
+    A _Ledger takes each frame's result at the first iteration whose
+    syndrome it satisfies; the batch runs until every frame has converged
+    or it_max is reached.  Once the frames still decoding fall to three
+    quarters of the columns, their store and extrinsic columns move to the
+    front of the same buffers and the sweep goes on over that narrower
+    prefix, so converged frames stop costing work.
     """
     fmt = params.fmt
     sign_shift = store.dtype.itemsize * 8 - 1
-    n, n_frames = layout.h.n_cols, store.shape[1]
+    n_frames = store.shape[1]
     lut = reciprocal_scale_table(params.alpha, fmt).astype(store.dtype, copy=False)
     # bounds of the store's own type: np.clip with Python ints looks up the
     # dtype's limits on every call, which dominates at a few frames
@@ -246,11 +257,7 @@ def _layered_sweep(
     def variables():
         return store if home is None else store.take(home, axis=0)
 
-    final = layout.scratch("final", (n_frames, n), np.int32)
-    iterations = np.full(n_frames, params.it_max)
-    converged = np.zeros(n_frames, dtype=bool)
-    frame = np.arange(n_frames)  # the frame id of each column
-    done = np.zeros(n_frames, dtype=bool)  # per column: result taken, the frame rides along
+    ledger = _Ledger(layout, params, n_frames, np.int32)
     for it in range(1, params.it_max + 1):
         for lm, floor, (gather, scatter) in zip(layout.layer_maps, pad_floor, maps):
             r_l = r[:len(gather), lm.span]
@@ -275,52 +282,93 @@ def _layered_sweep(
             q += r_l
             q.clip(lo, hi, out=q)
             store[scatter] = q
-        if not params.early_stop:
-            continue
-        lq = variables()
-        ok = layout.syndrome_ok_batch(lq) & ~done
-        if ok.any():
-            taken = frame[ok]
-            final[taken] = lq[:n, ok].T
-            iterations[taken] = it
-            converged[taken] = True
-            done |= ok
-            if done.all():
+        live = ledger.take(it, variables())
+        if live is not None:
+            if not len(live):
                 break
-            live = np.flatnonzero(~done)
-            if 4 * len(live) <= 3 * len(done):
-                store = _front(store, live)
-                r = _front(r, live)
-                frame, done = frame[live], done[live]
-    lq = variables()
-    final[frame[~done]] = lq[:n, ~done].T
-    if not params.early_stop:
-        converged = layout.syndrome_ok_batch(lq)
-    return [
-        DecodeResult(
-            hard_bits=hard_decision(final[f]),
-            iterations_run=int(iterations[f]),
-            converged=bool(converged[f]),
-            final_llrs=final[f].copy(),
-            fmt=fmt,
-        )
-        for f in range(n_frames)
-    ]
+            store, r = _front(store, live), _front(r, live)
+    return ledger.results(variables(), fmt)
+
+
+class _Ledger:
+    """Per-frame bookkeeping of a block decode over frames-last state.
+
+    Column c of the decoder's state holds frame frame[c].  Each frame's
+    result is taken at the first iteration whose syndrome it satisfies
+    (with early_stop) or after the last one: frame f's final values go to
+    row f of the layout's (F, N) scratch "final", of the decoder's value
+    type, and its iteration count and convergence to per-frame arrays.  A
+    frame whose result is taken rides along in its column until the
+    decoder compacts its state as take asks.
+    """
+
+    def __init__(self, layout: CodeLayout, params: DecodeParams, n_frames: int, dtype):
+        self.layout, self.early_stop = layout, params.early_stop
+        self.final = layout.scratch("final", (n_frames, layout.h.n_cols), dtype)
+        self.iterations = np.full(n_frames, params.it_max)
+        self.converged = np.zeros(n_frames, dtype=bool)
+        self.frame = np.arange(n_frames)  # the frame id of each column
+        self.done = np.zeros(n_frames, dtype=bool)  # per column: result taken
+
+    def take(self, it: int, lq: np.ndarray) -> np.ndarray | None:
+        """Take the results of the frames whose syndrome first holds after
+        iteration it, lq being the columns' (N + 1, columns) variables.
+
+        Returns None while the decoder goes on as it is.  Once the frames
+        still decoding fall to three quarters of the columns, returns their
+        columns, ascending, which the decoder must move to the front of its
+        state (_front) before the next iteration; empty when every frame is
+        done and decoding stops.
+        """
+        if not self.early_stop:
+            return None
+        ok = self.layout.syndrome_ok_batch(lq) & ~self.done
+        if not ok.any():
+            return None
+        taken = self.frame[ok]
+        self.final[taken] = lq[:self.final.shape[1], ok].T
+        self.iterations[taken] = it
+        self.converged[taken] = True
+        self.done |= ok
+        live = np.flatnonzero(~self.done)
+        if 4 * len(live) > 3 * len(self.done):
+            return None
+        self.frame, self.done = self.frame[live], self.done[live]
+        return live
+
+    def results(self, lq: np.ndarray, fmt: QFormat | None) -> list[DecodeResult]:
+        """The frames' DecodeResults, in frame order, after the last
+        iteration left the variables lq; each owns its arrays.  Without
+        early_stop, a frame converged iff its syndrome holds now."""
+        rest = np.flatnonzero(~self.done)
+        self.final[self.frame[rest]] = lq[:self.final.shape[1], rest].T
+        converged = self.converged if self.early_stop else self.layout.syndrome_ok_batch(lq)
+        return [
+            DecodeResult(hard_bits=hard_decision(final), iterations_run=int(it),
+                         converged=bool(ok), final_llrs=final.copy(), fmt=fmt)
+            for final, it, ok in zip(self.final, self.iterations, converged)
+        ]
+
+
+_CHUNK_VALUES = 1 << 13  # values per chunk of a block copy: 64 KiB of float64
 
 
 def _front(a: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The given last-axis columns of contiguous a, moved to the front of a's
     own buffer and returned as a contiguous array over it.
 
-    The fancy index copies the columns out before any is written back, so
-    the overlap of source and destination does no harm.
+    The rows (all axes but the last, flattened) move in ascending chunks of
+    about _CHUNK_VALUES copied values.  Each chunk's columns are copied out
+    by the fancy index before any is written back, and a row never moves
+    past its old place, so no write reaches a row not yet read; a single
+    fancy index over a would make a temporary almost the size of a.
     """
-    out = a.reshape(-1)[:a.size // a.shape[-1] * len(columns)].reshape(*a.shape[:-1], len(columns))
-    out[...] = a[..., columns]
-    return out
-
-
-_QUANTIZE_VALUES = 1 << 13  # LLRs per quantization chunk: 64 KiB of float64
+    rows = a.reshape(-1, a.shape[-1])
+    out = a.reshape(-1)[:len(rows) * len(columns)].reshape(len(rows), len(columns))
+    step = max(1, _CHUNK_VALUES // len(columns))
+    for r0 in range(0, len(rows), step):
+        out[r0:r0 + step] = rows[r0:r0 + step, columns]
+    return out.reshape(*a.shape[:-1], len(columns))
 
 
 def decode_layered_nms_batch(
@@ -339,16 +387,14 @@ def decode_layered_nms_batch(
     layout (CodeLayout.scratch), reused by later calls on the same thread;
     the results own their arrays.
     """
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if llrs.ndim != 2 or llrs.shape[1] != h.n_cols:
-        raise ValueError(f"expected (frames, {h.n_cols}) channel LLRs, got {llrs.shape}")
+    llrs = _channel_llrs(h, channel_llrs, frames=True)
     if layout is None:
         layout = CodeLayout.build(h)
     n, n_frames = h.n_cols, len(llrs)
     store = layout.scratch("store", (n + 1, n_frames), _store_dtype(params.fmt))
     store[n] = 0
     # quantize a few frames at a time, so no (F, N) temporary is made
-    step = max(1, _QUANTIZE_VALUES // n)
+    step = max(1, _CHUNK_VALUES // n)
     chunk = layout.scratch("quantize", (min(step, n_frames), n), np.float64)
     for f0 in range(0, n_frames, step):
         part = chunk[:min(step, n_frames - f0)]

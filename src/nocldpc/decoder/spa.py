@@ -16,7 +16,7 @@ import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
 from .layout import _VAR_CHUNK, CodeLayout
-from .nms import DecodeParams, DecodeResult, hard_decision
+from .nms import DecodeParams, DecodeResult, _channel_llrs, _front, _Ledger, hard_decision
 
 PSI_EPS = 1e-12  # input magnitude floor of psi
 
@@ -42,9 +42,7 @@ def decode_flooding_spa(
     params: DecodeParams,
     layout: CodeLayout | None = None,
 ) -> DecodeResult:
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if len(llrs) != h.n_cols:
-        raise ValueError(f"expected {h.n_cols} channel LLRs, got {len(llrs)}")
+    llrs = _channel_llrs(h, channel_llrs, frames=False)
     _reject_nan(llrs)
     if layout is None:
         layout = CodeLayout.build(h)
@@ -163,23 +161,30 @@ def decode_flooding_spa_batch(
     the golden's sum over its N_d-wide rows (_slot_sum).  Each column adds
     its messages in ascending row order, the order of the golden's
     bincount, through the plan's var_edges.  Checks and columns are
-    processed in chunks so that the working set stays in cache; every
+    processed in chunks so that the working set stays in cache.  Every
     buffer is scratch of layout (CodeLayout.scratch), reused by later calls
-    on the same thread, and the results own their arrays.
-    Each frame's result is taken at the first iteration whose syndrome it
-    satisfies; the batch runs until every frame has converged or it_max is
-    reached.
+    on the same thread: the frames-last copy of the channel LLRs, the
+    totals, the message store, the chunk buffers, the column gather and
+    the frames' final LLRs; the results own their arrays, and the caller's
+    channel_llrs are only read.
+    A _Ledger takes each frame's result at the first iteration whose
+    syndrome it satisfies; the batch runs until every frame has converged
+    or it_max is reached.  Once the frames still decoding fall to three
+    quarters of the columns, their channel, total and message columns move
+    to the front of the same buffers, the chunk views are rebuilt over that
+    narrower prefix and the sweep goes on over it, so converged frames stop
+    costing work, as in the layered NMS sweep.
     """
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if llrs.ndim != 2 or llrs.shape[1] != h.n_cols:
-        raise ValueError(f"expected (frames, {h.n_cols}) channel LLRs, got {llrs.shape}")
+    llrs = _channel_llrs(h, channel_llrs, frames=True)
     _reject_nan(llrs)
     if layout is None:
         layout = CodeLayout.build(h)
     plan = layout.spa_plan
     n, n_frames = h.n_cols, len(llrs)
 
-    chan = llrs.T  # a view: a frames-last copy would cost more memory than time
+    # a copy, not a view of the caller's array: compaction moves its columns
+    chan = layout.scratch("spa_channel", (n, n_frames), np.float64)
+    chan[...] = llrs.T
     total = layout.scratch("spa_total", (n + 1, n_frames), np.float64)
     total[:n] = chan
     total[n] = 0.0
@@ -187,8 +192,6 @@ def decode_flooding_spa_batch(
     store = layout.scratch("spa_messages", (plan.n_edges + 1, n_frames), np.float64)
     store[-1] = 0.0
 
-    # each chunk views the front of one flat buffer per quantity, so every
-    # view is contiguous
     slots = max(idx.size for idx, _ in plan.checks)
     rows = max(idx.shape[1] for idx, _ in plan.checks)
     n_scratch = _sum_scratch(plan.width)
@@ -198,25 +201,25 @@ def decode_flooding_spa_batch(
     s_buf = layout.scratch("spa_row_sum", (rows * n_frames,), np.float64)
     par_buf = layout.scratch("spa_parity", (rows * n_frames,), bool)
     scratch_buf = layout.scratch("spa_sum_scratch", (n_scratch * rows * n_frames,), np.float64)
+    gather_buf = layout.scratch("spa_gather", (_VAR_CHUNK * n_frames,), np.float64)
 
-    def front(buf, *shape):
-        return buf[:math.prod(shape)].reshape(shape)
+    # each check chunk's message block and buffers, and the column gather,
+    # over the store's columns: every buffer views the front of one flat
+    # buffer per quantity, so every view is contiguous
+    def views(store):
+        width = store.shape[1]
 
-    checks = []
-    for idx, block in plan.checks:
-        d, k = idx.shape
-        checks.append((
-            idx, store[block].reshape(d, k, n_frames),
-            front(v_buf, d, k, n_frames), front(t_buf, d, k, n_frames),
-            front(neg_buf, d, k, n_frames), front(s_buf, k, n_frames),
-            front(par_buf, k, n_frames), front(scratch_buf, n_scratch, k, n_frames),
-        ))
-    gather = layout.scratch("spa_gather", (_VAR_CHUNK, n_frames), np.float64)
+        def front(buf, *shape):
+            return buf[:math.prod(shape) * width].reshape(*shape, width)
 
-    final = [None] * n_frames  # each frame's final LLRs, an array of its own
-    iterations = np.full(n_frames, params.it_max)
-    converged = np.zeros(n_frames, dtype=bool)
-    done = np.zeros(n_frames, dtype=bool)  # result taken; the frame still rides along
+        checks = [(idx, store[block].reshape(*idx.shape, width), front(v_buf, *idx.shape),
+                   front(t_buf, *idx.shape), front(neg_buf, *idx.shape), front(s_buf, idx.shape[1]),
+                   front(par_buf, idx.shape[1]), front(scratch_buf, n_scratch, idx.shape[1]))
+                  for idx, block in plan.checks]
+        return checks, front(gather_buf, _VAR_CHUNK)
+
+    checks, gather = views(store)
+    ledger = _Ledger(layout, params, n_frames, np.float64)
     for it in range(1, params.it_max + 1):
         for idx, out, v, t, neg, s, par, scratch in checks:
             np.take(total, idx, axis=0, out=v, mode="clip")
@@ -251,28 +254,10 @@ def decode_flooding_spa_batch(
                 np.take(store, e, axis=0, out=g, mode="clip")
                 acc += g
             acc += chan[cs]
-        if not params.early_stop:
-            continue
-        ok = layout.syndrome_ok_batch(total) & ~done
-        if ok.any():
-            for f in np.flatnonzero(ok):
-                final[f] = total[:n, f].copy()
-            iterations[ok] = it
-            converged[ok] = True
-            done |= ok
-            if done.all():
+        live = ledger.take(it, total)
+        if live is not None:
+            if not len(live):
                 break
-    for f in np.flatnonzero(~done):
-        final[f] = total[:n, f].copy()
-    if not params.early_stop:
-        converged = layout.syndrome_ok_batch(total)
-    return [
-        DecodeResult(
-            hard_bits=hard_decision(final[f]),
-            iterations_run=int(iterations[f]),
-            converged=bool(converged[f]),
-            final_llrs=final[f],
-            fmt=None,
-        )
-        for f in range(n_frames)
-    ]
+            chan, total, store = _front(chan, live), _front(total, live), _front(store, live)
+            checks, gather = views(store)
+    return ledger.results(total, None)

@@ -34,7 +34,7 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix
 from ..configgen.image import ConfigImage, fill_free_slots, unpack_rm_word
 from ..decoder.layout import CodeLayout
-from ..decoder.nms import DecodeParams, DecodeResult, _layered_sweep, _store_dtype
+from ..decoder.nms import DecodeParams, DecodeResult, _channel_llrs, _layered_sweep, _store_dtype
 from ..fixedpoint import quantize
 from ..mapper import Mapping
 from .engine import HOP_CYCLES, LOCAL, CycleEngine
@@ -230,14 +230,11 @@ def replay_decode(
     Must produce results bit-identical to decode_layered_nms on the same
     inputs; pass a pre-validated wiring when decoding many frames.
     """
+    llrs = _channel_llrs(h, channel_llrs, frames=False)
     if wiring is None:
         wiring = validate_config(h, mapping, trace, config)
     if layout is None:
         layout = CodeLayout.build(h)
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if len(llrs) != h.n_cols:
-        raise ValueError(f"expected {h.n_cols} channel LLRs, got {len(llrs)}")
-
     store = np.zeros((wiring.home[-1] + 1, 1), dtype=_store_dtype(params.fmt))
     store[wiring.home[:-1], 0] = quantize(llrs, params.fmt)
     return _layered_sweep(layout, params, store, wiring.maps, wiring.home)[0]

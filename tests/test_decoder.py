@@ -428,6 +428,18 @@ class TestScratchReuse:
             for row, res in zip(llrs, batch):
                 assert_same_decode(self.golden(h, row, self.PARAMS, layout), res)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_llrs_left_alone(self, order):
+        # a quarter of the frames finish before the slowest, so the sweep
+        # compacts its state; the caller's LLRs must not move with it, also
+        # when their transpose is a contiguous frames-last array
+        h = load_code("wimax_576_288")
+        llrs = np.asarray(awgn_block(h, 2.2, 10, 32), order=order)
+        kept = llrs.copy()
+        its = [r.iterations_run for r in self.batch(h, llrs, self.PARAMS)]
+        assert sum(it < max(its) for it in its) >= 8
+        assert np.array_equal(llrs.view(np.uint64), kept.view(np.uint64))
+
     def test_repeated_ber_block_allocates_little(self):
         # fresh per-call buffers came to about 2 MiB per 32-frame block for
         # layered NMS and 3.9 MiB for flooding SPA; reused, the block's own
@@ -551,6 +563,18 @@ class TestBatchedSpa:
             decode_flooding_spa_batch(TOY, np.zeros(6), DecodeParams())
         with pytest.raises(ValueError):
             decode_flooding_spa_batch(TOY, np.zeros((2, 5)), DecodeParams())
+
+
+@pytest.mark.parametrize("decode", [decode_layered_nms, decode_flooding_spa])
+@pytest.mark.parametrize("llrs, message", [
+    (np.float64(1.0), r"1-d array of 6 channel LLRs, got shape \(\)"),
+    (np.ones((6, 1)), r"1-d array of 6 channel LLRs, got shape \(6, 1\)"),
+    (np.ones((6, 2)), r"1-d array of 6 channel LLRs, got shape \(6, 2\)"),
+    (np.ones(5), r"1-d array of 6 channel LLRs, got shape \(5,\)"),
+])
+def test_one_frame_decoders_reject_malformed_llrs(decode, llrs, message):
+    with pytest.raises(ValueError, match=message):
+        decode(TOY, llrs, DecodeParams())
 
 
 class TestSyndrome:

@@ -481,6 +481,12 @@ class TestReplay:
         assert rep.converged and rep.iterations_run == 1
         assert not rep.hard_bits.any()
 
+    @pytest.mark.parametrize("shape", [(), (576, 1), (576, 2), (575,)], ids=str)
+    def test_malformed_llrs_rejected(self, pipeline, shape):
+        h, m, tr, cfg, wiring = pipeline
+        with pytest.raises(ValueError, match=r"1-d array of 576 channel LLRs, got shape"):
+            replay_decode(h, m, tr, cfg, np.ones(shape), DecodeParams(), wiring=wiring)
+
     def test_wrong_trace_rejected_before_cycles(self, pipeline):
         h, m, tr, cfg, _ = pipeline
         other = simulate_iteration(Topology(5), build_schedule(h, m), seed=8, label=h.label)

@@ -670,6 +670,9 @@ def spread_frames(seed, n_frames, n):
           DecodeParams(it_max=8, fmt=QFormat(8, 1))))
 @example((random_code(48, 24, 6, seed=1), spread_frames(4, 33, 48),
           DecodeParams(it_max=8, fmt=QFormat(16, 4))))
+# 33 frames on wimax_576_288: the flooding sweep compacts three times, over
+# 3 check chunks in two degree groups and 3 column chunks
+@example((load_code("wimax_576_288"), spread_frames(4, 33, 576), DecodeParams(it_max=8)))
 @settings(max_examples=20, deadline=None, suppress_health_check=SLOW_DRAWS)
 @given(decode_cases())
 def test_batched_decoders_match_goldens(case):
