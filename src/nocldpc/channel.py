@@ -102,12 +102,20 @@ def _frame_rng(seed: int, frame: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, frame))))
 
 
+def _noise_to_llrs(g: np.ndarray, sigma: float) -> np.ndarray:
+    """Turn unit noise g into the LLRs 2 (1 + sigma g) / sigma^2 of the
+    all-zero word, in place, and return g."""
+    g *= sigma
+    g += 1.0
+    g *= 2.0
+    g /= sigma * sigma
+    return g
+
+
 def awgn_llrs(n: int, rate: float, snr_db: float, seed: int, frame: int = 0) -> np.ndarray:
     """Channel LLRs for one all-zero frame, deterministic under (seed, frame)."""
     sigma = noise_sigma(rate, snr_db)
-    g = _frame_rng(seed, frame).standard_normal(n)
-    y = 1.0 + sigma * g
-    return 2.0 * y / (sigma * sigma)
+    return _noise_to_llrs(_frame_rng(seed, frame).standard_normal(n), sigma)
 
 
 def run_ber(
@@ -154,12 +162,7 @@ def run_ber(
             block = llrs[: min(_BLOCK, stop.max_frames - frame)]
             for i, row in enumerate(block):
                 _frame_rng(seed, frame + i).standard_normal(out=row)
-            # in place, in the operation order of awgn_llrs, so bit-identical
-            block *= sigma
-            block += 1.0
-            block *= 2.0
-            block /= sigma * sigma
-            results = _DECODERS[algorithm](h, block, params, layout)
+            results = _DECODERS[algorithm](h, _noise_to_llrs(block, sigma), params, layout)
             for res in results:
                 errs = int(res.hard_bits.sum())
                 bit_errors += errs

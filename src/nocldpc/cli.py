@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from .channel import BerPoint, StopRule, awgn_llrs, run_ber
-from .codes import build_check_graph, compute_layers, load_code, parse_alist, parse_qc
+from .codes import build_check_graph, load_code, parse_alist, parse_qc
 from .codes.qc import expand_qc
 from .configgen import (
     ConfigImage,
@@ -82,8 +82,6 @@ def _load_code_from_args(args):
                 if len(head) == 3
                 else parse_alist(text, label=os.path.basename(target))
             )
-    if h.layers is None:
-        compute_layers(h)
     return h
 
 

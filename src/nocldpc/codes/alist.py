@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix import ParityCheckMatrix
+from .matrix import ParityCheckMatrix, compute_layers
 
 
 class AlistParseError(ValueError):
@@ -42,7 +42,7 @@ def _adjacency(line: str, line_no: int, degree: int, limit: int, kind: str) -> l
 
 
 def parse_alist(text: str, label: str = "") -> ParityCheckMatrix:
-    """Parse alist text into a ParityCheckMatrix (layers left unset)."""
+    """Parse alist text into a ParityCheckMatrix with first-fit layers."""
     lines = text.splitlines()
     pos = 0
 
@@ -107,4 +107,5 @@ def parse_alist(text: str, label: str = "") -> ParityCheckMatrix:
         label=label,
     )
     h.validate()
+    compute_layers(h)
     return h

@@ -10,7 +10,7 @@ elements.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,14 @@ class CodeError(ValueError):
 
 @dataclass
 class ParityCheckMatrix:
-    """Sparse binary parity-check matrix with an optional layer schedule.
+    """Sparse binary parity-check matrix with its layer schedule.
 
     rows[m] is the sorted array of variable indices checked by row m.
-    layers, when set, is an ordered list of disjoint row-index arrays
-    covering every row; rows inside one layer never share a variable.
+    layers is an ordered list of disjoint row-index arrays covering every
+    row; rows inside one layer never share a variable.  Every constructor
+    sets it: expand_qc to the block rows, parse_alist and random_code to
+    compute_layers' first fit.  A matrix built by hand may leave it None;
+    validate and content_digest accept that, layer_rows refuses it.
     """
 
     n_cols: int
@@ -33,7 +36,6 @@ class ParityCheckMatrix:
     rows: list[np.ndarray]
     layers: list[np.ndarray] | None = None
     label: str = ""
-    _layer_of_row: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def max_row_degree(self) -> int:
@@ -43,17 +45,6 @@ class ParityCheckMatrix:
     def n_edges(self) -> int:
         """Number of ones in H (Tanner-graph edge count)."""
         return sum(len(r) for r in self.rows)
-
-    def layer_of_row(self) -> np.ndarray:
-        """Map row index -> layer index.  Requires layers to be set."""
-        if self.layers is None:
-            raise CodeError("layer schedule not set; run compute_layers first")
-        if self._layer_of_row is None:
-            lor = np.full(self.n_rows, -1, dtype=np.int32)
-            for li, layer in enumerate(self.layers):
-                lor[layer] = li
-            self._layer_of_row = lor
-        return self._layer_of_row
 
     def validate(self) -> None:
         """Check the rows, then the layer schedule, in whole-array passes.
@@ -167,7 +158,8 @@ def compute_layers(h: ParityCheckMatrix) -> list[np.ndarray]:
 
     Rows are scanned in index order and each is placed in the first existing
     layer none of whose rows shares a variable with it; worst case every row
-    becomes its own layer.  Returns the schedule and stores it on h.
+    becomes its own layer.  Returns the schedule and stores it on h;
+    parse_alist and random_code set every code's layers with it.
     """
     layer_vars: list[int] = []  # per layer: bitset of used variables
     layer_rows: list[list[int]] = []
@@ -182,7 +174,6 @@ def compute_layers(h: ParityCheckMatrix) -> list[np.ndarray]:
             layer_rows.append([m])
     layers = [np.asarray(rows, dtype=np.int32) for rows in layer_rows]
     h.layers = layers
-    h._layer_of_row = None
     return layers
 
 
@@ -247,15 +238,21 @@ class CheckGraph:
         return len(self.shared)
 
 
-def serving_sequence(h: ParityCheckMatrix) -> np.ndarray:
-    """Rows in global processing order: layer index first, row index second.
+def layer_rows(h: ParityCheckMatrix) -> list[np.ndarray]:
+    """Each layer's rows, ascending, in layer order: the code's serving order.
 
-    Plain row order when H has no layer schedule.
+    The layered decoders sweep these rows and the message chains follow
+    them, so both read the order here.  Raises CodeError when H has no
+    layer schedule.
     """
     if h.layers is None:
-        return np.arange(h.n_rows, dtype=np.int64)
-    lor = h.layer_of_row().astype(np.int64)
-    return np.argsort(lor * h.n_rows + np.arange(h.n_rows), kind="stable")
+        raise CodeError("code has no layer schedule")
+    return [np.sort(np.asarray(layer, dtype=np.int64)) for layer in h.layers]
+
+
+def serving_sequence(h: ParityCheckMatrix) -> np.ndarray:
+    """Rows in global processing order: layer index first, row index second."""
+    return np.concatenate(layer_rows(h))
 
 
 def serving_chains(h: ParityCheckMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,8 +288,7 @@ def build_check_graph(h: ParityCheckMatrix) -> CheckGraph:
     Messages follow each variable's serving cycle: after a check updates the
     variable, the value travels to the variable's next check in (layer, row)
     order, wrapping from the last back to the first.  A degree-2 variable
-    therefore puts weight 2 on its single pair.  Uses the layer schedule when
-    present, plain row order otherwise.
+    therefore puts weight 2 on its single pair.
     """
     n = h.n_rows
     chain, _, col_deg = serving_chains(h)

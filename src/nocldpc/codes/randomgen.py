@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix import CodeError, ParityCheckMatrix
+from .matrix import CodeError, ParityCheckMatrix, compute_layers
 
 
 def random_code(n: int, m: int, row_degree: int, seed: int, label: str = "") -> ParityCheckMatrix:
-    """Sample a random parity-check matrix, deterministic under seed."""
+    """Sample a random parity-check matrix with first-fit layers, deterministic under seed."""
     if n < 1 or m < 1:
         raise CodeError("n and m must be positive")
     if row_degree < 1 or row_degree > n:
@@ -46,6 +46,7 @@ def random_code(n: int, m: int, row_degree: int, seed: int, label: str = "") -> 
     rows = list(np.sort(cols.reshape(m, row_degree), axis=1).astype(np.int32))
     h = ParityCheckMatrix(n_cols=n, n_rows=m, rows=rows, label=label)
     h.validate()
+    compute_layers(h)
     return h
 
 

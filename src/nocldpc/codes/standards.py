@@ -79,9 +79,5 @@ def qc_description(name: str) -> QcDescription:
 def load_code(name: str) -> ParityCheckMatrix:
     """Load a bundled code by registry name, layers set."""
     if name.lower() == "random_1057_244":
-        from .matrix import compute_layers
-
-        h = random_code(1057, 244, 13, seed=_RANDOM_CODE_SEED, label="random (1057,244)")
-        compute_layers(h)
-        return h
+        return random_code(1057, 244, 13, seed=_RANDOM_CODE_SEED, label="random (1057,244)")
     return expand_qc(qc_description(name))

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..codes.matrix import ParityCheckMatrix, _joined, compute_layers
+from ..codes.matrix import ParityCheckMatrix, _joined, layer_rows
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,7 @@ class SpaPlan:
 class CodeLayout:
     """Index arrays of one code, plus per-thread scratch buffers.
 
+    layer_rows is the code's serving order from codes.matrix.layer_rows.
     The scratch holds the large per-call buffers of both block decoders,
     reused from one call to the next so that a run of blocks does not map
     fresh pages for each: run_ber's (F, N) channel block; for layered NMS
@@ -125,7 +126,7 @@ class CodeLayout:
     n_d: int
     idx: np.ndarray  # (M, N_d) variable index per (row, position), 0-padded
     mask: np.ndarray  # (M, N_d) validity of each position
-    layer_rows: list[np.ndarray]  # rows of each layer, ascending
+    layer_rows: list[np.ndarray]  # rows of each layer, ascending, in layer order
     layer_maps: list[LayerMap]  # batched-decoder maps, one per layer
     check_idx: np.ndarray  # (W, M) variable per slot, padded slots at row N
     _scratch: threading.local = field(default_factory=threading.local, init=False, repr=False,
@@ -133,15 +134,13 @@ class CodeLayout:
 
     @classmethod
     def build(cls, h: ParityCheckMatrix) -> "CodeLayout":
-        if h.layers is None:
-            compute_layers(h)
+        layers = layer_rows(h)
         m = h.n_rows
         flat, deg = _joined(h.rows)
         n_d = int(deg.max())
         mask = np.arange(n_d) < deg[:, None]
         idx = np.zeros((m, n_d), dtype=np.int32)
         idx[mask] = flat
-        layer_rows = [np.sort(np.asarray(l, dtype=np.int64)) for l in h.layers]
 
         # the two-smallest pass needs two slots per row, so degree-1 codes get a pad
         w = max(n_d, 2)
@@ -150,14 +149,14 @@ class CodeLayout:
         # each layer is cut to its own widest row, so only shorter rows pad
         layer_maps = []
         start = 0
-        for rows in layer_rows:
+        for rows in layers:
             width = max(int(deg[rows].max(initial=0)), 2)
             lidx = np.ascontiguousarray(check_idx[:width, rows])
             pad = lidx == h.n_cols
             span = slice(start, start + len(rows))
             layer_maps.append(LayerMap(lidx, pad[:, :, None] if pad.any() else None, span))
             start = span.stop
-        return cls(h=h, n_d=n_d, idx=idx, mask=mask, layer_rows=layer_rows,
+        return cls(h=h, n_d=n_d, idx=idx, mask=mask, layer_rows=layers,
                    layer_maps=layer_maps, check_idx=check_idx)
 
     @cached_property

@@ -103,7 +103,7 @@ def cutset(graph: CheckGraph, mapping: Mapping) -> int:
 
 def serving_order(h: ParityCheckMatrix, mapping: Mapping) -> list[list[int]]:
     """Per-PE rows in the serving order of the chains (`serving_sequence`):
-    by (layer index, row index), or by row without layers.  Stored on the mapping."""
+    by (layer index, row index).  Stored on the mapping."""
     order: list[list[int]] = [[] for _ in range(mapping.p)]
     seq = serving_sequence(h)
     for m, pe in zip(seq.tolist(), mapping.assignment[seq].tolist()):

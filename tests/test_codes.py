@@ -34,12 +34,16 @@ def to_alist(h: ParityCheckMatrix) -> str:
 
 
 def make_h(rows, n_cols, layers=None):
-    return ParityCheckMatrix(
+    """A code of the given rows with the given layers, first-fit ones by default."""
+    h = ParityCheckMatrix(
         n_cols=n_cols,
         n_rows=len(rows),
         rows=[np.asarray(sorted(r), dtype=np.int32) for r in rows],
         layers=None if layers is None else [np.asarray(l, dtype=np.int32) for l in layers],
     )
+    if layers is None:
+        compute_layers(h)
+    return h
 
 
 TOY_ALIST = """\
@@ -65,6 +69,11 @@ class TestAlist:
         assert (h.n_rows, h.n_cols) == (3, 6)
         assert [list(r) for r in h.rows] == [[0, 1, 3], [1, 2, 4], [0, 2, 5]]
         assert h.max_row_degree == 3
+
+    def test_first_fit_layers_set(self):
+        h = parse_alist(TOY_ALIST)
+        bare = ParityCheckMatrix(h.n_cols, h.n_rows, h.rows)
+        assert [l.tolist() for l in h.layers] == [l.tolist() for l in compute_layers(bare)]
 
     def test_zero_index_rejected(self):
         bad = TOY_ALIST.replace("1 2 4", "0 2 4")
@@ -342,5 +351,4 @@ def _random_small_h(rng, max_col_degree=None):
                     kept.append(int(j))
             new_rows.append(kept if kept else [int(row[0])])
         h = make_h(new_rows, n)
-    compute_layers(h)
     return h

@@ -154,9 +154,9 @@ class TestServingOrder:
         h = load_code("wifi_1944_486")
         g = build_check_graph(h)
         m = partition_kway(g, 16, seed=4)
-        lor = h.layer_of_row()
+        layer_of = {int(row): li for li, rows in enumerate(h.layers) for row in rows}
         for pe_rows in serving_order(h, m):
-            ls = [int(lor[m_]) for m_ in pe_rows]
+            ls = [layer_of[m_] for m_ in pe_rows]
             assert ls == sorted(ls)
 
 

@@ -6,7 +6,15 @@ import pytest
 
 import nocldpc.nocsim.schedule as schedule_mod
 from nocldpc.channel import awgn_llrs
-from nocldpc.codes import ParityCheckMatrix, build_check_graph, compute_layers, load_code, random_code
+from nocldpc.codes import (
+    CodeError,
+    ParityCheckMatrix,
+    build_check_graph,
+    compute_layers,
+    load_code,
+    random_code,
+)
+from nocldpc.codes.matrix import serving_sequence
 from nocldpc.configgen import gen_config
 from nocldpc.decoder import CodeLayout, DecodeParams, decode_layered_nms
 from nocldpc.fixedpoint import QFormat
@@ -124,6 +132,22 @@ class TestSchedule:
         assert np.count_nonzero(part[g.u] != part[g.v]) == shared_cut
 
 
+@pytest.mark.parametrize("stage", ["build_check_graph", "serving_order", "build_schedule",
+                                   "CodeLayout.build"])
+def test_stages_refuse_a_code_without_layers(stage):
+    h = make_h([[0, 1], [1, 2], [0, 2]], 4)
+    m = mapped(h, [0, 1, 2], 4)
+    bare = ParityCheckMatrix(h.n_cols, h.n_rows, h.rows)
+    run = {
+        "build_check_graph": lambda: build_check_graph(bare),
+        "serving_order": lambda: serving_order(bare, m),
+        "build_schedule": lambda: build_schedule(bare, m),
+        "CodeLayout.build": lambda: CodeLayout.build(bare),
+    }[stage]
+    with pytest.raises(CodeError, match="code has no layer schedule"):
+        run()
+
+
 def _c06_mapping(name="wimax_576_288", side=2):
     h = load_code(name)
     m = partition_kway(build_check_graph(h), side * side, seed=20250808)
@@ -156,7 +180,7 @@ class TestScheduleReuse:
         first = check(h, m)
         # the same layers in reverse: new chains, then a new serving order too
         layers = h.layers
-        h.layers, h._layer_of_row = layers[::-1], None
+        h.layers = layers[::-1]
         relayered = check(h, m)
         assert relayered != first
         serving_order(h, m)
@@ -165,7 +189,7 @@ class TestScheduleReuse:
         compute_layers(h)
         serving_order(h, m)
         check(h, m)
-        h.layers, h._layer_of_row = layers, None
+        h.layers = layers
         serving_order(h, m)
         assert check(h, m) == first
 
@@ -459,6 +483,45 @@ class TestReplay:
             assert gold.iterations_run == rep.iterations_run
             assert gold.converged == rep.converged
             assert np.array_equal(gold.final_llrs, rep.final_llrs)
+
+    @staticmethod
+    def _image_replays_golden(h, m):
+        """Build the 2x2 image of (h, m), check 4 noisy frames at 3.0 dB
+        against the golden, and return the trace and the image."""
+        serving_order(h, m)
+        tr = simulate_iteration(Topology(2), build_schedule(h, m), seed=7, label=h.label)
+        cfg = gen_config(tr, m, h)
+        wiring = validate_config(h, m, tr, cfg)
+        params = DecodeParams(alpha=1.15, it_max=10)
+        for f in range(4):
+            llr = awgn_llrs(h.n_cols, 1.0 - h.n_rows / h.n_cols, 3.0, seed=83, frame=f)
+            gold = decode_layered_nms(h, llr, params)
+            rep = replay_decode(h, m, tr, cfg, llr, params, wiring=wiring)
+            assert np.array_equal(gold.hard_bits, rep.hard_bits)
+            assert (gold.iterations_run, gold.converged) == (rep.iterations_run, rep.converged)
+            assert np.array_equal(gold.final_llrs, rep.final_llrs)
+        return tr, cfg
+
+    def test_random_code_keeps_its_digest_through_the_pipeline(self):
+        # the code's layers are fixed when it is made, so no stage relayers
+        # it under an image that was built from its earlier serving order
+        h = random_code(200, 60, 10, seed=1)
+        digest = h.content_digest()
+        m = partition_kway(build_check_graph(h), 4, seed=1)
+        tr, cfg = self._image_replays_golden(h, m)
+        assert h.content_digest() == digest == cfg.h_digest
+        validate_config(h, m, tr, cfg)
+
+    def test_relayered_code_serves_its_new_layer_order(self):
+        h = load_code("wimax_576_288")
+        m = partition_kway(build_check_graph(h), 4, seed=1)
+        first = serving_sequence(h)
+        serving_order(h, m)
+        h.layers = h.layers[::-1]
+        want = np.concatenate([np.sort(layer) for layer in h.layers])
+        assert serving_sequence(h).tolist() == want.tolist() != first.tolist()
+        self._image_replays_golden(h, m)
+        assert m.order == [[r for r in want.tolist() if m.assignment[r] == pe] for pe in range(4)]
 
     def test_unchecked_variable_keeps_its_channel_value(self):
         h = make_h([[0, 1], [1, 2], [0, 2]], 4)  # variable 3 is in no check

@@ -363,7 +363,9 @@ def mixed_degree_cases(draw):
     rows = [np.sort(rng.choice(n, size=d, replace=False)).astype(np.int32)
             for d, count in zip(degrees, counts) for _ in range(count)]
     order = rng.permutation(len(rows))  # the degrees interleave by row
-    return ParityCheckMatrix(n, len(rows), [rows[i] for i in order])
+    h = ParityCheckMatrix(n, len(rows), [rows[i] for i in order])
+    compute_layers(h)
+    return h
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=SLOW_DRAWS)
@@ -493,10 +495,10 @@ def reference_check_graph(h):
     Returns the message-carrying pairs as {(u, v): weight} and the sharing
     pairs as a set, each pair with u < v.
     """
-    if h.layers is None:
-        rank = np.arange(h.n_rows)
-    else:
-        rank = h.layer_of_row().astype(np.int64) * h.n_rows + np.arange(h.n_rows)
+    layer = np.empty(h.n_rows, dtype=np.int64)
+    for li, rows in enumerate(h.layers):
+        layer[rows] = li
+    rank = layer * h.n_rows + np.arange(h.n_rows)
     edges: dict[tuple[int, int], int] = {}
     shared: set[tuple[int, int]] = set()
     for rows in reference.cols(h):
@@ -516,8 +518,12 @@ def reference_check_graph(h):
 
 
 def small_code(rows, n_cols, layers=None):
+    """A code of the given rows with the given layers, first-fit ones by default."""
     h = ParityCheckMatrix(n_cols, len(rows), [np.array(sorted(r), dtype=np.int32) for r in rows])
-    h.layers = layers
+    if layers is None:
+        compute_layers(h)
+    else:
+        h.layers = layers
     return h
 
 
@@ -566,13 +572,13 @@ def test_syndrome_matches_row_sum_and_dense_oracle(case):
 
 @st.composite
 def check_graph_cases(draw):
-    """Small codes without layers, or with a shuffled first-fit layer order,
-    so the serving order differs from row order."""
+    """Small codes with first-fit layers, or with those layers in a shuffled
+    order, so the serving order differs from row order."""
     n_cols = draw(st.integers(1, 12))
     support = st.sets(st.integers(0, n_cols - 1), min_size=1)
     h = small_code(draw(st.lists(support, min_size=1, max_size=12)), n_cols)
     if draw(st.booleans()):
-        h.layers = draw(st.permutations(compute_layers(h)))
+        h.layers = draw(st.permutations(h.layers))
     return h
 
 
