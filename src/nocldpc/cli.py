@@ -342,10 +342,11 @@ def cmd_throughput(args) -> int:
 
 def cmd_pipeline(args) -> int:
     t0 = time.time()
-    stage = "load"
+    # (stage, its start on the perf_counter clock), in order
+    stages = [("load", time.perf_counter())]
     try:
         h = _load_code_from_args(args)
-        stage = "partition"
+        stages.append(("partition", time.perf_counter()))
         g = build_check_graph(h)
         p = args.torus_n * args.torus_n
         mapping = partition_kway(g, p, args.seed)
@@ -353,16 +354,16 @@ def cmd_pipeline(args) -> int:
         cut = cutset(g, mapping)
         rp_cuts = [cutset(g, partition_random(g, p, s)) for s in range(args.rp_baseline)]
         rp_mean = float(np.mean(rp_cuts))
-        stage = "schedule"
+        stages.append(("schedule", time.perf_counter()))
         sched = build_schedule(h, mapping)
-        stage = "simulate"
+        stages.append(("simulate", time.perf_counter()))
         trace = simulate_iteration(
             Topology(args.torus_n), sched, seed=args.seed,
             pipeline_depth=args.pe_pipeline, label=h.label,
         )
-        stage = "genconfig"
+        stages.append(("genconfig", time.perf_counter()))
         config = gen_config(trace, mapping, h, fifo_pow2=args.fifo_pow2)
-        stage = "replay-verify"
+        stages.append(("replay-verify", time.perf_counter()))
         wiring = validate_config(h, mapping, trace, config)
         layout = CodeLayout.build(h)
         params = _decode_params(args)
@@ -380,9 +381,11 @@ def cmd_pipeline(args) -> int:
             ):
                 mismatches += 1
         replay_ok = mismatches == 0
+        stages.append(("", time.perf_counter()))
     except Exception as exc:  # surface the failing stage, per contract
-        print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
+        print(f"pipeline failed at stage {stages[-1][0]}: {exc}", file=sys.stderr)
         return 2
+    stage_s = {name: end - start for (name, start), (_, end) in zip(stages, stages[1:])}
 
     out = _outdir(args)
     with open(os.path.join(out, "mapping.json"), "w") as fh:
@@ -408,6 +411,7 @@ def cmd_pipeline(args) -> int:
         "replay_check_frames": args.check_frames,
         "replay_matches_golden": replay_ok,
         "elapsed_s": round(time.time() - t0, 2),
+        "stage_s": stage_s,
     }
     _write_json(args, "report.json", report)
     print(f"code        {h.label}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,11 +25,12 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix
 from ..jsonfields import all_ints, int_list, int_records, typed
 from ..mapper import Mapping
-from ..nocsim.schedule import build_schedule
+from ..nocsim.schedule import _schedule_for
 from ..nocsim.trace import NocTrace, frozen_int64
 
 FORMAT = "nocldpc-config-v1"
 _BIN_MAGIC = b"NOCLDPCC"
+_SLOT_KEY = re.compile(r"(0|[1-9][0-9]*):(0|[1-9][0-9]*)")  # check:position, canonical
 _KEYS = ("label", "n", "k_i", "n_d", "n_pc", "pipeline_depth", "rm", "wag", "cnt_cmp",
          "fifo_depth", "slot_of", "trace_digest", "mapping_digest", "h_digest")
 
@@ -45,6 +47,10 @@ def pack_rm_word(selections: list[tuple[int, int]]) -> int:
     return word
 
 
+# the word bits of each single crossbar setting, _OP_BITS[out_port][in_port]
+_OP_BITS = tuple(tuple(pack_rm_word([(out, inp)]) for inp in range(5)) for out in range(5))
+
+
 def unpack_rm_word(word: int) -> list[tuple[int, int]]:
     sel = []
     for out in range(5):
@@ -59,9 +65,10 @@ class ConfigImage:
     """The static configuration of every router and PE for one code.
 
     An image is immutable: its tables are tuples, its FIFO depths a read-only
-    array and its slot map a read-only mapping, so its payload digest is
-    computed at most once.  Built without a digest, the image seals itself
-    with that payload digest.
+    array and its slot map a read-only mapping, so its payload object and
+    payload digest are computed at most once, and to_json encodes the same
+    payload object.  Built without a digest, the image seals itself with
+    that payload digest.
     """
 
     label: str
@@ -93,7 +100,13 @@ class ConfigImage:
     def p(self) -> int:
         return self.n * self.n
 
-    def _payload_obj(self) -> dict:
+    @cached_property
+    def _payload(self) -> dict:
+        """The image's fields as the JSON object its digest and text encode.
+
+        Built once per image; json.dumps with sort_keys orders the slot
+        map's "check:position" keys itself.
+        """
         return {
             "format": FORMAT,
             "label": self.label,
@@ -106,7 +119,7 @@ class ConfigImage:
             "wag": self.wag,
             "cnt_cmp": self.cnt_cmp,
             "fifo_depth": self.fifo_depth.tolist(),
-            "slot_of": {f"{c}:{p}": s for (c, p), s in sorted(self.slot_of.items())},
+            "slot_of": {f"{c}:{p}": s for (c, p), s in self.slot_of.items()},
             "trace_digest": self.trace_digest,
             "mapping_digest": self.mapping_digest,
             "h_digest": self.h_digest,
@@ -114,7 +127,10 @@ class ConfigImage:
 
     @cached_property
     def _payload_digest(self) -> str:
-        text = json.dumps(self._payload_obj(), sort_keys=True, separators=(",", ":"))
+        # the payload is a tree of tuples, ints and strings built here, which
+        # cannot hold a cycle, so the encoder skips its cycle bookkeeping
+        text = json.dumps(self._payload, sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
         return hashlib.sha256(text.encode()).hexdigest()
 
     def compute_digest(self) -> str:
@@ -125,16 +141,17 @@ class ConfigImage:
             raise ConfigIntegrityError("configuration image digest mismatch")
 
     def to_json(self) -> str:
-        obj = self._payload_obj()
-        obj["digest"] = self.digest
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps({**self._payload, "digest": self.digest}, sort_keys=True,
+                          check_circular=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ConfigImage":
         """Rebuild an image; malformed text raises ConfigIntegrityError.
 
         The image keeps the digest stored in the file, so verify_digest
-        checks the payload against it.
+        checks the payload against it.  Slot map keys must be written as
+        to_json writes them: two plain decimals without sign, spaces,
+        underscores or leading zeros, joined by a colon.
         """
         try:
             obj = json.loads(text)
@@ -149,6 +166,11 @@ class ConfigImage:
             slot_of = obj["slot_of"]
             if not all_ints(slot_of.values()):
                 raise ValueError("slots must be integers")
+            keys = list(map(_SLOT_KEY.fullmatch, slot_of))
+            if None in keys:
+                bad = next(k for k, m in zip(slot_of, keys) if m is None)
+                raise ValueError(f"slot map key {bad!r} does not read check:position "
+                                 "in plain decimal")
             img = cls(
                 label=typed(obj, "label", str),
                 n=typed(obj, "n"),
@@ -160,7 +182,7 @@ class ConfigImage:
                 wag=[int_list(pe, "WAG table") for pe in obj["wag"]],
                 cnt_cmp=[int_records(pe, 2, "CNT/CMP") for pe in obj["cnt_cmp"]],
                 fifo_depth=int_records(obj["fifo_depth"], 5, "FIFO depth"),
-                slot_of={tuple(map(int, k.split(":"))): v for k, v in slot_of.items()},
+                slot_of={(int(m[1]), int(m[2])): v for m, v in zip(keys, slot_of.values())},
                 trace_digest=typed(obj, "trace_digest", str),
                 mapping_digest=typed(obj, "mapping_digest", str),
                 h_digest=typed(obj, "h_digest", str),
@@ -175,8 +197,6 @@ class ConfigImage:
             )
         if len(img.wag) != p or len(img.cnt_cmp) != p:
             raise ConfigIntegrityError(f"WAG and CNT/CMP tables must cover {p} PEs")
-        if any(len(k) != 2 for k in img.slot_of):
-            raise ConfigIntegrityError("slot map keys must read check:position")
         if img.fifo_depth.shape != (p, 5):
             raise ConfigIntegrityError(f"FIFO depths must be {p} x 5")
         if img.pipeline_depth < 0:
@@ -195,12 +215,14 @@ class ConfigImage:
 def fill_free_slots(slot_of: dict[tuple[int, int], int], degs: list[int]) -> None:
     """Give each check's inputs that have no slot yet (bypass, wrap-in-place,
     self) the check's free slots, in position order."""
+    get = slot_of.get
     for m, d in enumerate(degs):
-        taken = {slot_of[(m, pos)] for pos in range(d) if (m, pos) in slot_of}
-        free = (s for s in range(d) if s not in taken)
-        for pos in range(d):
-            if (m, pos) not in slot_of:
-                slot_of[(m, pos)] = next(free)
+        slots = [get((m, pos)) for pos in range(d)]
+        if None in slots:
+            free = iter([s for s in range(d) if s not in slots])
+            for pos, slot in enumerate(slots):
+                if slot is None:
+                    slot_of[m, pos] = next(free)
 
 
 def gen_config(
@@ -210,7 +232,8 @@ def gen_config(
     fifo_pow2: bool = False,
 ) -> ConfigImage:
     """Translate a trace into the decoder's static configuration."""
-    schedule = build_schedule(h, mapping)
+    digests = h.content_digest(), mapping.content_digest()
+    schedule = _schedule_for(h, mapping, digests)
     p = trace.p
     if mapping.p != p:
         raise ConfigIntegrityError(f"mapping is for {mapping.p} PEs, trace for {p}")
@@ -248,7 +271,7 @@ def gen_config(
     for pe in range(p):
         addrs = [
             serve_pos[check] * n_d + slot_of[(check, pos)]
-            for check, pos, *_ in trace.arrivals[pe]
+            for check, pos, _src, _uid, _rc in trace.arrivals[pe]
         ]
         if len(set(addrs)) != len(addrs):
             raise ConfigIntegrityError(f"WAG address collision on PE {pe}")
@@ -256,14 +279,15 @@ def gen_config(
 
     cnt_cmp = [[(serve_pos[m] * n_d, degs[m]) for m in mapping.order[pe]] for pe in range(p)]
 
-    rm = [[0] * trace.k_i for _ in range(p)]
+    k_i = trace.k_i
+    rm = [[0] * k_i for _ in range(p)]
     for node, ops in enumerate(trace.rm_ops):
         words = rm[node]
         for cycle, out, inp in ops:
-            if not (0 <= cycle < trace.k_i and 0 <= out < 5 and 0 <= inp < 5):
+            if not (0 <= cycle < k_i and 0 <= out < 5 and 0 <= inp < 5):
                 raise ConfigIntegrityError(f"node {node}: routing operation {(cycle, out, inp)} "
-                                           f"outside cycles 0..{trace.k_i - 1} or ports 0..4")
-            words[cycle] |= pack_rm_word([(out, inp)])
+                                           f"outside cycles 0..{k_i - 1} or ports 0..4")
+            words[cycle] |= _OP_BITS[out][inp]
 
     fifo_depth = trace.fifo_max.copy()
     if fifo_pow2:
@@ -283,6 +307,6 @@ def gen_config(
         fifo_depth=fifo_depth,
         slot_of=slot_of,
         trace_digest=trace.content_digest(),
-        mapping_digest=mapping.content_digest(),
-        h_digest=h.content_digest(),
+        mapping_digest=digests[1],
+        h_digest=digests[0],
     )

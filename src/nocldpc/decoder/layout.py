@@ -118,8 +118,9 @@ class CodeLayout:
     batched syndrome's gather.
     Each thread has its own buffers, so threads may decode on one layout at
     once, and they live as long as the layout.  Decode results own their
-    arrays: none aliases the scratch.  The SPA decoder's gather maps
-    (spa_plan) are built on first use, since only that decoder reads them.
+    arrays: none aliases the scratch.  The golden layered decoder's tables
+    (golden_layers) and the SPA decoder's gather maps (spa_plan) are built
+    on first use, since only those decoders read them.
     """
 
     h: ParityCheckMatrix
@@ -158,6 +159,26 @@ class CodeLayout:
             start = span.stop
         return cls(h=h, n_d=n_d, idx=idx, mask=mask, layer_rows=layers,
                    layer_maps=layer_maps, check_idx=check_idx)
+
+    @cached_property
+    def golden_layers(self) -> tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray], ...]:
+        """The golden layered decoder's row-major tables, built on first use.
+
+        Per layer: idx, (rows, W) with W the layer's widest row but at least
+        2, holding the variable in each row's slots and N, the spare
+        variable slot, in padded ones; the (rows, W) pad mask, or None when
+        the layer has no padded slot; and the row indices 0..rows-1.
+        """
+        n = self.h.n_cols
+        layers = []
+        for rows in self.layer_rows:
+            mask = self.mask[rows]
+            width = int(mask.sum(axis=1).max(initial=0))
+            idx = np.full((len(rows), max(width, 2)), n, dtype=np.intp)
+            idx[:, :width][mask[:, :width]] = self.idx[rows][mask]
+            pad = idx == n
+            layers.append((idx, pad if pad.any() else None, np.arange(len(rows))))
+        return tuple(layers)
 
     @cached_property
     def spa_plan(self) -> SpaPlan:

@@ -13,11 +13,12 @@ as log(P0/P1).
 
 decode_layered_nms is the golden: a plain row-major transcription of the
 datapath, one frame at a time, sharing no code with the production kernel.
-Once per call it builds each layer's tables: the layer's rows cut to its
-widest row (at least two slots, so every row has a second minimum), with
-padded slots pointing at a spare variable slot, their pad mask, and the
-layer's extrinsics as one contiguous block.  It computes in int32, which
-holds every difference and sum of two codes of the widest (24-bit) format.
+It reads each layer's tables from CodeLayout.golden_layers, built once per
+layout: the layer's rows cut to its widest row (at least two slots, so
+every row has a second minimum), with padded slots pointing at a spare
+variable slot, and their pad mask.  Each call gives each layer its
+extrinsics as one contiguous block.  It computes in int32, which holds
+every difference and sum of two codes of the widest (24-bit) format.
 
 The one production kernel is _layered_sweep, a frames-last sweep over
 per-layer gather/scatter maps: decode_layered_nms_batch runs it through the
@@ -129,16 +130,9 @@ def decode_layered_nms(
     lo, hi = np.int32(fmt.min_code), np.int32(fmt.max_code)
     empty = np.int32(len(lut) - 1)  # |min_code|: what a padded slot reads as
 
-    # per-layer tables (see the module docstring)
-    layers = []
-    for rows in layout.layer_rows:
-        mask = layout.mask[rows]
-        width = int(mask.sum(axis=1).max(initial=0))
-        idx = np.full((len(rows), max(width, 2)), n, dtype=np.intp)
-        idx[:, :width][mask[:, :width]] = layout.idx[rows][mask]
-        pad = idx == n
-        layers.append((idx, pad if pad.any() else None, np.arange(len(rows)),
-                       np.zeros(idx.shape, dtype=np.int32)))
+    # the layout's tables (see the module docstring), and this call's extrinsics
+    layers = [(idx, pad, row, np.zeros(idx.shape, dtype=np.int32))
+              for idx, pad, row in layout.golden_layers]
 
     iterations = 0
     converged = False

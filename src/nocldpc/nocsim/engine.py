@@ -64,8 +64,12 @@ class CycleEngine:
         self.deliveries: dict[int, list[tuple[int, int, int]]] = {}
         self.completions: dict[int, list[int]] = {}  # cycle -> checks leaving the pipeline
         self.inj_queue: list[deque[int]] = [deque() for _ in range(p)]
+        self.injecting: list[int] = []  # PEs whose injection queue holds a flit
         self.ptr = [0] * p  # next served check per PE
-        self.read_free = [0] * p
+        # PEs free to start their next served check, and cycle -> PEs whose
+        # read port frees then; a PE that has served all its checks leaves
+        self.idle = [pe for pe in range(p) if self.serve[pe]]
+        self.frees: dict[int, list[int]] = {}
         self.pending_checks = sum(len(s) for s in self.serve)
         self.delivered = 0
 
@@ -105,15 +109,28 @@ class CycleEngine:
         if finished:
             progressed = True
             host, emit_net, emit_local = self.host, self.emit_net, self.emit_local
+            injecting = self.injecting
             for m in finished:
                 self.check_complete[m] = t
-                inj_queue[host[m]].extend(emit_net[m])
+                if emit_net[m]:
+                    pe = host[m]
+                    if not inj_queue[pe]:
+                        injecting.append(pe)
+                    inj_queue[pe].extend(emit_net[m])
                 for c in emit_local[m]:
                     missing[c] -= 1  # same-PE forward, available now
 
+        # Steps 3 and 4 visit only the PEs with work.  What a PE does in them
+        # touches its own queue, FIFO and read state, the uids it injects and
+        # the checks it serves, and only adds to the completions list of a
+        # later cycle, so the order in which PEs are visited changes nothing.
+
         # 3. injection: one flit per PE per cycle through the LOCAL port
-        for pe, iq in enumerate(inj_queue):
-            if iq:
+        if self.injecting:
+            progressed = True
+            still = []
+            for pe in self.injecting:
+                iq = inj_queue[pe]
                 uid = iq.popleft()
                 self.inject_cycle[uid] = t
                 q = fifos[pe][LOCAL]
@@ -121,21 +138,34 @@ class CycleEngine:
                 queued[pe] += 1
                 if len(q) > fifo_max[pe][LOCAL]:
                     fifo_max[pe][LOCAL] = len(q)
-                progressed = True
+                if iq:
+                    still.append(pe)
+            self.injecting = still
 
         # 4. PEs start reading the next served check when its block is full
-        serve, ptr, read_free = self.serve, self.ptr, self.read_free
-        for pe, order in enumerate(serve):
-            if ptr[pe] < len(order) and read_free[pe] <= t:
+        idle = self.idle
+        freed = self.frees.pop(t, None)
+        if freed:
+            idle += freed
+        if idle:
+            serve, ptr, deg = self.serve, self.ptr, self.deg
+            waiting = []
+            for pe in idle:
+                order = serve[pe]
                 m = order[ptr[pe]]
-                if missing[m] == 0:
-                    self.check_start[m] = t
-                    d = self.deg[m]
-                    read_free[pe] = t + d
-                    self.completions.setdefault(t + d + self.pipeline_depth, []).append(m)
-                    ptr[pe] += 1
-                    self.pending_checks -= 1
-                    progressed = True
+                if missing[m]:
+                    waiting.append(pe)
+                    continue
+                self.check_start[m] = t
+                d = deg[m]
+                self.completions.setdefault(t + d + self.pipeline_depth, []).append(m)
+                ptr[pe] += 1
+                if ptr[pe] < len(order):
+                    # a PE starts at most one check per cycle
+                    self.frees.setdefault(t + max(d, 1), []).append(pe)
+                self.pending_checks -= 1
+                progressed = True
+            self.idle = waiting
         return progressed
 
     def drained(self) -> bool:
@@ -145,5 +175,5 @@ class CycleEngine:
             and self.pending_checks == 0
             and not self.completions
             and not self.deliveries
-            and not any(self.inj_queue)
+            and not self.injecting
         )

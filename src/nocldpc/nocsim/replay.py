@@ -38,7 +38,7 @@ from ..decoder.nms import DecodeParams, DecodeResult, _channel_llrs, _layered_sw
 from ..fixedpoint import quantize
 from ..mapper import Mapping
 from .engine import HOP_CYCLES, LOCAL, CycleEngine
-from .schedule import build_schedule
+from .schedule import _schedule_for
 from .topology import Topology
 from .trace import NocTrace
 
@@ -70,9 +70,11 @@ def validate_config(
     config.verify_digest()
     if config.trace_digest != trace.content_digest():
         raise ReplayIntegrityError("configuration was generated from a different trace")
-    if config.mapping_digest != mapping.content_digest():
+    mapping_digest = mapping.content_digest()
+    if config.mapping_digest != mapping_digest:
         raise ReplayIntegrityError("configuration was generated from a different mapping")
-    if config.h_digest != h.content_digest():
+    h_digest = h.content_digest()
+    if config.h_digest != h_digest:
         raise ReplayIntegrityError("configuration was generated from a different code")
 
     if config.p != mapping.p:
@@ -83,7 +85,7 @@ def validate_config(
         raise ReplayIntegrityError(
             f"image has PE pipeline depth {config.pipeline_depth}, trace {trace.pipeline_depth}"
         )
-    schedule = build_schedule(h, mapping)
+    schedule = _schedule_for(h, mapping, (h_digest, mapping_digest))
     p = config.p
     links = Topology(config.n).links()
     n_d = config.n_d
@@ -104,13 +106,14 @@ def validate_config(
     selections: dict[int, list[tuple[int, int]]] = {}  # RM word -> crossbar settings
     wag_next = [0] * p
     slot_of: dict[tuple[int, int], int] = {}
-    written: set[tuple[int, int]] = set()  # (check, slot)
+    written: set[int] = set()  # check * n_d + slot, as slot < n_d
 
+    rm, wag = config.rm, config.wag
     for t in range(config.k_i):
         engine.step(t)
         hop_done = []
         for node in range(p):
-            word = config.rm[node][t]
+            word = rm[node][t]
             if not word:
                 continue
             sel = selections.get(word)
@@ -135,23 +138,26 @@ def validate_config(
                     raise ReplayIntegrityError(
                         f"cycle {t}: flit for PE {e.dst_pe} ejected at {node}"
                     )
-                if wag_next[node] >= len(config.wag[node]):
+                k = wag_next[node]
+                if k >= len(wag[node]):
                     raise ReplayIntegrityError(f"PE {node}: WAG table exhausted")
-                addr = config.wag[node][wag_next[node]]
-                wag_next[node] += 1
+                addr = wag[node][k]
+                wag_next[node] = k + 1
                 pos_in_order, slot = divmod(addr, n_d)
-                if pos_in_order >= len(serve[node]):
+                order = serve[node]
+                if pos_in_order >= len(order):
                     raise ReplayIntegrityError(f"PE {node}: WAG address {addr} out of range")
-                check = serve[node][pos_in_order]
+                check = order[pos_in_order]
                 if check != e.dst_check or slot >= degs[check]:
                     raise ReplayIntegrityError(
                         f"cycle {t}: WAG address {addr} routes to check {check}, "
                         f"flit belongs to {e.dst_check}"
                     )
-                if (check, slot) in written:
+                row = check * n_d + slot
+                if row in written:
                     raise ReplayIntegrityError(f"check {check}: slot {slot} assigned twice")
-                written.add((check, slot))
-                slot_of[(check, e.dst_pos)] = slot
+                written.add(row)
+                slot_of[check, e.dst_pos] = slot
                 hop_done.append((node, LOCAL, uid))
         if hop_done:
             deliveries[t + HOP_CYCLES] = hop_done

@@ -80,7 +80,14 @@ def build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule:
     reuse that build.  A changed code, layer order, assignment or serving
     order never matches the key and gets a fresh build.
     """
-    key = (h.content_digest(), mapping.content_digest())
+    return _schedule_for(h, mapping, (h.content_digest(), mapping.content_digest()))
+
+
+def _schedule_for(h: ParityCheckMatrix, mapping: Mapping, key: tuple[str, str]) -> InjectionSchedule:
+    """build_schedule, for a caller that has already hashed the code and the
+    mapping: key is (h.content_digest(), mapping.content_digest()).
+    gen_config and validate_config record or compare those digests too, so
+    each hashes both once."""
     if mapping._schedule is not None and mapping._schedule[0] == key:
         return mapping._schedule[1]
     sched = _build_schedule(h, mapping)
@@ -134,8 +141,8 @@ def _build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule
             ems = []
             for sp, (j, dst, dp, wrap) in enumerate(successor[src]):
                 network = host[src] != host[dst]
-                e = Emission(j, src, sp, dst, dp, host[dst], network, wrap,
-                             len(network_flits) if network else -1)
+                e = Emission._make((j, src, sp, dst, dp, host[dst], network, wrap,
+                                    len(network_flits) if network else -1))
                 if network:
                     network_flits.append(e)
                 else:

@@ -14,21 +14,28 @@ hold the received soft values instead.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .engine import HOP_CYCLES, LOCAL, CycleEngine
 from .schedule import InjectionSchedule
 from .topology import Topology, route_o1turn
 from .trace import FlitRecord, NocTrace, SimulationDeadlock
 
+_M64 = 0xFFFFFFFFFFFFFFFF
 
-def _mix64(a: int, b: int) -> int:
-    """splitmix64-style hash; the per-flit routing coin must not depend on
-    event order, only on (seed, uid)."""
-    x = (a * 0x9E3779B97F4A7C15 + b) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
+
+def _coins(seed: int, n: int) -> list[int]:
+    """The O1Turn coin of uids 0..n-1: the low bit of a splitmix64-style
+    hash of (seed, uid), so that a flit's coin does not depend on event
+    order.  uint64 array arithmetic wraps modulo 2**64, as the hash does."""
+    x = np.arange(n, dtype=np.uint64)
+    x += np.uint64(seed * 0x9E3779B97F4A7C15 & _M64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x & np.uint64(1)).tolist()
 
 
 def simulate_iteration(
@@ -46,15 +53,22 @@ def simulate_iteration(
     links = topo.links()
 
     # per uid: source PE, the seeded O1Turn coin, the route's output ports
-    # as ints and the next hop on it
+    # as ints, and the output port its next hop requests.  route_o1turn runs
+    # once per distinct (source, destination, coin); flits that share those
+    # share one route tuple.
     flits = schedule.network_flits
-    src_pe = [schedule.host[e.src_check] for e in flits]
-    coin = [_mix64(seed, e.uid) & 1 for e in flits]
-    route = [
-        [int(port) for port in route_o1turn(s, e.dst_pe, topo.n, c)]
-        for e, s, c in zip(flits, src_pe, coin)
-    ]
+    host = schedule.host
+    src_pe = [host[e.src_check] for e in flits]
+    coin = _coins(seed, len(flits))
+    key = (np.array(src_pe, dtype=np.int64) * p + [e.dst_pe for e in flits]) * 2 + coin
+    distinct, which = np.unique(key, return_inverse=True)
+    paths = [tuple(map(int, route_o1turn(k // 2 // p, k // 2 % p, topo.n, k % 2)))
+             for k in distinct.tolist()]
+    route = list(map(paths.__getitem__, which.tolist()))
+    nxt = [r[0] for r in route]
     hop = [0] * len(flits)
+    # per uid: its arrival record up to the receipt cycle
+    eject = [(e.dst_check, e.dst_pos, s, e.uid) for e, s in zip(flits, src_pe)]
 
     engine = CycleEngine(schedule, pipeline_depth)
     fifos, queued, deliveries = engine.fifos, engine.queued, engine.deliveries
@@ -73,12 +87,13 @@ def simulate_iteration(
         # input round-robin; an input popped for one output may request a
         # later output with its next flit in the same cycle
         hop_done = []
+        landing = t + HOP_CYCLES  # one int object for the cycle's arrival records
         for node in range(p):
             if not queued[node]:
                 continue
             nf = fifos[node]
-            want = [route[q[0]][hop[q[0]]] if q else -1 for q in nf]
-            rr = rr_ptr[node]
+            want = [nxt[q[0]] if q else -1 for q in nf]
+            rr, ops = rr_ptr[node], rm_ops[node]
             for out in range(5):
                 if out not in want:
                     continue
@@ -88,21 +103,19 @@ def simulate_iteration(
                 q = nf[inp]
                 uid = q.popleft()
                 queued[node] -= 1
-                want[inp] = route[q[0]][hop[q[0]]] if q else -1
-                rm_ops[node].append((t, out, inp))
+                want[inp] = nxt[q[0]] if q else -1
+                ops.append((t, out, inp))
                 rr[out] = inp + 1 if inp < 4 else 0
-                hop[uid] += 1
+                k = hop[uid] = hop[uid] + 1
                 if out == LOCAL:
-                    e = flits[uid]
-                    arrivals[node].append(
-                        (e.dst_check, e.dst_pos, src_pe[uid], uid, t + HOP_CYCLES)
-                    )
+                    arrivals[node].append((*eject[uid], landing))
                     hop_done.append((node, LOCAL, uid))
                 else:
+                    nxt[uid] = route[uid][k]
                     nbr, port = links[node][out]
                     hop_done.append((nbr, port, uid))
         if hop_done:
-            deliveries[t + HOP_CYCLES] = hop_done
+            deliveries[landing] = hop_done
             progressed = True
 
         if progressed:
@@ -118,15 +131,11 @@ def simulate_iteration(
             )
         t += 1
 
-    receipt = engine.receipt_cycle
+    inject, receipt = engine.inject_cycle, engine.receipt_cycle
     records = [
-        FlitRecord(
-            uid=e.uid, var=e.var, src_check=e.src_check, dst_check=e.dst_check,
-            dst_pos=e.dst_pos, src_pe=src_pe[e.uid], dst_pe=e.dst_pe, coin=coin[e.uid],
-            wrap=int(e.wrap), inject_cycle=engine.inject_cycle[e.uid],
-            receipt_cycle=receipt[e.uid], hops=hop[e.uid],
-        )
-        for e in flits
+        FlitRecord._make((e.uid, e.var, e.src_check, e.dst_check, e.dst_pos, s, e.dst_pe, c,
+                          int(e.wrap), i, r, k))
+        for e, s, c, i, r, k in zip(flits, src_pe, coin, inject, receipt, hop)
     ]
     trace = NocTrace(
         n=topo.n,

@@ -157,7 +157,10 @@ class NocTrace:
 
     @cached_property
     def _canonical(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        # the object is a tree of tuples, ints and strings built here, which
+        # cannot hold a cycle, so the encoder skips its cycle bookkeeping
+        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
 
     @cached_property
     def _digest(self) -> str:

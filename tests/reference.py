@@ -1,14 +1,17 @@
 """Plain references that the library's faster paths are checked against.
 
-These are the row and edge loops, and the first golden layered decoder,
-that whole-array or per-layer-table versions in `src/` replaced.  Tests
+These are the row and edge loops, the first golden layered decoder, and
+the first encoders of the trace and configuration-image JSON, that
+whole-array, per-layer-table or cached versions in `src/` replaced.  Tests
 import them; nothing in the library does.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from nocldpc.configgen.image import FORMAT as IMAGE_FORMAT
 from nocldpc.decoder import CodeLayout, DecodeParams, DecodeResult
 from nocldpc.decoder.nms import hard_decision
 from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table
@@ -130,3 +133,52 @@ def decode_layered_nms(h, channel_llrs, params: DecodeParams,
         final_llrs=state.lq.copy(),
         fmt=params.fmt,
     )
+
+
+def trace_text(trace) -> str:
+    """A trace's canonical JSON text, by the default json.dumps."""
+    return json.dumps(trace.to_json_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def image_payload(image) -> dict:
+    """An image's payload object, its slot map built in sorted key order."""
+    return {
+        "format": IMAGE_FORMAT,
+        "label": image.label,
+        "n": image.n,
+        "k_i": image.k_i,
+        "n_d": image.n_d,
+        "n_pc": image.n_pc,
+        "pipeline_depth": image.pipeline_depth,
+        "rm": image.rm,
+        "wag": image.wag,
+        "cnt_cmp": image.cnt_cmp,
+        "fifo_depth": image.fifo_depth.tolist(),
+        "slot_of": {f"{c}:{p}": s for (c, p), s in sorted(image.slot_of.items())},
+        "trace_digest": image.trace_digest,
+        "mapping_digest": image.mapping_digest,
+        "h_digest": image.h_digest,
+    }
+
+
+def image_payload_text(image) -> str:
+    """The text an image's payload digest hashes, by the default json.dumps."""
+    return json.dumps(image_payload(image), sort_keys=True, separators=(",", ":"))
+
+
+def image_text(image) -> str:
+    """ConfigImage.to_json's text, by the default json.dumps."""
+    obj = image_payload(image)
+    obj["digest"] = image.digest
+    return json.dumps(obj, sort_keys=True)
+
+
+def mix64(a: int, b: int) -> int:
+    """The splitmix64-style hash of (seed, uid) whose low bit is a flit's
+    O1Turn coin, on Python ints."""
+    x = (a * 0x9E3779B97F4A7C15 + b) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 31)

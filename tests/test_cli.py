@@ -235,6 +235,18 @@ class TestPipeline:
         for name in ("mapping.json", "trace.json", "config.json"):
             assert (tmp_path / name).exists()
 
+    def test_report_times_each_stage(self, tmp_path, capsys):
+        rc = run([
+            "pipeline", "--code", "wimax_576_288", "--torus-n", "2",
+            "--seed", "1", "--check-frames", "1", "--rp-baseline", "2",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        stage_s = json.loads((tmp_path / "report.json").read_text())["stage_s"]
+        assert set(stage_s) == {"load", "partition", "schedule", "simulate", "genconfig",
+                                "replay-verify"}
+        assert all(isinstance(s, float) and s >= 0 for s in stage_s.values())
+
     def test_replay_spot_check_compares_final_llrs(self, tmp_path, capsys, monkeypatch):
         import nocldpc.cli as cli
 

@@ -152,6 +152,17 @@ class TestGenConfig:
         with pytest.raises(ConfigIntegrityError):
             ConfigImage.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("key", ["00:0", " 0:0", "+0:0", "0_0:0", "0:00", "0: 0", "-0:0",
+                                     "0:0 ", "\u0660:0", "0:0:0", "0"])
+    def test_noncanonical_slot_keys_rejected(self, key):
+        # int() reads each of these as check 0, position 0, which would load
+        # and pass the digest; the loader accepts only what to_json writes
+        h, m, tr = feeder_pipeline()
+        obj = json.loads(gen_config(tr, m, h).to_json())
+        obj["slot_of"][key] = obj["slot_of"].pop("0:0")
+        with pytest.raises(ConfigIntegrityError, match="slot map key"):
+            ConfigImage.from_json(json.dumps(obj))
+
     @pytest.mark.parametrize("record,field,value,match", [
         ("arrivals", 0, 10**6, "check 1000000, outside"),
         ("arrivals", 0, -1, "check -1, outside"),

@@ -170,6 +170,21 @@ class TestScheduleReuse:
         assert len(calls) == 1
         assert build_schedule(h, m) is s
 
+    def test_each_stage_hashes_code_and_mapping_once(self, monkeypatch):
+        h, m = _c06_mapping()
+        s = build_schedule(h, m)
+        tr = simulate_iteration(Topology(2), s, seed=20250808, label=h.label)
+        calls = []
+        for obj in (h, m):
+            digest = type(obj).content_digest
+            monkeypatch.setattr(type(obj), "content_digest",
+                                lambda self, d=digest: calls.append(type(self).__name__) or d(self))
+        cfg = gen_config(tr, m, h)
+        assert sorted(calls) == ["Mapping", "ParityCheckMatrix"]
+        calls.clear()
+        validate_config(h, m, tr, cfg)
+        assert sorted(calls) == ["Mapping", "ParityCheckMatrix"]
+
     def test_changed_inputs_never_return_a_stale_schedule(self):
         def check(h, m):
             s = build_schedule(h, m)
