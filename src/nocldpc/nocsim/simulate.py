@@ -21,15 +21,13 @@ from .schedule import InjectionSchedule
 from .topology import Topology, route_o1turn
 from .trace import FlitRecord, NocTrace, SimulationDeadlock
 
-_M64 = 0xFFFFFFFFFFFFFFFF
-
 
 def _coins(seed: int, n: int) -> list[int]:
     """The O1Turn coin of uids 0..n-1: the low bit of a splitmix64-style
     hash of (seed, uid), so that a flit's coin does not depend on event
     order.  uint64 array arithmetic wraps modulo 2**64, as the hash does."""
     x = np.arange(n, dtype=np.uint64)
-    x += np.uint64(seed * 0x9E3779B97F4A7C15 & _M64)
+    x += np.uint64(seed * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
