@@ -65,8 +65,6 @@ def simulate_iteration(
     route = list(map(paths.__getitem__, which.tolist()))
     nxt = [r[0] for r in route]
     hop = [0] * len(flits)
-    # per uid: its arrival record up to the receipt cycle
-    eject = [(e.dst_check, e.dst_pos, s, e.uid) for e, s in zip(flits, src_pe)]
 
     engine = CycleEngine(schedule, pipeline_depth)
     fifos, queued, deliveries = engine.fifos, engine.queued, engine.deliveries
@@ -106,7 +104,8 @@ def simulate_iteration(
                 rr[out] = inp + 1 if inp < 4 else 0
                 k = hop[uid] = hop[uid] + 1
                 if out == LOCAL:
-                    arrivals[node].append((*eject[uid], landing))
+                    e = flits[uid]
+                    arrivals[node].append((e.dst_check, e.dst_pos, src_pe[uid], uid, landing))
                     hop_done.append((node, LOCAL, uid))
                 else:
                     nxt[uid] = route[uid][k]
