@@ -1,12 +1,14 @@
 """Plain references that the library's faster paths are checked against.
 
-These are the row and edge loops, the first golden layered decoder, and
-the first encoders of the trace and configuration-image JSON, that
-whole-array, per-layer-table or cached versions in `src/` replaced.  Tests
-import them; nothing in the library does.
+These are the row and edge loops, the first golden layered decoder, the
+first encoders of the trace and configuration-image JSON, and the first
+cycle simulator, that whole-array, per-layer-table, cached or event-driven
+versions in `src/` replaced.  Tests import them; nothing in the library
+does.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +17,7 @@ from nocldpc.configgen.image import FORMAT as IMAGE_FORMAT
 from nocldpc.decoder import CodeLayout, DecodeParams, DecodeResult
 from nocldpc.decoder.nms import hard_decision
 from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table
+from nocldpc.nocsim.topology import OPPOSITE, Port, route_o1turn
 
 _PAD_MAG = np.int32(1) << 30
 
@@ -182,3 +185,121 @@ def mix64(a: int, b: int) -> int:
     x ^= x >> 27
     x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+def simulate_cycles(topo, schedule, seed: int, pipeline_depth: int) -> dict:
+    """One iteration's timing by the first simulator's plain loops.
+
+    Two cycles per hop.  Each cycle, in order: deliveries land, finished
+    checks emit (same-PE forwards count as inputs at once), each PE puts at
+    most one flit into its LOCAL FIFO, each PE whose read port is free
+    starts its next served check once every non-wrap input is in, and every
+    router gives each output, in port order, to one requesting input
+    round-robin.  Every PE is visited every cycle.  The per-check needs are
+    derived here from ``schedule.emissions``, not read from the schedule's
+    tables, and each flit routes by route_o1turn under its mix64 coin.
+    Returns the facts a trace records, as lists and tuples.
+    """
+    p, n = topo.p, topo.n
+    local = int(Port.LOCAL)
+    flits = schedule.network_flits
+    src_pe = [schedule.host[e.src_check] for e in flits]
+    coin = [mix64(seed, e.uid) & 1 for e in flits]
+    route = [[int(port) for port in route_o1turn(s, e.dst_pe, n, c)]
+             for e, s, c in zip(flits, src_pe, coin)]
+    hops = [0] * len(flits)
+    inject = [-1] * len(flits)
+    receipt = [-1] * len(flits)
+
+    n_checks = len(schedule.emissions)
+    deg = [len(ems) for ems in schedule.emissions]
+    emit_net = [[e.uid for e in ems if e.network] for ems in schedule.emissions]
+    emit_local = [[e.dst_check for e in ems if not e.network and not e.wrap]
+                  for ems in schedule.emissions]
+    missing = [0] * n_checks
+    for ems in schedule.emissions:
+        for e in ems:
+            if not e.wrap:
+                missing[e.dst_check] += 1
+
+    fifos = [[deque() for _ in range(5)] for _ in range(p)]
+    fifo_max = [[0] * 5 for _ in range(p)]
+    rr = [[0] * 5 for _ in range(p)]
+    rm_ops = [[] for _ in range(p)]
+    arrivals = [[] for _ in range(p)]
+    inj_queue = [deque() for _ in range(p)]
+    ptr = [0] * p
+    read_free = [0] * p
+    deliveries = {}  # cycle -> [(node, input port, uid)]; port LOCAL ejects
+    completions = {}  # cycle -> checks leaving the pipeline
+    check_start = [-1] * n_checks
+    check_complete = [-1] * n_checks
+
+    def enqueue(node, port, uid):
+        fifos[node][port].append(uid)
+        fifo_max[node][port] = max(fifo_max[node][port], len(fifos[node][port]))
+
+    t = 0
+    while (min(receipt, default=0) < 0 or completions or deliveries or any(inj_queue)
+           or any(ptr[pe] < len(schedule.order[pe]) for pe in range(p))):
+        if t > 100000:
+            raise RuntimeError("reference cycle model made no end")
+        for node, port, uid in deliveries.pop(t, []):
+            if port == local:
+                receipt[uid] = t
+                if not flits[uid].wrap:
+                    missing[flits[uid].dst_check] -= 1
+            else:
+                enqueue(node, port, uid)
+        for m in completions.pop(t, []):
+            check_complete[m] = t
+            inj_queue[schedule.host[m]].extend(emit_net[m])
+            for c in emit_local[m]:
+                missing[c] -= 1
+        for pe in range(p):
+            if inj_queue[pe]:
+                uid = inj_queue[pe].popleft()
+                inject[uid] = t
+                enqueue(pe, local, uid)
+        for pe in range(p):
+            order = schedule.order[pe]
+            if ptr[pe] < len(order) and read_free[pe] <= t and missing[order[ptr[pe]]] == 0:
+                m = order[ptr[pe]]
+                check_start[m] = t
+                read_free[pe] = t + deg[m]
+                completions.setdefault(t + deg[m] + pipeline_depth, []).append(m)
+                ptr[pe] += 1
+        moves = []
+        for node in range(p):
+            for out in range(5):
+                want = [bool(q) and route[q[0]][hops[q[0]]] == out for q in fifos[node]]
+                if not any(want):
+                    continue
+                inp = rr[node][out]
+                while not want[inp]:
+                    inp = (inp + 1) % 5
+                uid = fifos[node][inp].popleft()
+                rr[node][out] = (inp + 1) % 5
+                rm_ops[node].append((t, out, inp))
+                hops[uid] += 1
+                if out == local:
+                    e = flits[uid]
+                    arrivals[node].append((e.dst_check, e.dst_pos, src_pe[uid], uid, t + 2))
+                    moves.append((node, local, uid))
+                else:
+                    moves.append((topo.neighbor(node, Port(out)), int(OPPOSITE[Port(out)]), uid))
+        if moves:
+            deliveries[t + 2] = moves
+        t += 1
+
+    return {
+        "k_i": max(receipt, default=-1) + 1,
+        "inject_cycle": inject,
+        "receipt_cycle": receipt,
+        "hops": hops,
+        "check_start": check_start,
+        "check_complete": check_complete,
+        "fifo_max": fifo_max,
+        "rm_ops": tuple(map(tuple, rm_ops)),
+        "arrivals": tuple(map(tuple, arrivals)),
+    }

@@ -3,8 +3,9 @@ construction, validation, digests and layouts against the per-row loops they
 replaced, the check graph against its per-column loop reference, quantize
 against its floor/ceil reference, the golden layered decoder against the
 first golden in reference.py, batched decoders against their single-frame
-goldens, and the codegen path from check graph to replayed
-configuration image."""
+goldens, the codegen path from check graph to replayed configuration
+image, and the cycle simulator against the first simulator's plain loops
+in reference.py."""
 
 import hashlib
 
@@ -43,7 +44,7 @@ from nocldpc.decoder import (  # noqa: E402
 )
 from nocldpc.decoder.layout import _CHECK_CHUNK, _VAR_CHUNK  # noqa: E402
 from nocldpc.fixedpoint import QFormat, quantize  # noqa: E402
-from nocldpc.mapper import cutset, partition_kway, serving_order  # noqa: E402
+from nocldpc.mapper import Mapping, cutset, partition_kway, serving_order  # noqa: E402
 from nocldpc.nocsim import (  # noqa: E402
     NocTrace,
     Topology,
@@ -806,3 +807,40 @@ def test_codegen_path_properties(case):
             assert other.iterations_run == gold.iterations_run
             assert other.converged == gold.converged
             assert np.array_equal(other.final_llrs, gold.final_llrs)
+
+
+@st.composite
+def timing_cases(draw):
+    side = draw(st.integers(1, 4))
+    p = side * side
+    m = draw(st.integers(1, 32))
+    n = draw(st.integers(2, 40))
+    row_degree = draw(st.integers(1, min(n, 8)))
+    assume(m * row_degree >= n)
+    h = random_code(n, m, row_degree, seed=draw(SEEDS))
+    seed = draw(SEEDS)
+    if m >= p and draw(st.booleans()):
+        mapping = partition_kway(build_check_graph(h), p, seed)
+    else:  # unbalanced and crowded PEs make more contention
+        pes = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+        mapping = Mapping(p=p, assignment=np.array(pes, dtype=np.int32))
+    serving_order(h, mapping)
+    return h, mapping, side, draw(st.integers(0, 6)), seed
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=SLOW_DRAWS)
+@given(timing_cases())
+def test_cycles_match_reference_model(case):
+    h, mapping, side, depth, seed = case
+    topo = Topology(side)
+    trace = simulate_iteration(topo, build_schedule(h, mapping), seed=seed, pipeline_depth=depth)
+    want = reference.simulate_cycles(topo, build_schedule(h, mapping), seed, depth)
+    assert trace.k_i == want["k_i"]
+    assert [f.inject_cycle for f in trace.flits] == want["inject_cycle"]
+    assert [f.receipt_cycle for f in trace.flits] == want["receipt_cycle"]
+    assert [f.hops for f in trace.flits] == want["hops"]
+    assert trace.check_start.tolist() == want["check_start"]
+    assert trace.check_complete.tolist() == want["check_complete"]
+    assert trace.fifo_max.tolist() == want["fifo_max"]
+    assert trace.rm_ops == want["rm_ops"]
+    assert trace.arrivals == want["arrivals"]
