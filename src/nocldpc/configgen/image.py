@@ -25,7 +25,7 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix
 from ..jsonfields import all_ints, int_list, int_records, typed
 from ..mapper import Mapping
-from ..nocsim.schedule import _schedule_for
+from ..nocsim.schedule import InjectionSchedule, _schedule_for
 from ..nocsim.trace import NocTrace, frozen_int64
 
 FORMAT = "nocldpc-config-v1"
@@ -212,6 +212,16 @@ class ConfigImage:
         return head + body
 
 
+def read_side(schedule: InjectionSchedule) -> tuple[int, int, tuple]:
+    """The image's read side: N_d (block stride, the widest degree), N_pc (the
+    most checks on one PE) and per PE the CNT/CMP (block offset, degree) of
+    each served check, in serving order."""
+    deg = schedule.deg
+    n_d = max(deg, default=0)
+    cnt_cmp = tuple(tuple((k * n_d, deg[m]) for k, m in enumerate(rows)) for rows in schedule.order)
+    return n_d, max(map(len, schedule.order), default=0), cnt_cmp
+
+
 def fill_free_slots(slot_of: dict[tuple[int, int], int], degs: list[int]) -> None:
     """Give each check's inputs that have no slot yet (bypass, wrap-in-place,
     self) the check's free slots, in position order."""
@@ -237,11 +247,9 @@ def gen_config(
     p = trace.p
     if mapping.p != p:
         raise ConfigIntegrityError(f"mapping is for {mapping.p} PEs, trace for {p}")
-    n_d = h.max_row_degree
-    n_pc = max((len(rows) for rows in mapping.order), default=0)
+    n_d, n_pc, cnt_cmp = read_side(schedule)
     serve_pos = schedule.serve_pos
     host = schedule.host
-    degs = [len(row) for row in h.rows]
 
     # slots: network arrivals claim slots in arrival order, the remaining
     # inputs fill the leftover slots
@@ -265,7 +273,7 @@ def gen_config(
     if stray:
         side = "trace" if stray[0] in slot_of else "schedule"
         raise ConfigIntegrityError(f"network input {stray[0]} is in the {side} only")
-    fill_free_slots(slot_of, degs)
+    fill_free_slots(slot_of, schedule.deg)
 
     wag: list[list[int]] = []
     for pe in range(p):
@@ -276,8 +284,6 @@ def gen_config(
         if len(set(addrs)) != len(addrs):
             raise ConfigIntegrityError(f"WAG address collision on PE {pe}")
         wag.append(addrs)
-
-    cnt_cmp = [[(serve_pos[m] * n_d, degs[m]) for m in mapping.order[pe]] for pe in range(p)]
 
     k_i = trace.k_i
     rm = [[0] * k_i for _ in range(p)]

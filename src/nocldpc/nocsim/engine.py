@@ -11,6 +11,9 @@ the cycle.  The simulator and the RM walk thus share one timing model, so
 a routing program that replays the simulator's decisions reproduces its
 cycles exactly.  FIFOs are unbounded; their peak occupancy sizes the
 hardware queues afterwards.
+
+The per-check tables are the schedule's; an engine copies only the input
+counts, which it counts down.
 """
 
 from __future__ import annotations
@@ -38,26 +41,10 @@ class CycleEngine:
 
     def __init__(self, schedule: InjectionSchedule, pipeline_depth: int):
         p = schedule.p
-        n_flits = schedule.n_network
         self.pipeline_depth = pipeline_depth
-        self.host = schedule.host
-        self.serve = schedule.order
-        self.dst_check = [e.dst_check for e in schedule.network_flits]
-        self.wrap = [e.wrap for e in schedule.network_flits]
-        # per check: its network uids in position order, the same-PE checks
-        # its local forwards feed, and its read time (degree)
-        self.emit_net = [[e.uid for e in ems if e.network] for ems in schedule.emissions]
-        self.emit_local = [
-            [e.dst_check for e in ems if not e.network and not e.wrap]
-            for ems in schedule.emissions
-        ]
-        self.deg = [len(ems) for ems in schedule.emissions]
-        # inputs other than wrap/self must arrive before a check is read
-        self.missing = [0] * schedule.n_checks
-        for ems in schedule.emissions:
-            for e in ems:
-                if not e.wrap:
-                    self.missing[e.dst_check] += 1
+        self.schedule = schedule
+        # inputs other than wrap values still to arrive before a check is read
+        self.missing = list(schedule.n_inputs)
 
         self.fifos = [[deque() for _ in range(5)] for _ in range(p)]
         self.queued = [0] * p  # flits waiting in each router's input FIFOs
@@ -68,16 +55,16 @@ class CycleEngine:
         self.ptr = [0] * p  # next served check per PE
         # PEs free to start their next served check, and cycle -> PEs whose
         # read port frees then; a PE that has served all its checks leaves
-        self.idle = [pe for pe in range(p) if self.serve[pe]]
+        self.idle = [pe for pe in range(p) if schedule.order[pe]]
         self.frees: dict[int, list[int]] = {}
-        self.pending_checks = sum(len(s) for s in self.serve)
+        self.pending_checks = sum(map(len, schedule.order))
         self.delivered = 0
 
         self.fifo_max = [[0] * 5 for _ in range(p)]
         self.check_start = [-1] * schedule.n_checks
         self.check_complete = [-1] * schedule.n_checks
-        self.inject_cycle = [-1] * n_flits
-        self.receipt_cycle = [-1] * n_flits
+        self.inject_cycle = [-1] * schedule.n_network
+        self.receipt_cycle = [-1] * schedule.n_network
 
     def step(self, t: int) -> bool:
         """Run steps 1-4 of cycle t; True if anything landed, emitted,
@@ -90,13 +77,14 @@ class CycleEngine:
         landing = self.deliveries.pop(t, None)
         if landing:
             progressed = True
-            wrap, dst_check, receipt = self.wrap, self.dst_check, self.receipt_cycle
+            flits, receipt = self.schedule.network_flits, self.receipt_cycle
             for node, port, uid in landing:
                 if port == LOCAL:  # ejection into the PE
                     self.delivered += 1
                     receipt[uid] = t
-                    if not wrap[uid]:
-                        missing[dst_check[uid]] -= 1
+                    e = flits[uid]
+                    if not e.wrap:
+                        missing[e.dst_check] -= 1
                 else:
                     q = fifos[node][port]
                     q.append(uid)
@@ -108,7 +96,8 @@ class CycleEngine:
         finished = self.completions.pop(t, None)
         if finished:
             progressed = True
-            host, emit_net, emit_local = self.host, self.emit_net, self.emit_local
+            s = self.schedule
+            host, emit_net, emit_local = s.host, s.emit_net, s.emit_local
             injecting = self.injecting
             for m in finished:
                 self.check_complete[m] = t
@@ -148,7 +137,7 @@ class CycleEngine:
         if freed:
             idle += freed
         if idle:
-            serve, ptr, deg = self.serve, self.ptr, self.deg
+            serve, ptr, deg = self.schedule.order, self.ptr, self.schedule.deg
             waiting = []
             for pe in idle:
                 order = serve[pe]

@@ -11,9 +11,11 @@ has two parts:
    the simulator's own timing model (engine.CycleEngine), driven by the
    deliveries the RM produces.  The walk checks that every pop finds a
    flit, every ejection lands at its host PE in WAG order, every block slot
-   is written exactly once, no FIFO outgrows its declared depth, the
-   network is drained after k_i cycles, and the declared slot map matches.
-   The result is the validated dataflow wiring between memory slots.
+   is written exactly once at a WAG address inside the PE's blocks, every
+   RM word is the packed word of its settings, no FIFO outgrows its
+   declared depth, the last flit lands in cycle k_i - 1, and the declared
+   slot map, N_d, N_pc and CNT/CMP tables match the schedule's.  The
+   result is the validated dataflow wiring between memory slots.
 
 2. replay_decode runs frames over that wiring on the frames-last layered
    kernel of decoder.nms, the one that decode_layered_nms_batch runs.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
-from ..configgen.image import ConfigImage, fill_free_slots, unpack_rm_word
+from ..configgen.image import ConfigImage, fill_free_slots, pack_rm_word, read_side, unpack_rm_word
 from ..decoder.layout import CodeLayout
 from ..decoder.nms import DecodeParams, DecodeResult, _channel_llrs, _layered_sweep, _store_dtype
 from ..fixedpoint import quantize
@@ -88,13 +90,12 @@ def validate_config(
     schedule = _schedule_for(h, mapping, (h_digest, mapping_digest))
     p = config.p
     links = Topology(config.n).links()
-    n_d = config.n_d
-    serve_pos = schedule.serve_pos
-    degs = [len(row) for row in h.rows]
-
+    n_d, n_pc, cnt_cmp = read_side(schedule)
+    if (config.n_d, config.n_pc) != (n_d, n_pc):
+        raise ReplayIntegrityError(f"image declares N_d {config.n_d} and N_pc {config.n_pc}, "
+                                   f"the schedule reads with {n_d} and {n_pc}")
     for pe in range(p):
-        want = tuple((serve_pos[m] * n_d, degs[m]) for m in mapping.order[pe])
-        if config.cnt_cmp[pe] != want:
+        if config.cnt_cmp[pe] != cnt_cmp[pe]:
             raise ReplayIntegrityError(f"CNT/CMP table mismatch on PE {pe}")
 
     # walk the routing memories through the shared timing model; the flits
@@ -121,6 +122,9 @@ def validate_config(
                 sel = selections[word] = unpack_rm_word(word)
                 if any(inp > LOCAL for _, inp in sel):
                     raise ReplayIntegrityError(f"RM word {word:#x} selects an input port above {LOCAL}")
+                if pack_rm_word(sel) != word:
+                    raise ReplayIntegrityError(f"RM word {word:#x} is not the packed word of its "
+                                               "crossbar settings")
             for out, inp in sel:
                 q = fifos[node][inp]
                 if not q:
@@ -145,10 +149,10 @@ def validate_config(
                 wag_next[node] = k + 1
                 pos_in_order, slot = divmod(addr, n_d)
                 order = serve[node]
-                if pos_in_order >= len(order):
+                if not 0 <= pos_in_order < len(order):
                     raise ReplayIntegrityError(f"PE {node}: WAG address {addr} out of range")
                 check = order[pos_in_order]
-                if check != e.dst_check or slot >= degs[check]:
+                if check != e.dst_check or slot >= schedule.deg[check]:
                     raise ReplayIntegrityError(
                         f"cycle {t}: WAG address {addr} routes to check {check}, "
                         f"flit belongs to {e.dst_check}"
@@ -162,18 +166,18 @@ def validate_config(
         if hop_done:
             deliveries[t + HOP_CYCLES] = hop_done
 
-    # stop rule: after k_i cycles only ejections may still be in flight
-    delivered = engine.delivered
-    for moves in deliveries.values():
-        if any(port != LOCAL for _node, port, _uid in moves):
-            raise ReplayIntegrityError("flit still on a link after k_i cycles")
-        delivered += len(moves)
-    if delivered != schedule.n_network:
+    # stop rule: every flit has landed within the k_i cycles and the last
+    # one lands in the last of them, as the simulator defines k_i; a flit
+    # still queued or in flight has not landed
+    if engine.delivered != schedule.n_network:
         raise ReplayIntegrityError(
-            f"{delivered} of {schedule.n_network} flits delivered by the program"
+            f"{engine.delivered} of {schedule.n_network} flits delivered by the program "
+            f"within {config.k_i} cycles"
         )
-    if any(queued):
-        raise ReplayIntegrityError("flits left in FIFOs after k_i cycles")
+    last = max(engine.receipt_cycle, default=-1)
+    if last != config.k_i - 1:
+        raise ReplayIntegrityError(f"the program's last flit lands at cycle {last}, "
+                                   f"k_i is {config.k_i}")
     for pe in range(p):
         if wag_next[pe] != len(config.wag[pe]):
             raise ReplayIntegrityError(f"PE {pe}: WAG table not fully consumed")
@@ -185,7 +189,7 @@ def validate_config(
             f"depth is {config.fifo_depth[node, port]}"
         )
 
-    fill_free_slots(slot_of, degs)
+    fill_free_slots(slot_of, schedule.deg)
     if slot_of != config.slot_of:
         raise ReplayIntegrityError("declared slot map differs from the RM walk")
 

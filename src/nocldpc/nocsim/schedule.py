@@ -10,6 +10,9 @@ Every check therefore receives exactly its degree worth of values per
 iteration: chain messages from predecessors plus, for a variable whose chain
 starts at this check, the wrap value already sitting in memory (the received
 soft value on iteration one).
+
+Beside the emissions, the schedule holds as tuples of ints what later stages
+read per check and per uid, so none derives those from the emissions again.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ class InjectionSchedule:
     order: tuple[tuple[int, ...], ...]  # per-PE serving order
     emissions: tuple[tuple[Emission, ...], ...]  # per check, in position order
     network_flits: tuple[Emission, ...]  # in uid order
+    deg: tuple[int, ...]  # per check: degree, its read time in cycles
+    emit_net: tuple[tuple[int, ...], ...]  # per check: network uids in position order
+    emit_local: tuple[tuple[int, ...], ...]  # per check: targets of its same-PE forwards
+    n_inputs: tuple[int, ...]  # per check: inputs other than wrap values, read after landing
+    src_pe: tuple[int, ...]  # per uid
     n_bypass: int = 0
 
     @property
@@ -134,21 +142,29 @@ def _build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule
     # order is fixed by the schedule alone; the replay relies on it to
     # identify header-less flits.
     emissions: list[tuple[Emission, ...]] = [()] * m_checks
+    emit_net, emit_local, n_inputs = [()] * m_checks, [()] * m_checks, [0] * m_checks
     network_flits: list[Emission] = []
+    src_pe: list[int] = []  # per uid
     n_bypass = 0
     for rows in mapping.order:
         for src in rows:
-            ems = []
+            ems, net, local = [], [], []
             for sp, (j, dst, dp, wrap) in enumerate(successor[src]):
                 network = host[src] != host[dst]
-                e = Emission._make((j, src, sp, dst, dp, host[dst], network, wrap,
-                                    len(network_flits) if network else -1))
+                uid = len(network_flits) if network else -1
+                e = Emission._make((j, src, sp, dst, dp, host[dst], network, wrap, uid))
                 if network:
                     network_flits.append(e)
+                    src_pe.append(host[src])
+                    net.append(uid)
                 else:
                     n_bypass += (dst, dp) != (src, sp)
+                    if not wrap:
+                        local.append(dst)
+                n_inputs[dst] += not wrap
                 ems.append(e)
             emissions[src] = tuple(ems)
+            emit_net[src], emit_local[src] = tuple(net), tuple(local)
 
     sched = InjectionSchedule(
         p=mapping.p,
@@ -157,6 +173,11 @@ def _build_schedule(h: ParityCheckMatrix, mapping: Mapping) -> InjectionSchedule
         order=tuple(map(tuple, mapping.order)),
         emissions=tuple(emissions),
         network_flits=tuple(network_flits),
+        deg=tuple(map(len, successor)),
+        emit_net=tuple(emit_net),
+        emit_local=tuple(emit_local),
+        n_inputs=tuple(n_inputs),
+        src_pe=tuple(src_pe),
         n_bypass=n_bypass,
     )
     _check_counts(sched, col_deg)

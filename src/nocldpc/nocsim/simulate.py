@@ -55,8 +55,7 @@ def simulate_iteration(
     # once per distinct (source, destination, coin); flits that share those
     # share one route tuple.
     flits = schedule.network_flits
-    host = schedule.host
-    src_pe = [host[e.src_check] for e in flits]
+    src_pe = schedule.src_pe
     coin = _coins(seed, len(flits))
     key = (np.array(src_pe, dtype=np.int64) * p + [e.dst_pe for e in flits]) * 2 + coin
     distinct, which = np.unique(key, return_inverse=True)
@@ -173,10 +172,10 @@ def _assert_invariants(trace: NocTrace, schedule: InjectionSchedule) -> None:
             raise AssertionError("k_i below max-distance lower bound")
 
     # a wrap value must land only after its consumer's block was read out
-    starts = trace.check_start.tolist()
+    starts, deg = trace.check_start.tolist(), schedule.deg
     for f in trace.flits:
         if f.wrap and starts[f.dst_check] >= 0:
-            read_end = starts[f.dst_check] + len(schedule.emissions[f.dst_check])
+            read_end = starts[f.dst_check] + deg[f.dst_check]
             if f.receipt_cycle <= read_end:
                 raise AssertionError(
                     f"wrap flit {f.uid} overwrites check {f.dst_check} before its read"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -238,6 +239,19 @@ class TestScheduleReuse:
         assert [e.uid for e in s.network_flits] == list(range(s.n_network))
         assert all(e.uid == -1 for ems in s.emissions for e in ems if not e.network)
 
+        # the per-check and per-uid tables are tuples of ints that say what
+        # the emissions say
+        tables = [s.deg, s.n_inputs, s.src_pe, s.emit_net, s.emit_local, *s.emit_net, *s.emit_local]
+        assert all(type(c) is tuple for c in tables)
+        assert all(type(v) is int for v in (*s.deg, *s.n_inputs, *s.src_pe))
+        assert s.deg == tuple(map(len, s.emissions))
+        assert s.emit_net == tuple(tuple(e.uid for e in ems if e.network) for ems in s.emissions)
+        assert s.emit_local == tuple(tuple(e.dst_check for e in ems if not e.network and not e.wrap)
+                                     for ems in s.emissions)
+        inputs = Counter(e.dst_check for ems in s.emissions for e in ems if not e.wrap)
+        assert s.n_inputs == tuple(inputs[c] for c in range(s.n_checks))
+        assert s.src_pe == tuple(s.host[e.src_check] for e in s.network_flits)
+
 
 class TestSimulate:
     def test_single_hop_latency(self):
@@ -454,6 +468,15 @@ def pipeline():
     return h, m, tr, cfg, wiring
 
 
+@pytest.fixture(scope="module")
+def pipeline_p4():
+    h = load_code("wimax_576_288")
+    m = partition_kway(build_check_graph(h), 4, seed=1)
+    serving_order(h, m)
+    tr = simulate_iteration(Topology(2), build_schedule(h, m), seed=1, label=h.label)
+    return h, m, tr, gen_config(tr, m, h)
+
+
 class TestReplay:
 
     def test_noisy_frames_match_golden(self, pipeline):
@@ -608,11 +631,15 @@ class TestReplay:
         with pytest.raises(ReplayIntegrityError):
             validate_config(h, m, tr, _resealed(broken))
 
-    @pytest.mark.parametrize("tamper", ["fifo_depth", "wag_address", "short_program", "long_program"])
+    @pytest.mark.parametrize("tamper", ["fifo_depth", "wag_address", "negative_wag_address",
+                                        "pop_bits_cleared", "bit_30_set", "negative_word",
+                                        "short_program", "long_program"])
     def test_resealed_program_faults_rejected(self, pipeline, tamper):
         from nocldpc.nocsim import ReplayIntegrityError
 
         h, m, tr, cfg, _ = pipeline
+        rm_node = next(node for node, words in enumerate(cfg.rm) if any(words))
+        rm_cyc = next(c for c, w in enumerate(cfg.rm[rm_node]) if w)
 
         def edit(obj):
             if tamper == "fifo_depth":  # one queue one flit short of the walk's peak
@@ -621,6 +648,15 @@ class TestReplay:
             elif tamper == "wag_address":
                 pe = next(pe for pe, addrs in enumerate(obj["wag"]) if addrs)
                 obj["wag"][pe][0] ^= 1
+            elif tamper == "negative_wag_address":  # negative indexing finds the same slot
+                pe = next(pe for pe, addrs in enumerate(obj["wag"]) if addrs)
+                obj["wag"][pe][0] -= len(m.order[pe]) * obj["n_d"]
+            elif tamper == "pop_bits_cleared":  # the crossbar settings alone still read right
+                obj["rm"][rm_node][rm_cyc] &= ~(0x1F << 20)
+            elif tamper == "bit_30_set":
+                obj["rm"][rm_node][rm_cyc] |= 1 << 30
+            elif tamper == "negative_word":  # the same low 32 bits
+                obj["rm"][rm_node][rm_cyc] -= 2**32
             elif tamper == "short_program":  # the program stops before its last flits land
                 obj["k_i"] -= 3
                 obj["rm"] = [words[: obj["k_i"]] for words in obj["rm"]]
@@ -630,6 +666,40 @@ class TestReplay:
 
         with pytest.raises(ReplayIntegrityError):
             validate_config(h, m, tr, _resealed(_edited(cfg, edit)))
+
+    @pytest.mark.parametrize("tamper", ["n_d_narrow", "n_d_zero", "n_pc"])
+    def test_resealed_read_side_rejected(self, pipeline_p4, tamper):
+        # N_d sets the block stride of the WAG and CNT/CMP addresses, so
+        # those are rewritten to the tampered stride
+        from nocldpc.nocsim import ReplayIntegrityError
+
+        h, m, tr, cfg = pipeline_p4
+        assert cfg.n_d == h.max_row_degree == 7
+
+        def edit(obj):
+            if tamper == "n_pc":
+                obj["n_pc"] += 1
+                return
+            old, new = obj["n_d"], 6 if tamper == "n_d_narrow" else 0
+            obj["n_d"] = new
+            obj["cnt_cmp"] = [[[off // old * new, d] for off, d in pe] for pe in obj["cnt_cmp"]]
+            obj["wag"] = [[a // old * new + a % old for a in pe] for pe in obj["wag"]]
+
+        with pytest.raises(ReplayIntegrityError, match="N_d|N_pc"):
+            validate_config(h, m, tr, _resealed(_edited(cfg, edit)))
+
+    def test_padded_trace_k_i_rejected(self, pipeline):
+        # idle cycles after the last landing would inflate the cycle count
+        # that throughput and the switch buffers are sized from
+        from nocldpc.nocsim import NocTrace, ReplayIntegrityError
+
+        h, m, tr, _, _ = pipeline
+        obj = json.loads(tr.to_json())
+        obj["k_i"] += 50
+        padded = NocTrace.from_json(json.dumps(obj))
+        cfg = gen_config(padded, m, h)
+        with pytest.raises(ReplayIntegrityError, match="last flit lands"):
+            validate_config(h, m, padded, cfg)
 
     def test_flipped_digest_rejected(self, pipeline):
         from nocldpc.configgen import ConfigIntegrityError
