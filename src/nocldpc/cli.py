@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -46,43 +47,60 @@ def _manifest_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _outdir(args) -> str:
+def _write(args, name: str, content) -> str:
+    """Write one artifact into --out (default nocldpc_out); return its path.
+
+    Text and bytes are written as they are, a dict as JSON carrying the
+    hash of the run manifest.
+    """
     out = args.out or "nocldpc_out"
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_json(args, name: str, obj: dict) -> str:
-    obj = dict(obj)
-    obj["manifest_hash"] = _manifest_hash(args)
-    path = os.path.join(_outdir(args), name)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+    path = os.path.join(out, name)
+    if isinstance(content, dict):
+        content = json.dumps({**content, "manifest_hash": _manifest_hash(args)},
+                             sort_keys=True, indent=2)
+    with open(path, "wb" if isinstance(content, bytes) else "w") as fh:
+        fh.write(content)
     return path
 
 
 def _load_code_from_args(args):
-    target = args.code
-    fmt = getattr(args, "format", "auto")
+    target, fmt = args.code, args.format
     if fmt == "auto":
         fmt = "file" if os.path.exists(target) else "name"
     if fmt == "name":
-        h = load_code(target)
-    else:
-        with open(target, "r", encoding="ascii") as fh:
-            text = fh.read()
-        if fmt == "alist":
-            h = parse_alist(text, label=os.path.basename(target))
-        elif fmt == "qc":
-            h = expand_qc(parse_qc(text, label=os.path.basename(target)))
-        else:  # sniff: a QC header line has three integers, alist has two
-            head = text.split("\n", 1)[0].split()
-            h = (
-                expand_qc(parse_qc(text, label=os.path.basename(target)))
-                if len(head) == 3
-                else parse_alist(text, label=os.path.basename(target))
-            )
-    return h
+        return load_code(target)
+    text = Path(target).read_text(encoding="ascii")
+    if fmt == "file":  # sniff: a QC header line has three integers, alist has two
+        fmt = "qc" if len(text.split("\n", 1)[0].split()) == 3 else "alist"
+    label = os.path.basename(target)
+    return expand_qc(parse_qc(text, label=label)) if fmt == "qc" else parse_alist(text, label=label)
+
+
+def _mapped(args, stages: list, partition=partition_kway):
+    """Load the code, build its check graph and map it over the torus.
+
+    Appends the perf_counter start marks of the load and partition stages
+    to stages; returns (code, check graph, mapping with serving orders).
+    """
+    stages.append(("load", time.perf_counter()))
+    h = _load_code_from_args(args)
+    stages.append(("partition", time.perf_counter()))
+    g = build_check_graph(h)
+    mapping = partition(g, args.torus_n * args.torus_n, args.seed)
+    serving_order(h, mapping)
+    return h, g, mapping
+
+
+def _stage_s(stages: list) -> dict:
+    """Seconds per stage from the start marks; the last stage ends now."""
+    ends = [start for _, start in stages[1:]] + [time.perf_counter()]
+    return {name: end - start for (name, start), end in zip(stages, ends)}
+
+
+def _random_mean(g, p: int, seeds: int) -> float:
+    """Mean cut of partition_random over seeds 0 .. seeds - 1."""
+    return float(np.mean([cutset(g, partition_random(g, p, s)) for s in range(seeds)]))
 
 
 def _decode_params(args) -> DecodeParams:
@@ -90,7 +108,7 @@ def _decode_params(args) -> DecodeParams:
         alpha=args.alpha,
         it_max=args.itmax,
         fmt=QFormat.parse(args.quant),
-        early_stop=not getattr(args, "no_early_stop", False),
+        early_stop=not args.no_early_stop,
     )
 
 
@@ -171,27 +189,19 @@ def cmd_inspect(args) -> int:
     print(f"message pairs  {g.n_edges}")
     print(f"sharing pairs  {g.n_shared_pairs}")
     if args.out:
-        print("wrote", _write_json(args, "inspect.json", info))
+        print("wrote", _write(args, "inspect.json", info))
     return 0
 
 
 def cmd_partition(args) -> int:
-    h = _load_code_from_args(args)
-    g = build_check_graph(h)
-    p = args.torus_n * args.torus_n
-    if args.strategy == "kway":
-        mapping = partition_kway(g, p, args.seed)
-    else:
-        mapping = partition_random(g, p, args.seed)
-    serving_order(h, mapping)
+    stages = []
+    strategy = partition_random if args.strategy == "random" else partition_kway
+    h, g, mapping = _mapped(args, stages, strategy)
+    p = mapping.p
     cut = cutset(g, mapping)
-    rp_mean = None
-    if args.rp_baseline:
-        cuts = [cutset(g, partition_random(g, p, s)) for s in range(args.rp_baseline)]
-        rp_mean = float(np.mean(cuts))
-    out = _outdir(args)
-    with open(os.path.join(out, "mapping.json"), "w") as fh:
-        fh.write(mapping.to_json())
+    rp_mean = _random_mean(g, p, args.rp_baseline) if args.rp_baseline else None
+    stage_s = _stage_s(stages)
+    _write(args, "mapping.json", mapping.to_json())
     summary = {
         "label": h.label,
         "p": p,
@@ -200,8 +210,9 @@ def cmd_partition(args) -> int:
         "cutset_messages": cut,
         "messages_total": g.n_messages,
         "rp_baseline_mean": rp_mean,
+        "stage_s": stage_s,
     }
-    _write_json(args, "partition.json", summary)
+    _write(args, "partition.json", summary)
     print(f"partitioned {h.label or args.code} over {p} PEs: cut {cut} / {g.n_messages} messages")
     if rp_mean is not None:
         print(f"random baseline mean over {args.rp_baseline} seeds: {rp_mean:.1f}")
@@ -209,24 +220,23 @@ def cmd_partition(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    h = _load_code_from_args(args)
-    g = build_check_graph(h)
-    mapping = partition_kway(g, args.torus_n * args.torus_n, args.seed)
-    serving_order(h, mapping)
+    stages = []
+    h, g, mapping = _mapped(args, stages)
+    stages.append(("schedule", time.perf_counter()))
     sched = build_schedule(h, mapping)
+    stages.append(("simulate", time.perf_counter()))
     trace = simulate_iteration(
         Topology(args.torus_n), sched, seed=args.seed,
         pipeline_depth=args.pe_pipeline, label=h.label,
     )
-    out = _outdir(args)
-    with open(os.path.join(out, "trace.json"), "w") as fh:
-        fh.write(trace.to_json())
-    with open(os.path.join(out, "mapping.json"), "w") as fh:
-        fh.write(mapping.to_json())
+    stage_s = _stage_s(stages)
+    _write(args, "trace.json", trace.to_json())
+    _write(args, "mapping.json", mapping.to_json())
     summary = trace.summary()
     summary["cutset_messages"] = cutset(g, mapping)
     summary["bypass_messages"] = sched.n_bypass
-    _write_json(args, "simulate.json", summary)
+    summary["stage_s"] = stage_s
+    _write(args, "simulate.json", summary)
     print(f"k_i = {trace.k_i} cycles, {sched.n_network} network / {sched.n_bypass} bypass messages")
     print(f"peak FIFO occupancy {summary['fifo_max_overall']}")
     return 0
@@ -234,38 +244,32 @@ def cmd_simulate(args) -> int:
 
 def cmd_genconfig(args) -> int:
     h = _load_code_from_args(args)
-    with open(args.mapping) as fh:
-        mapping = Mapping.from_json(fh.read())
-    with open(args.trace) as fh:
-        trace = NocTrace.from_json(fh.read())
+    mapping = Mapping.from_json(Path(args.mapping).read_text())
+    trace = NocTrace.from_json(Path(args.trace).read_text())
     config = gen_config(trace, mapping, h, fifo_pow2=args.fifo_pow2)
-    out = _outdir(args)
-    path = os.path.join(out, "config.json")
-    with open(path, "w") as fh:
-        fh.write(config.to_json())
+    validate_config(h, mapping, trace, config)  # refuses, e.g., a trace with padded k_i
+    path = _write(args, "config.json", config.to_json())
     print(f"config image: k_i={config.k_i}, N_pc={config.n_pc}, N_d={config.n_d}")
     print(f"FIFO depths (max per port): {config.fifo_depth.max(axis=0).tolist()}")
     print("wrote", path)
     if args.binary:
-        bpath = os.path.join(out, "config_rm.bin")
-        with open(bpath, "wb") as fh:
-            fh.write(config.rm_to_binary())
-        print("wrote", bpath)
+        print("wrote", _write(args, "config_rm.bin", config.rm_to_binary()))
     return 0
 
 
 def cmd_switch(args) -> int:
     if args.config1 and args.config2:
-        with open(args.config1) as fh:
-            c1 = ConfigImage.from_json(fh.read())
-        with open(args.config2) as fh:
-            c2 = ConfigImage.from_json(fh.read())
+        c1, c2 = (ConfigImage.from_json(Path(p).read_text()) for p in (args.config1, args.config2))
+        c1.verify_digest()
+        c2.verify_digest()
         k1, k2 = c1.k_i, c2.k_i
         n = args.torus_n or c1.n
+        if not c1.n == c2.n == n:
+            raise ValueError(f"images on {c1.n}x{c1.n} and {c2.n}x{c2.n} tori "
+                             f"cannot switch over {n} buses")
+    elif args.k1 is None or args.k2 is None:
+        raise ValueError("switch needs either two config images or --k1/--k2")
     else:
-        if args.k1 is None or args.k2 is None:
-            print("switch needs either two config images or --k1/--k2", file=sys.stderr)
-            return 2
         k1, k2, n = args.k1, args.k2, args.torus_n or 5
     b_min = max(min_buffer_size(k1, k2, n), k1, k2)
     b = args.buffer_size or b_min
@@ -282,7 +286,7 @@ def cmd_switch(args) -> int:
         ],
     }
     if args.out:
-        _write_json(args, "switch.json", result)
+        _write(args, "switch.json", result)
     print(f"switch k1={k1} k2={k2} over {n} buses: B={b} (minimum {b_min})")
     print(f"phases: w1={plan.w1} w2={plan.w2} w3={plan.w3}")
     if ok:
@@ -301,20 +305,11 @@ def cmd_ber(args) -> int:
     snrs = [float(s) for s in args.snr.split(",")]
     if not all(map(math.isfinite, snrs)):
         raise ValueError(f"--snr values must be finite, got {args.snr}")
-    points = run_ber(
-        h, params, snrs, stop, seed=args.seed,
-        algorithm=args.algorithm, threads=args.threads,
-    )
-    out = _outdir(args)
-    csv_path = os.path.join(out, "ber.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(BerPoint.CSV_HEADER + "\n")
-        for pt in points:
-            fh.write(pt.as_csv_row() + "\n")
-    _write_json(args, "ber.json", {"points": [pt.as_dict() for pt in points]})
-    print(BerPoint.CSV_HEADER)
-    for pt in points:
-        print(pt.as_csv_row())
+    points = run_ber(h, params, snrs, stop, seed=args.seed, algorithm=args.algorithm)
+    rows = [BerPoint.CSV_HEADER, *(pt.as_csv_row() for pt in points)]
+    csv_path = _write(args, "ber.csv", "".join(row + "\n" for row in rows))
+    _write(args, "ber.json", {"points": [pt.as_dict() for pt in points]})
+    print("\n".join(rows))
     print("wrote", csv_path)
     return 0
 
@@ -336,24 +331,17 @@ def cmd_throughput(args) -> int:
         result["throughput_avg_mbps"] = avg / 1e6
         print(f"average throughput:    {avg / 1e6:.1f} Mb/s (it_avg={args.avg_iterations})")
     if args.out:
-        _write_json(args, "throughput.json", result)
+        _write(args, "throughput.json", result)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    t0 = time.time()
-    # (stage, its start on the perf_counter clock), in order
-    stages = [("load", time.perf_counter())]
+    stages = []  # (stage, its start on the perf_counter clock), in order
     try:
-        h = _load_code_from_args(args)
-        stages.append(("partition", time.perf_counter()))
-        g = build_check_graph(h)
-        p = args.torus_n * args.torus_n
-        mapping = partition_kway(g, p, args.seed)
-        serving_order(h, mapping)
+        h, g, mapping = _mapped(args, stages)
+        p = mapping.p
         cut = cutset(g, mapping)
-        rp_cuts = [cutset(g, partition_random(g, p, s)) for s in range(args.rp_baseline)]
-        rp_mean = float(np.mean(rp_cuts))
+        rp_mean = _random_mean(g, p, args.rp_baseline)
         stages.append(("schedule", time.perf_counter()))
         sched = build_schedule(h, mapping)
         stages.append(("simulate", time.perf_counter()))
@@ -381,19 +369,13 @@ def cmd_pipeline(args) -> int:
             ):
                 mismatches += 1
         replay_ok = mismatches == 0
-        stages.append(("", time.perf_counter()))
+        stage_s = _stage_s(stages)
     except Exception as exc:  # surface the failing stage, per contract
         print(f"pipeline failed at stage {stages[-1][0]}: {exc}", file=sys.stderr)
         return 2
-    stage_s = {name: end - start for (name, start), (_, end) in zip(stages, stages[1:])}
 
-    out = _outdir(args)
-    with open(os.path.join(out, "mapping.json"), "w") as fh:
-        fh.write(mapping.to_json())
-    with open(os.path.join(out, "trace.json"), "w") as fh:
-        fh.write(trace.to_json())
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        fh.write(config.to_json())
+    for name, artifact in (("mapping.json", mapping), ("trace.json", trace), ("config.json", config)):
+        _write(args, name, artifact.to_json())
     cut_ok = cut < rp_mean if p > 1 else True  # one PE has no traffic to beat
     report = {
         "label": h.label,
@@ -410,16 +392,16 @@ def cmd_pipeline(args) -> int:
         "fifo_depth_max": int(config.fifo_depth.max()),
         "replay_check_frames": args.check_frames,
         "replay_matches_golden": replay_ok,
-        "elapsed_s": round(time.time() - t0, 2),
+        "elapsed_s": round(time.perf_counter() - stages[0][1], 2),
         "stage_s": stage_s,
     }
-    _write_json(args, "report.json", report)
+    _write(args, "report.json", report)
     print(f"code        {h.label}")
     print(f"k_i         {trace.k_i} cycles")
     print(f"cutset      {cut} messages (random baseline mean {rp_mean:.1f})")
     print(f"fifo depth  {report['fifo_depth_max']}")
     print(f"replay      {'PASS' if replay_ok else 'FAIL'} ({args.check_frames} frames vs golden)")
-    print("artifacts in", out)
+    print("artifacts in", args.out or "nocldpc_out")
     return 0 if replay_ok and cut_ok else 1
 
 
@@ -477,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-errors", type=int, default=100)
     p.add_argument("--max-frames", type=int, default=10000)
     p.add_argument("--algorithm", choices=["layered-nms", "flooding-spa"], default="layered-nms")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for scripts; changes neither BER counts nor speed (must be >= 1)")
     p.set_defaults(func=cmd_ber)
 
     p = sub.add_parser("throughput", help="decoded-bit throughput from cycle counts")
@@ -508,10 +488,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -120,6 +120,47 @@ class TestPartitionAndSimulate:
             err = capsys.readouterr().err
             assert "error:" in err and why in err
 
+    def test_genconfig_rejects_padded_trace_k_i(self, tmp_path, capsys):
+        # idle cycles after the last landing: validate_config refuses such an
+        # image, so genconfig must not write one
+        run(["simulate", "--code", "wimax_576_288", "--torus-n", "5",
+             "--seed", "2", "--out", str(tmp_path)])
+        obj = json.loads((tmp_path / "trace.json").read_text())
+        obj["k_i"] += 50
+        (tmp_path / "padded.json").write_text(json.dumps(obj))
+        rc = run([
+            "genconfig", "--code", "wimax_576_288", "--mapping", str(tmp_path / "mapping.json"),
+            "--trace", str(tmp_path / "padded.json"), "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "last flit lands" in capsys.readouterr().err
+        assert not (tmp_path / "config.json").exists()
+
+    @pytest.mark.parametrize("command,stages", [
+        ("partition", {"load", "partition"}),
+        ("simulate", {"load", "partition", "schedule", "simulate"}),
+    ])
+    def test_json_times_each_stage(self, command, stages, tmp_path):
+        rc = run([command, "--code", "wimax_576_288", "--torus-n", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        stage_s = json.loads((tmp_path / f"{command}.json").read_text())["stage_s"]
+        assert set(stage_s) == stages
+        assert all(isinstance(s, float) and s >= 0 for s in stage_s.values())
+
+
+@pytest.fixture(scope="module")
+def images(tmp_path_factory):
+    """Paths of wimax_576_288 configuration images on 4x4 and 5x5 tori, by side."""
+    paths = {}
+    for side in (4, 5):
+        out = tmp_path_factory.mktemp(f"side{side}")
+        assert run(["simulate", "--code", "wimax_576_288", "--torus-n", str(side),
+                    "--out", str(out)]) == 0
+        assert run(["genconfig", "--code", "wimax_576_288", "--mapping", str(out / "mapping.json"),
+                    "--trace", str(out / "trace.json"), "--out", str(out)]) == 0
+        paths[side] = out / "config.json"
+    return paths
+
 
 class TestSwitch:
     def test_rejects_malformed_images(self, tmp_path, capsys):
@@ -136,6 +177,32 @@ class TestSwitch:
             run(["switch", "--k1", "491", "--k2", "466", flag, "0"])
         assert exc.value.code == 2
         assert f"{flag}: must be > 0" in capsys.readouterr().err
+
+    def test_images_of_one_side_plan(self, images, capsys):
+        rc = run(["switch", "--config1", str(images[5]), "--config2", str(images[5]),
+                  "--torus-n", "5"])
+        assert rc == 0
+        assert "over 5 buses" in capsys.readouterr().out
+
+    def test_rejects_image_edited_without_reseal(self, images, tmp_path, capsys):
+        # a changed label without a new digest used to plan and pass
+        obj = json.loads(images[5].read_text())
+        obj["label"] = "edited"
+        (tmp_path / "edited.json").write_text(json.dumps(obj))
+        rc = run(["switch", "--config1", str(images[5]), "--config2", str(tmp_path / "edited.json")])
+        assert rc == 2
+        assert "digest mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side1,side2,torus_n", [(5, 4, []), (4, 5, []), (5, 5, ["--torus-n", "4"])])
+    def test_rejects_torus_side_mismatch(self, images, side1, side2, torus_n, capsys):
+        # a 5x5 and a 4x4 image used to plan over the first image's 5 buses
+        # and print PASS
+        rc = run(["switch", "--config1", str(images[side1]), "--config2", str(images[side2]),
+                  *torus_n])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "tori" in captured.err
+        assert "PASS" not in captured.out
 
     def test_worked_case_passes(self, tmp_path, capsys):
         rc = run(["switch", "--k1", "491", "--k2", "466", "--torus-n", "5",
@@ -170,15 +237,6 @@ class TestBerAndThroughput:
         assert len(lines) == 3
         data = json.loads((tmp_path / "ber.json").read_text())
         assert len(data["points"]) == 2
-
-    def test_ber_rejects_threads_below_one(self, tmp_path, capsys):
-        rc = run([
-            "ber", "--code", "wimax_576_288", "--snr", "2.0", "--max-frames", "1",
-            "--threads", "0", "--out", str(tmp_path),
-        ])
-        assert rc == 2
-        assert "threads" in capsys.readouterr().err
-        assert not (tmp_path / "ber.csv").exists()
 
     @pytest.mark.parametrize("snr", ["4000", "-4000", "3080"])
     def test_ber_rejects_snr_without_noise_sigma(self, snr, tmp_path, capsys):
@@ -338,3 +396,17 @@ def test_rejects_bad_numbers(argv, flag, tmp_path, capsys):
     assert rc == 2
     assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect", "--code", "{dir}"],
+    ["genconfig", "--code", "wimax_576_288", "--mapping", "{dir}", "--trace", "{file}"],
+    ["partition", "--code", "wimax_576_288", "--torus-n", "2", "--out", "{file}"],
+], ids=["inspect-code-dir", "genconfig-mapping-dir", "partition-out-file"])
+def test_unusable_path_exits_2(argv, tmp_path, capsys):
+    # a directory read as a file, or an existing file made the output
+    # directory, used to end in a traceback (IsADirectoryError, FileExistsError)
+    (tmp_path / "file").write_text("")
+    rc = run([a.format(dir=tmp_path, file=tmp_path / "file") for a in argv])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
