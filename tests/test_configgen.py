@@ -152,6 +152,23 @@ class TestGenConfig:
         with pytest.raises(ConfigIntegrityError):
             ConfigImage.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    @pytest.mark.parametrize("key", ["rm", "wag", "cnt_cmp", "fifo_depth", "slot_of"])
+    def test_single_non_int_value_rejected(self, key, bad):
+        # one table entry is not an int while all around it are; a table
+        # built by an int64 array conversion would read true as 1
+        h, m, tr = feeder_pipeline()
+        obj = json.loads(gen_config(tr, m, h).to_json())
+        table = obj[key]
+        if key == "slot_of":
+            table["0:0"] = bad
+        elif key == "cnt_cmp":
+            next(pe for pe in table if pe)[-1][1] = bad
+        else:
+            next(row for row in table if row)[-1] = bad
+        with pytest.raises(ConfigIntegrityError, match="malformed configuration image"):
+            ConfigImage.from_json(json.dumps(obj))
+
     @pytest.mark.parametrize("key", ["00:0", " 0:0", "+0:0", "0_0:0", "0:00", "0: 0", "-0:0",
                                      "0:0 ", "\u0660:0", "0:0:0", "0"])
     def test_noncanonical_slot_keys_rejected(self, key):

@@ -401,6 +401,27 @@ class TestTraceSerialization:
         with pytest.raises(ValueError):
             NocTrace.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    @pytest.mark.parametrize("key", ["flits", "rm_ops", "arrivals", "fifo_max", "check_start",
+                                     "check_complete"])
+    def test_single_non_int_value_rejected(self, key, bad):
+        # one record stays all ints but one value; a table built by an
+        # int64 array conversion would read true as 1
+        from nocldpc.nocsim import NocTrace
+
+        h = make_h([[0, 1], [1, 2], [0, 2]], 3)
+        tr = simulate_iteration(Topology(2), build_schedule(h, mapped(h, [0, 1, 2], 4)), seed=9)
+        obj = json.loads(tr.to_json())
+        rows = obj[key]
+        if key in ("rm_ops", "arrivals"):
+            rows = next(node for node in rows if node)
+        if key in ("check_start", "check_complete"):
+            rows[-1] = bad
+        else:
+            rows[-1][1] = bad
+        with pytest.raises(ValueError, match="malformed trace file"):
+            NocTrace.from_json(json.dumps(obj))
+
 
 C06 = (("wimax_2304_1152", 5), ("wimax_576_288", 5), ("wifi_1944_486", 4), ("random_1057_244", 5))
 
