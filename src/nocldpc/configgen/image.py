@@ -18,19 +18,19 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
-from ..jsonfields import all_ints, int_list, int_records, typed
+from ..jsonfields import all_ints, frozen_int64, int_list, int_table, object_json, rows_text, table_json, typed
 from ..mapper import Mapping
-from ..nocsim.schedule import InjectionSchedule, _schedule_for
-from ..nocsim.trace import NocTrace, frozen_int64
+from ..nocsim.schedule import DST_CHECK, DST_POS, SRC_CHECK, SRC_POS, InjectionSchedule, _schedule_for
+from ..nocsim.trace import NocTrace
 
 FORMAT = "nocldpc-config-v1"
 _BIN_MAGIC = b"NOCLDPCC"
-_SLOT_KEY = re.compile(r"(0|[1-9][0-9]*):(0|[1-9][0-9]*)")  # check:position, canonical
+# check:position in canonical decimal, below 10**18 so that both fit in int64
+_SLOT_KEY = re.compile(r"(0|[1-9][0-9]{0,17}):(0|[1-9][0-9]{0,17})")
+_SLOT_KEYS = re.compile(rf"(?:{_SLOT_KEY.pattern}\n)*")  # the keys, each ended by a newline
 _KEYS = ("label", "n", "k_i", "n_d", "n_pc", "pipeline_depth", "rm", "wag", "cnt_cmp",
          "fifo_depth", "slot_of", "trace_digest", "mapping_digest", "h_digest")
 
@@ -47,8 +47,8 @@ def pack_rm_word(selections: list[tuple[int, int]]) -> int:
     return word
 
 
-# the word bits of each single crossbar setting, _OP_BITS[out_port][in_port]
-_OP_BITS = tuple(tuple(pack_rm_word([(out, inp)]) for inp in range(5)) for out in range(5))
+# the word bits of each single crossbar setting, _OP_BITS[out_port, in_port]
+_OP_BITS = np.array([[pack_rm_word([(out, inp)]) for inp in range(5)] for out in range(5)])
 
 
 def unpack_rm_word(word: int) -> list[tuple[int, int]]:
@@ -60,15 +60,14 @@ def unpack_rm_word(word: int) -> list[tuple[int, int]]:
     return sel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigImage:
     """The static configuration of every router and PE for one code.
 
-    An image is immutable: its tables are tuples, its FIFO depths a read-only
-    array and its slot map a read-only mapping, so its payload object and
-    payload digest are computed at most once, and to_json encodes the same
-    payload object.  Built without a digest, the image seals itself with
-    that payload digest.
+    An image is immutable: its tables are tuples of ints or read-only int64
+    arrays, so its payload texts and payload digest are computed at most
+    once.  Built without a digest, the image seals itself with that payload
+    digest.
     """
 
     label: str
@@ -81,7 +80,7 @@ class ConfigImage:
     wag: tuple[tuple[int, ...], ...]  # per PE: one address per network arrival, in order
     cnt_cmp: tuple[tuple[tuple[int, int], ...], ...]  # per PE: (offset, degree) per served check
     fifo_depth: np.ndarray  # (P, 5)
-    slot_of: MappingProxyType  # (check, position) -> slot in its block
+    slots: np.ndarray  # (E, 3) rows (check, position, slot in its block), by (check, position)
     trace_digest: str
     mapping_digest: str
     h_digest: str
@@ -92,7 +91,7 @@ class ConfigImage:
             object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         object.__setattr__(self, "cnt_cmp", tuple(tuple(map(tuple, pe)) for pe in self.cnt_cmp))
         object.__setattr__(self, "fifo_depth", frozen_int64(self.fifo_depth))
-        object.__setattr__(self, "slot_of", MappingProxyType(dict(self.slot_of)))
+        object.__setattr__(self, "slots", frozen_int64(self.slots).reshape(-1, 3))
         if self.digest is None:
             object.__setattr__(self, "digest", self.compute_digest())
 
@@ -101,36 +100,32 @@ class ConfigImage:
         return self.n * self.n
 
     @cached_property
-    def _payload(self) -> dict:
-        """The image's fields as the JSON object its digest and text encode.
+    def _members(self) -> dict[str, str]:
+        """The JSON text of each payload field, with the compact separators."""
+        def text(value):
+            return json.dumps(value, separators=(",", ":"), check_circular=False)
 
-        Built once per image; json.dumps with sort_keys orders the slot
-        map's "check:position" keys itself.
-        """
         return {
-            "format": FORMAT,
-            "label": self.label,
-            "n": self.n,
-            "k_i": self.k_i,
-            "n_d": self.n_d,
-            "n_pc": self.n_pc,
-            "pipeline_depth": self.pipeline_depth,
-            "rm": self.rm,
-            "wag": self.wag,
-            "cnt_cmp": self.cnt_cmp,
-            "fifo_depth": self.fifo_depth.tolist(),
-            "slot_of": {f"{c}:{p}": s for (c, p), s in self.slot_of.items()},
-            "trace_digest": self.trace_digest,
-            "mapping_digest": self.mapping_digest,
-            "h_digest": self.h_digest,
+            "format": text(FORMAT),
+            "label": text(self.label),
+            "n": text(self.n),
+            "k_i": text(self.k_i),
+            "n_d": text(self.n_d),
+            "n_pc": text(self.n_pc),
+            "pipeline_depth": text(self.pipeline_depth),
+            "rm": text(self.rm),
+            "wag": text(self.wag),
+            "cnt_cmp": text(self.cnt_cmp),
+            "fifo_depth": table_json(self.fifo_depth),
+            "slot_of": slot_map_json(self.slots),
+            "trace_digest": text(self.trace_digest),
+            "mapping_digest": text(self.mapping_digest),
+            "h_digest": text(self.h_digest),
         }
 
     @cached_property
     def _payload_digest(self) -> str:
-        # the payload is a tree of tuples, ints and strings built here, which
-        # cannot hold a cycle, so the encoder skips its cycle bookkeeping
-        text = json.dumps(self._payload, sort_keys=True, separators=(",", ":"),
-                          check_circular=False)
+        text = object_json(self._members)
         return hashlib.sha256(text.encode()).hexdigest()
 
     def compute_digest(self) -> str:
@@ -141,8 +136,13 @@ class ConfigImage:
             raise ConfigIntegrityError("configuration image digest mismatch")
 
     def to_json(self) -> str:
-        return json.dumps({**self._payload, "digest": self.digest}, sort_keys=True,
-                          check_circular=False)
+        """The payload and the digest as json.dumps(sort_keys=True) writes
+        them with its default separators.  Only the int tables and the slot
+        map's keys hold the compact texts' separators, so each of those
+        takes a space after its "," and after its keys' closing quote."""
+        members = {key: (_loosened(text) if key in _INT_MEMBERS else text)
+                   for key, text in self._members.items()}
+        return object_json({**members, "digest": json.dumps(self.digest)}, ", ", ": ")
 
     @classmethod
     def from_json(cls, text: str) -> "ConfigImage":
@@ -163,14 +163,6 @@ class ConfigImage:
         if missing:
             raise ConfigIntegrityError(f"configuration image lacks {', '.join(missing)}")
         try:
-            slot_of = obj["slot_of"]
-            if not all_ints(slot_of.values()):
-                raise ValueError("slots must be integers")
-            keys = list(map(_SLOT_KEY.fullmatch, slot_of))
-            if None in keys:
-                bad = next(k for k, m in zip(slot_of, keys) if m is None)
-                raise ValueError(f"slot map key {bad!r} does not read check:position "
-                                 "in plain decimal")
             img = cls(
                 label=typed(obj, "label", str),
                 n=typed(obj, "n"),
@@ -180,9 +172,9 @@ class ConfigImage:
                 pipeline_depth=typed(obj, "pipeline_depth"),
                 rm=[int_list(node, "routing memory") for node in obj["rm"]],
                 wag=[int_list(pe, "WAG table") for pe in obj["wag"]],
-                cnt_cmp=[int_records(pe, 2, "CNT/CMP") for pe in obj["cnt_cmp"]],
-                fifo_depth=int_records(obj["fifo_depth"], 5, "FIFO depth"),
-                slot_of={(int(m[1]), int(m[2])): v for m, v in zip(keys, slot_of.values())},
+                cnt_cmp=[int_table(pe, 2, "CNT/CMP").tolist() for pe in obj["cnt_cmp"]],
+                fifo_depth=int_table(obj["fifo_depth"], 5, "FIFO depth"),
+                slots=_read_slot_map(obj["slot_of"]),
                 trace_digest=typed(obj, "trace_digest", str),
                 mapping_digest=typed(obj, "mapping_digest", str),
                 h_digest=typed(obj, "h_digest", str),
@@ -212,6 +204,63 @@ class ConfigImage:
         return head + body
 
 
+_INT_MEMBERS = ("rm", "wag", "cnt_cmp", "fifo_depth", "slot_of")
+
+
+def _loosened(text: str) -> str:
+    """A compact JSON text of ints and "check:position" keys with the default
+    separators ", " and ": "."""
+    return text.replace(",", ", ").replace('":', '": ')
+
+
+def slot_map_json(slots: np.ndarray) -> str:
+    """The compact JSON object {"check:position": slot} of (check, position,
+    slot) rows, its keys in the string order json.dumps(sort_keys=True)
+    gives them."""
+    c, p = slots[:, 0], slots[:, 1]
+    # the keys' characters, one column per place: 0 past the end of the key,
+    # 1..10 for the digits and 11 for the colon, which sorts after them
+    width = np.array([len(str(int(x.max()))) if len(x) else 1 for x in (c, p)])
+    c_digits, p_digits = _digit_counts(c), _digit_counts(p)
+    places = []
+    for i in range(int(width.sum()) + 1):
+        code = np.zeros(len(slots), dtype=np.int64)
+        in_c = i < c_digits
+        code[in_c] = c[in_c] // _TENS[(c_digits - 1 - i)[in_c]] % 10 + 1
+        code[i == c_digits] = 11
+        j = i - c_digits - 1
+        in_p = (j >= 0) & (j < p_digits)
+        code[in_p] = p[in_p] // _TENS[(p_digits - 1 - j)[in_p]] % 10 + 1
+        places.append(code)
+    order = np.lexsort(places[::-1])
+    return "{" + rows_text(slots[order], '"', (":", '":'), "", ",")[0] + "}"
+
+
+_TENS = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _digit_counts(x: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each non-negative value."""
+    return np.searchsorted(_TENS, x, side="right").clip(1)
+
+
+def _read_slot_map(slot_of: dict) -> np.ndarray:
+    """A JSON slot map as rows (check, position, slot), by (check, position).
+
+    Keys must be written as slot_map_json writes them: two plain decimals
+    without sign, spaces, underscores or leading zeros, joined by a colon."""
+    slots = list(slot_of.values())
+    if not all_ints(slots):
+        raise ValueError("slots must be integers")
+    keys = "\n".join(slot_of) + "\n" if slot_of else ""
+    if not _SLOT_KEYS.fullmatch(keys) or keys.count("\n") != len(slots):
+        bad = next(k for k in slot_of if not _SLOT_KEY.fullmatch(k))
+        raise ValueError(f"slot map key {bad!r} does not read check:position in plain decimal")
+    numbers = np.fromstring(keys.replace(":", " ").replace("\n", " "), dtype=np.int64, sep=" ")
+    rows = np.column_stack((numbers.reshape(-1, 2), np.fromiter(slots, np.int64, len(slots))))
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+
+
 def read_side(schedule: InjectionSchedule) -> tuple[int, int, tuple]:
     """The image's read side: N_d (block stride, the widest degree), N_pc (the
     most checks on one PE) and per PE the CNT/CMP (block offset, degree) of
@@ -222,17 +271,23 @@ def read_side(schedule: InjectionSchedule) -> tuple[int, int, tuple]:
     return n_d, max(map(len, schedule.order), default=0), cnt_cmp
 
 
-def fill_free_slots(slot_of: dict[tuple[int, int], int], degs: list[int]) -> None:
+def fill_free_slots(slots: np.ndarray, deg: tuple[int, ...]) -> None:
     """Give each check's inputs that have no slot yet (bypass, wrap-in-place,
-    self) the check's free slots, in position order."""
-    get = slot_of.get
-    for m, d in enumerate(degs):
-        slots = [get((m, pos)) for pos in range(d)]
-        if None in slots:
-            free = iter([s for s in range(d) if s not in slots])
-            for pos, slot in enumerate(slots):
-                if slot is None:
-                    slot_of[m, pos] = next(free)
+    self) the check's free slots, in position order.  slots holds one entry
+    per (check, position) in check order, -1 for an input without a slot;
+    the slots given must be distinct per check and below its degree."""
+    deg = np.asarray(deg, dtype=np.int64)
+    first = np.repeat(np.cumsum(deg) - deg, deg)  # each entry's check's first entry
+    given = slots >= 0
+    taken = np.zeros(len(slots), dtype=bool)
+    taken[first[given] + slots[given]] = True
+    slots[~given] = (np.arange(len(slots)) - first)[~taken]
+
+
+def slot_map(schedule: InjectionSchedule, slots: np.ndarray) -> np.ndarray:
+    """Rows (check, position, slot) from the slots of the schedule's (check,
+    position) entries, which are in (check, position) order."""
+    return np.column_stack((schedule.emissions[:, [SRC_CHECK, SRC_POS]], slots))
 
 
 def gen_config(
@@ -248,52 +303,38 @@ def gen_config(
     if mapping.p != p:
         raise ConfigIntegrityError(f"mapping is for {mapping.p} PEs, trace for {p}")
     n_d, n_pc, cnt_cmp = read_side(schedule)
-    serve_pos = schedule.serve_pos
-    host = schedule.host
+    host = np.asarray(schedule.host, dtype=np.int64)
+    deg = np.asarray(schedule.deg, dtype=np.int64)
 
     # slots: network arrivals claim slots in arrival order, the remaining
     # inputs fill the leftover slots
-    slot_of: dict[tuple[int, int], int] = {}
-    next_slot = [0] * h.n_rows
-    for pe in range(p):
-        for check, pos, _src, _uid, _rc in trace.arrivals[pe]:
-            if not 0 <= check < h.n_rows:
-                raise ConfigIntegrityError(f"PE {pe}: arrival for check {check}, outside the code")
-            key = (check, pos)
-            if key in slot_of:
-                raise ConfigIntegrityError(f"duplicate arrival for {key}")
-            if host[check] != pe:
-                raise ConfigIntegrityError(
-                    f"check {check} arrived at PE {pe}, hosted on {host[check]}"
-                )
-            slot_of[key] = next_slot[check]
-            next_slot[check] += 1
-    network_inputs = {(e.dst_check, e.dst_pos) for e in schedule.network_flits}
-    stray = sorted(network_inputs ^ slot_of.keys())
-    if stray:
-        side = "trace" if stray[0] in slot_of else "schedule"
-        raise ConfigIntegrityError(f"network input {stray[0]} is in the {side} only")
-    fill_free_slots(slot_of, schedule.deg)
+    arrivals = np.concatenate(trace.arrivals)
+    pe = np.repeat(np.arange(p), [len(a) for a in trace.arrivals])
+    check, pos = arrivals[:, 0], arrivals[:, 1]
+    _check_arrivals(check, pos, pe, host)
+    _check_network_inputs(check, pos, schedule.network_flits)
+    by_check = np.argsort(check, kind="stable")
+    rank = np.empty(len(check), dtype=np.int64)  # the k-th arrival of its check gets slot k
+    rank[by_check] = np.arange(len(check)) - np.searchsorted(check[by_check], check[by_check])
+    slots = np.full(int(deg.sum()), -1, dtype=np.int64)
+    first = np.cumsum(deg) - deg
+    slots[first[check] + pos] = rank
+    fill_free_slots(slots, schedule.deg)
 
-    wag: list[list[int]] = []
-    for pe in range(p):
-        addrs = [
-            serve_pos[check] * n_d + slot_of[(check, pos)]
-            for check, pos, _src, _uid, _rc in trace.arrivals[pe]
-        ]
-        if len(set(addrs)) != len(addrs):
-            raise ConfigIntegrityError(f"WAG address collision on PE {pe}")
-        wag.append(addrs)
+    addrs = np.asarray(schedule.serve_pos, dtype=np.int64)[check] * n_d + rank
+    wag = [part.tolist() for part in np.split(addrs, np.cumsum(np.bincount(pe, minlength=p))[:-1])]
 
     k_i = trace.k_i
-    rm = [[0] * k_i for _ in range(p)]
-    for node, ops in enumerate(trace.rm_ops):
-        words = rm[node]
-        for cycle, out, inp in ops:
-            if not (0 <= cycle < k_i and 0 <= out < 5 and 0 <= inp < 5):
-                raise ConfigIntegrityError(f"node {node}: routing operation {(cycle, out, inp)} "
-                                           f"outside cycles 0..{k_i - 1} or ports 0..4")
-            words[cycle] |= _OP_BITS[out][inp]
+    ops = np.concatenate(trace.rm_ops)
+    node = np.repeat(np.arange(p), [len(o) for o in trace.rm_ops])
+    cycle, out, inp = ops.T
+    outside = (cycle < 0) | (cycle >= k_i) | (out < 0) | (out >= 5) | (inp < 0) | (inp >= 5)
+    if outside.any():
+        i = int(np.flatnonzero(outside)[0])
+        raise ConfigIntegrityError(f"node {node[i]}: routing operation {tuple(ops[i].tolist())} "
+                                   f"outside cycles 0..{k_i - 1} or ports 0..4")
+    words = np.zeros((p, k_i), dtype=np.int64)
+    np.bitwise_or.at(words, (node, cycle), _OP_BITS[out, inp])
 
     fifo_depth = trace.fifo_max.copy()
     if fifo_pow2:
@@ -307,12 +348,51 @@ def gen_config(
         n_d=n_d,
         n_pc=n_pc,
         pipeline_depth=trace.pipeline_depth,
-        rm=rm,
+        rm=words.tolist(),
         wag=wag,
         cnt_cmp=cnt_cmp,
         fifo_depth=fifo_depth,
-        slot_of=slot_of,
+        slots=slot_map(schedule, slots),
         trace_digest=trace.content_digest(),
         mapping_digest=digests[1],
         h_digest=digests[0],
     )
+
+
+def _check_arrivals(check: np.ndarray, pos: np.ndarray, pe: np.ndarray, host: np.ndarray) -> None:
+    """Each arrival names a check of the code, hosted on the PE it reaches,
+    and no (check, position) arrives twice.  The first arrival, in PE and
+    arrival order, that breaks a rule raises."""
+    outside = (check < 0) | (check >= len(host))
+    order = np.lexsort((np.arange(len(check)), pos, check))
+    again = np.zeros(len(check), dtype=bool)
+    again[order[1:]] = (check[order[1:]] == check[order[:-1]]) & (pos[order[1:]] == pos[order[:-1]])
+    elsewhere = ~outside & (host[np.where(outside, 0, check)] != pe)
+    bad = np.flatnonzero(outside | again | elsewhere)
+    if not len(bad):
+        return
+    i = bad[0]
+    c, at, where = int(check[i]), int(pos[i]), int(pe[i])
+    if outside[i]:
+        raise ConfigIntegrityError(f"PE {where}: arrival for check {c}, outside the code")
+    if again[i]:
+        raise ConfigIntegrityError(f"duplicate arrival for {(c, at)}")
+    raise ConfigIntegrityError(f"check {c} arrived at PE {where}, hosted on {int(host[c])}")
+
+
+def _check_network_inputs(check: np.ndarray, pos: np.ndarray, flits: np.ndarray) -> None:
+    """The arrivals are the schedule's network inputs; the smallest
+    (check, position) in only one of them raises."""
+    c = np.concatenate((check, flits[:, DST_CHECK]))
+    p = np.concatenate((pos, flits[:, DST_POS]))
+    order = np.lexsort((p, c))
+    c, p = c[order], p[order]
+    same = (c[1:] == c[:-1]) & (p[1:] == p[:-1])
+    paired = np.zeros(len(c), dtype=bool)
+    paired[1:] |= same
+    paired[:-1] |= same
+    stray = np.flatnonzero(~paired)
+    if len(stray):
+        i = stray[0]
+        side = "trace" if order[i] < len(check) else "schedule"
+        raise ConfigIntegrityError(f"network input {(int(c[i]), int(p[i]))} is in the {side} only")

@@ -12,8 +12,8 @@ a routing program that replays the simulator's decisions reproduces its
 cycles exactly.  FIFOs are unbounded; their peak occupancy sizes the
 hardware queues afterwards.
 
-The per-check tables are the schedule's; an engine copies only the input
-counts, which it counts down.
+The per-check and per-uid tables are the schedule's tuples of ints; an
+engine copies only the input counts, which it counts down.
 """
 
 from __future__ import annotations
@@ -77,14 +77,14 @@ class CycleEngine:
         landing = self.deliveries.pop(t, None)
         if landing:
             progressed = True
-            flits, receipt = self.schedule.network_flits, self.receipt_cycle
+            s, receipt = self.schedule, self.receipt_cycle
+            dst_check, wrap = s.dst_check, s.wrap
             for node, port, uid in landing:
                 if port == LOCAL:  # ejection into the PE
                     self.delivered += 1
                     receipt[uid] = t
-                    e = flits[uid]
-                    if not e.wrap:
-                        missing[e.dst_check] -= 1
+                    if not wrap[uid]:
+                        missing[dst_check[uid]] -= 1
                 else:
                     q = fifos[node][port]
                     q.append(uid)

@@ -34,13 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
-from ..configgen.image import ConfigImage, fill_free_slots, pack_rm_word, read_side, unpack_rm_word
+from ..configgen.image import ConfigImage, fill_free_slots, pack_rm_word, read_side, slot_map, unpack_rm_word
 from ..decoder.layout import CodeLayout
 from ..decoder.nms import DecodeParams, DecodeResult, _channel_llrs, _layered_sweep, _store_dtype
 from ..fixedpoint import quantize
 from ..mapper import Mapping
 from .engine import HOP_CYCLES, LOCAL, CycleEngine
-from .schedule import _schedule_for
+from .schedule import DST_CHECK, DST_POS, DST_PE, SRC_CHECK, VAR, WRAP, _schedule_for
 from .topology import Topology
 from .trace import NocTrace
 
@@ -102,11 +102,12 @@ def validate_config(
     # are the schedule's uids, injected per PE in serving order
     engine = CycleEngine(schedule, config.pipeline_depth)
     fifos, queued, deliveries = engine.fifos, engine.queued, engine.deliveries
-    flits = schedule.network_flits
-    serve = schedule.order
+    dst_pe = schedule.network_flits[:, DST_PE].tolist()
+    dst_check = schedule.dst_check
+    serve, deg = schedule.order, schedule.deg
     selections: dict[int, list[tuple[int, int]]] = {}  # RM word -> crossbar settings
     wag_next = [0] * p
-    slot_of: dict[tuple[int, int], int] = {}
+    slot = [-1] * schedule.n_network  # per uid: the slot the WAG gives it
     written: set[int] = set()  # check * n_d + slot, as slot < n_d
 
     rm, wag = config.rm, config.wag
@@ -137,31 +138,30 @@ def validate_config(
                     nbr, port = links[node][out]
                     hop_done.append((nbr, port, uid))
                     continue
-                e = flits[uid]
-                if e.dst_pe != node:
+                if dst_pe[uid] != node:
                     raise ReplayIntegrityError(
-                        f"cycle {t}: flit for PE {e.dst_pe} ejected at {node}"
+                        f"cycle {t}: flit for PE {dst_pe[uid]} ejected at {node}"
                     )
                 k = wag_next[node]
                 if k >= len(wag[node]):
                     raise ReplayIntegrityError(f"PE {node}: WAG table exhausted")
                 addr = wag[node][k]
                 wag_next[node] = k + 1
-                pos_in_order, slot = divmod(addr, n_d)
+                pos_in_order, k = divmod(addr, n_d)
                 order = serve[node]
                 if not 0 <= pos_in_order < len(order):
                     raise ReplayIntegrityError(f"PE {node}: WAG address {addr} out of range")
                 check = order[pos_in_order]
-                if check != e.dst_check or slot >= schedule.deg[check]:
+                if check != dst_check[uid] or k >= deg[check]:
                     raise ReplayIntegrityError(
                         f"cycle {t}: WAG address {addr} routes to check {check}, "
-                        f"flit belongs to {e.dst_check}"
+                        f"flit belongs to {dst_check[uid]}"
                     )
-                row = check * n_d + slot
+                row = check * n_d + k
                 if row in written:
-                    raise ReplayIntegrityError(f"check {check}: slot {slot} assigned twice")
+                    raise ReplayIntegrityError(f"check {check}: slot {k} assigned twice")
                 written.add(row)
-                slot_of[check, e.dst_pos] = slot
+                slot[uid] = k
                 hop_done.append((node, LOCAL, uid))
         if hop_done:
             deliveries[t + HOP_CYCLES] = hop_done
@@ -189,32 +189,41 @@ def validate_config(
             f"depth is {config.fifo_depth[node, port]}"
         )
 
-    fill_free_slots(slot_of, schedule.deg)
-    if slot_of != config.slot_of:
+    # every flit has landed, so each network input has its slot
+    deg = np.asarray(deg, dtype=np.int64)
+    first = np.cumsum(deg) - deg
+    slots = np.full(len(schedule.emissions), -1, dtype=np.int64)
+    flits = schedule.network_flits
+    slots[first[flits[:, DST_CHECK]] + flits[:, DST_POS]] = slot
+    fill_free_slots(slots, schedule.deg)
+    if not np.array_equal(slot_map(schedule, slots), config.slots):
         raise ReplayIntegrityError("declared slot map differs from the RM walk")
 
-    return _build_wiring(h, schedule, slot_of, n_d)
+    return _build_wiring(h, schedule, slots, n_d)
 
 
-def _build_wiring(h, schedule, slot_of, n_d) -> ReplayWiring:
+def _build_wiring(h, schedule, slots, n_d) -> ReplayWiring:
     layout = CodeLayout.build(h)
     # a slot without an emission keeps its value; a variable's wrap emission
-    # targets its chain head, the slot that holds its value between iterations
-    successor = list(range(h.n_rows * n_d))
-    home = [-1] * h.n_cols
-    for ems in schedule.emissions:
-        for e in ems:
-            dst = e.dst_check * n_d + slot_of[(e.dst_check, e.dst_pos)]
-            successor[e.src_check * n_d + slot_of[(e.src_check, e.src_pos)]] = dst
-            if e.wrap:
-                home[e.var] = dst
-    spare = len(successor)
-    for j in range(h.n_cols):
-        if home[j] < 0:
-            home[j] = spare
-            spare += 1
-    home.append(spare)
-    successor = np.array(successor + list(range(len(successor), spare + 1)), dtype=np.intp)
+    # targets its chain head, the slot that holds its value between iterations.
+    # Emission row r leaves (check, position) r, so its source row of the
+    # store is src_check * n_d + slots[r].
+    e = schedule.emissions
+    deg = np.asarray(schedule.deg, dtype=np.int64)
+    target = (np.cumsum(deg) - deg)[e[:, DST_CHECK]] + e[:, DST_POS]
+    dst = e[:, DST_CHECK] * n_d + slots[target]
+    successor = np.arange(h.n_rows * n_d + h.n_cols + 1, dtype=np.intp)
+    successor[e[:, SRC_CHECK] * n_d + slots] = dst
+    # a variable in no check gets a row of its own after the slots
+    home = np.full(h.n_cols, -1, dtype=np.intp)
+    wrap = e[:, WRAP] == 1
+    home[e[wrap, VAR]] = dst[wrap]
+    lone = home < 0
+    spare = h.n_rows * n_d
+    home[lone] = spare + np.arange(np.count_nonzero(lone))
+    spare += np.count_nonzero(lone)
+    home = np.append(home, spare)
+    successor = successor[:spare + 1]
     # slot k of row m is live iff k < deg(m), so the slots pad where the
     # layout's variable maps do
     maps = []
@@ -222,7 +231,7 @@ def _build_wiring(h, schedule, slot_of, n_d) -> ReplayWiring:
         gather = rows * n_d + np.arange(len(lm.idx))[:, None]
         gather[lm.idx == h.n_cols] = spare
         maps.append((gather, successor[gather]))
-    return ReplayWiring(maps=maps, home=np.array(home, dtype=np.intp))
+    return ReplayWiring(maps=maps, home=home)
 
 
 def replay_decode(

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..jsonfields import frozen_int64
 from .engine import HOP_CYCLES, LOCAL, CycleEngine
-from .schedule import InjectionSchedule
+from .schedule import DST_CHECK, DST_POS, DST_PE, SRC_CHECK, VAR, WRAP, InjectionSchedule
 from .topology import Topology, route_o1turn
-from .trace import FlitRecord, NocTrace, SimulationDeadlock
+from .trace import ARRIVAL_FIELDS, FlitRecord, NocTrace, SimulationDeadlock
 
 
 def _coins(seed: int, n: int) -> list[int]:
@@ -55,21 +56,21 @@ def simulate_iteration(
     # once per distinct (source, destination, coin); flits that share those
     # share one route tuple.
     flits = schedule.network_flits
-    src_pe = schedule.src_pe
-    coin = _coins(seed, len(flits))
-    key = (np.array(src_pe, dtype=np.int64) * p + [e.dst_pe for e in flits]) * 2 + coin
+    n_flits = len(flits)
+    src_pe = np.array(schedule.src_pe, dtype=np.int64)
+    coin = _coins(seed, n_flits)
+    key = (src_pe * p + flits[:, DST_PE]) * 2 + coin
     distinct, which = np.unique(key, return_inverse=True)
     paths = [tuple(map(int, route_o1turn(k // 2 // p, k // 2 % p, topo.n, k % 2)))
              for k in distinct.tolist()]
     route = list(map(paths.__getitem__, which.tolist()))
     nxt = [r[0] for r in route]
-    hop = [0] * len(flits)
+    hop = [0] * n_flits
 
     engine = CycleEngine(schedule, pipeline_depth)
     fifos, queued, deliveries = engine.fifos, engine.queued, engine.deliveries
     rr_ptr = [[0] * 5 for _ in range(p)]
-    rm_ops: list[list[tuple[int, int, int]]] = [[] for _ in range(p)]
-    arrivals: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(p)]
+    rm_ops: list[list[int]] = [[] for _ in range(p)]  # per node: cycle, out, in, cycle, ...
 
     last_progress = 0
     watchdog = max(64, topo.n * topo.n + pipeline_depth + 16)
@@ -82,7 +83,6 @@ def simulate_iteration(
         # input round-robin; an input popped for one output may request a
         # later output with its next flit in the same cycle
         hop_done = []
-        landing = t + HOP_CYCLES  # one int object for the cycle's arrival records
         for node in range(p):
             if not queued[node]:
                 continue
@@ -99,19 +99,17 @@ def simulate_iteration(
                 uid = q.popleft()
                 queued[node] -= 1
                 want[inp] = nxt[q[0]] if q else -1
-                ops.append((t, out, inp))
+                ops += (t, out, inp)
                 rr[out] = inp + 1 if inp < 4 else 0
                 k = hop[uid] = hop[uid] + 1
                 if out == LOCAL:
-                    e = flits[uid]
-                    arrivals[node].append((e.dst_check, e.dst_pos, src_pe[uid], uid, landing))
                     hop_done.append((node, LOCAL, uid))
                 else:
                     nxt[uid] = route[uid][k]
                     nbr, port = links[node][out]
                     hop_done.append((nbr, port, uid))
         if hop_done:
-            deliveries[landing] = hop_done
+            deliveries[t + HOP_CYCLES] = hop_done
             progressed = True
 
         if progressed:
@@ -127,24 +125,30 @@ def simulate_iteration(
             )
         t += 1
 
-    inject, receipt = engine.inject_cycle, engine.receipt_cycle
-    records = [
-        FlitRecord._make((e.uid, e.var, e.src_check, e.dst_check, e.dst_pos, s, e.dst_pe, c,
-                          int(e.wrap), i, r, k))
-        for e, s, c, i, r, k in zip(flits, src_pe, coin, inject, receipt, hop)
-    ]
+    receipt = np.array(engine.receipt_cycle, dtype=np.int64)
+    records = frozen_int64(np.column_stack((
+        np.arange(n_flits), flits[:, VAR], flits[:, SRC_CHECK], flits[:, DST_CHECK],
+        flits[:, DST_POS], src_pe, flits[:, DST_PE], coin, flits[:, WRAP],
+        engine.inject_cycle, receipt, hop,
+    )), copy=False)
+    # a node ejects at most one flit per cycle, so its arrivals are its
+    # flits in receipt order
+    landed = np.lexsort((receipt, flits[:, DST_PE]))
+    fields = [FlitRecord._fields.index(f) for f in ARRIVAL_FIELDS]
+    arrivals = frozen_int64(records[np.ix_(landed, fields)], copy=False)
+    per_pe = np.cumsum(np.bincount(flits[:, DST_PE], minlength=p))[:-1]
     trace = NocTrace(
         n=topo.n,
         seed=seed,
         pipeline_depth=pipeline_depth,
-        k_i=max(receipt, default=-1) + 1,
-        rm_ops=rm_ops,
-        arrivals=arrivals,
+        k_i=max(engine.receipt_cycle, default=-1) + 1,
+        rm_ops=[frozen_int64(node_ops).reshape(-1, 3) for node_ops in rm_ops],
+        arrivals=np.split(arrivals, per_pe),
         fifo_max=engine.fifo_max,
         flits=records,
         check_start=engine.check_start,
         check_complete=engine.check_complete,
-        n_network=len(flits),
+        n_network=n_flits,
         n_bypass=schedule.n_bypass,
         label=label,
     )
@@ -154,16 +158,14 @@ def simulate_iteration(
 
 def _assert_invariants(trace: NocTrace, schedule: InjectionSchedule) -> None:
     # conservation: everything injected arrives exactly once
-    receipts = [f.receipt_cycle for f in trace.flits]
-    if any(r < 0 for r in receipts):
+    flits = trace.flits
+    if (flits.column("receipt_cycle") < 0).any():
         raise AssertionError("undelivered flit after drain")
-    for pe, lst in enumerate(trace.arrivals):
-        uids = [a[3] for a in lst]
-        if len(uids) != len(set(uids)):
-            raise AssertionError(f"duplicate arrival at PE {pe}")
-    total_arrivals = sum(len(a) for a in trace.arrivals)
-    if total_arrivals != trace.n_network:
+    arrived = np.concatenate(trace.arrivals)[:, 3]
+    if len(arrived) != trace.n_network:
         raise AssertionError("arrival count != injected flits")
+    if (np.bincount(arrived, minlength=trace.n_network) != 1).any():
+        raise AssertionError("duplicate arrival")
 
     if trace.k_i:
         if trace.k_i < trace.link_loads().max():
@@ -172,11 +174,10 @@ def _assert_invariants(trace: NocTrace, schedule: InjectionSchedule) -> None:
             raise AssertionError("k_i below max-distance lower bound")
 
     # a wrap value must land only after its consumer's block was read out
-    starts, deg = trace.check_start.tolist(), schedule.deg
-    for f in trace.flits:
-        if f.wrap and starts[f.dst_check] >= 0:
-            read_end = starts[f.dst_check] + deg[f.dst_check]
-            if f.receipt_cycle <= read_end:
-                raise AssertionError(
-                    f"wrap flit {f.uid} overwrites check {f.dst_check} before its read"
-                )
+    dst = flits.column("dst_check")
+    start = trace.check_start[dst]
+    read_end = start + np.asarray(schedule.deg, dtype=np.int64)[dst]
+    early = (flits.column("wrap") == 1) & (start >= 0) & (flits.column("receipt_cycle") <= read_end)
+    if early.any():
+        uid = int(np.flatnonzero(early)[0])
+        raise AssertionError(f"wrap flit {uid} overwrites check {int(dst[uid])} before its read")

@@ -1,16 +1,26 @@
-"""Trace records produced by the cycle-accurate simulation."""
+"""Trace records produced by the cycle-accurate simulation.
+
+A trace keeps its records as read-only int64 tables, one row per record:
+the flits in uid order, and the routing operations and arrivals of each
+node as views of one table each.  The loader builds each table in one pass
+over the JSON rows, and the canonical text is written from the tables in
+whole-array passes (jsonfields), byte for byte what json.dumps writes for
+the same records as lists.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from ..jsonfields import int_list, int_records, typed
+from ..jsonfields import frozen_int64, grouped_json, grouped_table, int_list, int_table, \
+    object_json, table_json, typed
 
 
 FORMAT = "nocldpc-trace-v1"
@@ -37,23 +47,51 @@ class FlitRecord(NamedTuple):
     hops: int = 0
 
 
-@dataclass(frozen=True)
+class FlitTable(Sequence):
+    """A trace's flits: row uid of a read-only (F, 12) int64 table whose
+    columns are FlitRecord's fields.  Indexing and iteration give
+    FlitRecords, made as they are read; column() gives a field of all."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, uid: int) -> FlitRecord:
+        return FlitRecord._make(self.table[uid].tolist())
+
+    def __iter__(self):
+        return map(FlitRecord._make, zip(*self.table.T.tolist()))
+
+    def column(self, name: str) -> np.ndarray:
+        return self.table[:, FlitRecord._fields.index(name)]
+
+
+_FLIT_FIELDS = len(FlitRecord._fields)
+# an arrival row: the flit's fields in this order
+ARRIVAL_FIELDS = ("dst_check", "dst_pos", "src_pe", "uid", "receipt_cycle")
+
+
+@dataclass(frozen=True, eq=False)
 class NocTrace:
     """Everything the configuration generator needs from one iteration.
 
-    A trace is immutable: its records are tuples and its arrays read-only,
-    so its canonical JSON text and digest are computed at most once.
+    A trace is immutable: its tables are read-only int64 arrays, so its
+    canonical JSON text and digest are computed at most once.
     """
 
     n: int
     seed: int
     pipeline_depth: int
     k_i: int
-    rm_ops: tuple[tuple[tuple[int, int, int], ...], ...]  # per node: (cycle, out_port, in_port)
-    arrivals: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
-    # per PE: (dst_check, dst_pos, src_pe, uid, receipt_cycle) in arrival order
+    rm_ops: tuple[np.ndarray, ...]  # per node: (ops, 3) rows (cycle, out_port, in_port)
+    arrivals: tuple[np.ndarray, ...]
+    # per PE: (arrivals, 5) rows (dst_check, dst_pos, src_pe, uid, receipt_cycle) in arrival order
     fifo_max: np.ndarray  # (P, 5) peak occupancy
-    flits: tuple[FlitRecord, ...]
+    flits: FlitTable  # per uid
     check_start: np.ndarray  # (M,) first read cycle per check
     check_complete: np.ndarray  # (M,) emission-ready cycle per check
     n_network: int
@@ -61,10 +99,12 @@ class NocTrace:
     label: str = ""
 
     def __post_init__(self):
-        # records arrive as tuples; freeze the containers and the arrays
-        for name in ("rm_ops", "arrivals"):
-            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
-        object.__setattr__(self, "flits", tuple(self.flits))
+        # every table becomes a read-only int64 array; arrays frozen so
+        # already are kept as they are
+        for name, width in (("rm_ops", 3), ("arrivals", 5)):
+            object.__setattr__(self, name, _grouped(getattr(self, name), width))
+        flits = self.flits.table if isinstance(self.flits, FlitTable) else self.flits
+        object.__setattr__(self, "flits", FlitTable(_rows(flits, _FLIT_FIELDS)))
         for name in ("fifo_max", "check_start", "check_complete"):
             object.__setattr__(self, name, frozen_int64(getattr(self, name)))
 
@@ -74,13 +114,15 @@ class NocTrace:
 
     def link_loads(self) -> np.ndarray:
         """Flits forwarded per (node, output port) over the iteration."""
-        loads = np.zeros((self.p, 5), dtype=np.int64)
-        for node, ops in enumerate(self.rm_ops):
-            loads[node] = np.bincount([op[1] for op in ops], minlength=5)
-        return loads
+        out = np.concatenate([ops[:, 1] for ops in self.rm_ops])
+        if len(out) and not 0 <= out.min() <= out.max() < 5:
+            raise ValueError("routing operation output port outside 0..4")
+        node = np.repeat(np.arange(self.p), list(map(len, self.rm_ops)))
+        return np.bincount(node * 5 + out, minlength=self.p * 5).reshape(self.p, 5)
 
     def max_hops(self) -> int:
-        return max((f.hops for f in self.flits), default=0)
+        hops = self.flits.column("hops")
+        return int(hops.max()) if len(hops) else 0
 
     def summary(self) -> dict:
         loads = self.link_loads()
@@ -101,24 +143,6 @@ class NocTrace:
             "k_i_lower_bound_distance": 2 * self.max_hops(),
         }
 
-    def to_json_obj(self) -> dict:
-        return {
-            "format": FORMAT,
-            "n": self.n,
-            "seed": self.seed,
-            "pipeline_depth": self.pipeline_depth,
-            "k_i": self.k_i,
-            "label": self.label,
-            "rm_ops": self.rm_ops,
-            "arrivals": self.arrivals,
-            "fifo_max": self.fifo_max.tolist(),
-            "flits": self.flits,
-            "check_start": self.check_start.tolist(),
-            "check_complete": self.check_complete.tolist(),
-            "n_network": self.n_network,
-            "n_bypass": self.n_bypass,
-        }
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NocTrace":
         """Rebuild a trace; a malformed object raises ValueError."""
@@ -129,8 +153,9 @@ class NocTrace:
             raise ValueError(f"trace file lacks {', '.join(missing)}")
         try:
             n = typed(obj, "n")
-            flits = int_records(obj["flits"], 12, "flit")
-            if not {f[8] for f in flits} <= {0, 1}:
+            flits = int_table(obj["flits"], _FLIT_FIELDS, "flit")
+            wrap = flits[:, FlitRecord._fields.index("wrap")]
+            if not ((wrap == 0) | (wrap == 1)).all():
                 raise ValueError("flit wrap flags must be 0 or 1")
             depth = typed(obj, "pipeline_depth")
             if depth < 0:
@@ -140,11 +165,10 @@ class NocTrace:
                 seed=typed(obj, "seed"),
                 pipeline_depth=depth,
                 k_i=typed(obj, "k_i"),
-                rm_ops=[int_records(ops, 3, "routing operation")
-                        for ops in _per_node(obj, "rm_ops", n)],
-                arrivals=[int_records(pe, 5, "arrival") for pe in _per_node(obj, "arrivals", n)],
-                fifo_max=int_records(_per_node(obj, "fifo_max", n), 5, "FIFO peak"),
-                flits=map(FlitRecord._make, flits),
+                rm_ops=grouped_table(_per_node(obj, "rm_ops", n), 3, "routing operation"),
+                arrivals=grouped_table(_per_node(obj, "arrivals", n), 5, "arrival"),
+                fifo_max=int_table(_per_node(obj, "fifo_max", n), 5, "FIFO peak"),
+                flits=FlitTable(flits),
                 check_start=int_list(obj["check_start"], "check_start"),
                 check_complete=int_list(obj["check_complete"], "check_complete"),
                 n_network=typed(obj, "n_network"),
@@ -157,10 +181,24 @@ class NocTrace:
 
     @cached_property
     def _canonical(self) -> str:
-        # the object is a tree of tuples, ints and strings built here, which
-        # cannot hold a cycle, so the encoder skips its cycle bookkeeping
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"),
-                          check_circular=False)
+        """json.dumps of the trace's JSON object with sorted keys and the
+        compact separators; the tables are written by jsonfields."""
+        return object_json({
+            "format": json.dumps(FORMAT),
+            "n": json.dumps(self.n),
+            "seed": json.dumps(self.seed),
+            "pipeline_depth": json.dumps(self.pipeline_depth),
+            "k_i": json.dumps(self.k_i),
+            "label": json.dumps(self.label),
+            "rm_ops": _grouped_json(self.rm_ops),
+            "arrivals": _grouped_json(self.arrivals),
+            "fifo_max": table_json(self.fifo_max),
+            "flits": table_json(self.flits.table),
+            "check_start": table_json(self.check_start),
+            "check_complete": table_json(self.check_complete),
+            "n_network": json.dumps(self.n_network),
+            "n_bypass": json.dumps(self.n_bypass),
+        })
 
     @cached_property
     def _digest(self) -> str:
@@ -177,12 +215,18 @@ class NocTrace:
         return self._digest
 
 
-def frozen_int64(values) -> np.ndarray:
-    """A read-only int64 copy of values.  It is a view of a private read-only
-    array, so its writeable flag cannot be set back."""
-    base = np.array(values, dtype=np.int64)
-    base.flags.writeable = False
-    return base.view()
+def _rows(values, width: int) -> np.ndarray:
+    """values as a read-only (R, width) int64 table."""
+    return frozen_int64(values).reshape(-1, width)
+
+
+def _grouped(groups, width: int) -> tuple[np.ndarray, ...]:
+    """Per-node records as read-only (R, width) int64 tables."""
+    return tuple(_rows(g, width) for g in groups)
+
+
+def _grouped_json(groups: tuple[np.ndarray, ...]) -> str:
+    return grouped_json(np.concatenate(groups), [len(g) for g in groups])
 
 
 def _per_node(obj: dict, key: str, n: int) -> list:

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from nocldpc.configgen.image import FORMAT as IMAGE_FORMAT
+from nocldpc.nocsim.trace import FORMAT as TRACE_FORMAT
 from nocldpc.decoder import CodeLayout, DecodeParams, DecodeResult
 from nocldpc.decoder.nms import hard_decision
 from nocldpc.fixedpoint import QFormat, quantize, reciprocal_scale_table
+from nocldpc.nocsim.schedule import EMISSION_FIELDS
 from nocldpc.nocsim.topology import OPPOSITE, Port, route_o1turn
 
 _PAD_MAG = np.int32(1) << 30
@@ -138,9 +140,29 @@ def decode_layered_nms(h, channel_llrs, params: DecodeParams,
     )
 
 
+def trace_obj(trace) -> dict:
+    """A trace's JSON object, its tables as lists of int lists."""
+    return {
+        "format": TRACE_FORMAT,
+        "n": trace.n,
+        "seed": trace.seed,
+        "pipeline_depth": trace.pipeline_depth,
+        "k_i": trace.k_i,
+        "label": trace.label,
+        "rm_ops": [ops.tolist() for ops in trace.rm_ops],
+        "arrivals": [pe.tolist() for pe in trace.arrivals],
+        "fifo_max": trace.fifo_max.tolist(),
+        "flits": [list(f) for f in trace.flits],
+        "check_start": trace.check_start.tolist(),
+        "check_complete": trace.check_complete.tolist(),
+        "n_network": trace.n_network,
+        "n_bypass": trace.n_bypass,
+    }
+
+
 def trace_text(trace) -> str:
     """A trace's canonical JSON text, by the default json.dumps."""
-    return json.dumps(trace.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    return json.dumps(trace_obj(trace), sort_keys=True, separators=(",", ":"))
 
 
 def image_payload(image) -> dict:
@@ -157,7 +179,7 @@ def image_payload(image) -> dict:
         "wag": image.wag,
         "cnt_cmp": image.cnt_cmp,
         "fifo_depth": image.fifo_depth.tolist(),
-        "slot_of": {f"{c}:{p}": s for (c, p), s in sorted(image.slot_of.items())},
+        "slot_of": {f"{c}:{p}": s for c, p, s in sorted(image.slots.tolist())},
         "trace_digest": image.trace_digest,
         "mapping_digest": image.mapping_digest,
         "h_digest": image.h_digest,
@@ -196,31 +218,35 @@ def simulate_cycles(topo, schedule, seed: int, pipeline_depth: int) -> dict:
     starts its next served check once every non-wrap input is in, and every
     router gives each output, in port order, to one requesting input
     round-robin.  Every PE is visited every cycle.  The per-check needs are
-    derived here from ``schedule.emissions``, not read from the schedule's
-    tables, and each flit routes by route_o1turn under its mix64 coin.
-    Returns the facts a trace records, as lists and tuples.
+    derived here from the rows of ``schedule.emissions``, not read from the
+    schedule's tables, and each flit routes by route_o1turn under its mix64
+    coin.  Returns the facts a trace records, as lists.
     """
     p, n = topo.p, topo.n
     local = int(Port.LOCAL)
-    flits = schedule.network_flits
-    src_pe = [schedule.host[e.src_check] for e in flits]
-    coin = [mix64(seed, e.uid) & 1 for e in flits]
-    route = [[int(port) for port in route_o1turn(s, e.dst_pe, n, c)]
+    ems = [dict(zip(EMISSION_FIELDS, row)) for row in schedule.emissions.tolist()]
+    flits = sorted((e for e in ems if e["network"]), key=lambda e: e["uid"])
+    src_pe = [schedule.host[e["src_check"]] for e in flits]
+    coin = [mix64(seed, e["uid"]) & 1 for e in flits]
+    route = [[int(port) for port in route_o1turn(s, e["dst_pe"], n, c)]
              for e, s, c in zip(flits, src_pe, coin)]
     hops = [0] * len(flits)
     inject = [-1] * len(flits)
     receipt = [-1] * len(flits)
 
-    n_checks = len(schedule.emissions)
-    deg = [len(ems) for ems in schedule.emissions]
-    emit_net = [[e.uid for e in ems if e.network] for ems in schedule.emissions]
-    emit_local = [[e.dst_check for e in ems if not e.network and not e.wrap]
-                  for ems in schedule.emissions]
+    n_checks = len(schedule.host)
+    deg = [0] * n_checks
+    emit_net = [[] for _ in range(n_checks)]
+    emit_local = [[] for _ in range(n_checks)]
     missing = [0] * n_checks
-    for ems in schedule.emissions:
-        for e in ems:
-            if not e.wrap:
-                missing[e.dst_check] += 1
+    for e in sorted(ems, key=lambda e: (e["src_check"], e["src_pos"])):
+        deg[e["src_check"]] += 1
+        if e["network"]:
+            emit_net[e["src_check"]].append(e["uid"])
+        elif not e["wrap"]:
+            emit_local[e["src_check"]].append(e["dst_check"])
+        if not e["wrap"]:
+            missing[e["dst_check"]] += 1
 
     fifos = [[deque() for _ in range(5)] for _ in range(p)]
     fifo_max = [[0] * 5 for _ in range(p)]
@@ -247,8 +273,8 @@ def simulate_cycles(topo, schedule, seed: int, pipeline_depth: int) -> dict:
         for node, port, uid in deliveries.pop(t, []):
             if port == local:
                 receipt[uid] = t
-                if not flits[uid].wrap:
-                    missing[flits[uid].dst_check] -= 1
+                if not flits[uid]["wrap"]:
+                    missing[flits[uid]["dst_check"]] -= 1
             else:
                 enqueue(node, port, uid)
         for m in completions.pop(t, []):
@@ -284,7 +310,7 @@ def simulate_cycles(topo, schedule, seed: int, pipeline_depth: int) -> dict:
                 hops[uid] += 1
                 if out == local:
                     e = flits[uid]
-                    arrivals[node].append((e.dst_check, e.dst_pos, src_pe[uid], uid, t + 2))
+                    arrivals[node].append((e["dst_check"], e["dst_pos"], src_pe[uid], uid, t + 2))
                     moves.append((node, local, uid))
                 else:
                     moves.append((topo.neighbor(node, Port(out)), int(OPPOSITE[Port(out)]), uid))
@@ -300,6 +326,6 @@ def simulate_cycles(topo, schedule, seed: int, pipeline_depth: int) -> dict:
         "check_start": check_start,
         "check_complete": check_complete,
         "fifo_max": fifo_max,
-        "rm_ops": tuple(map(tuple, rm_ops)),
-        "arrivals": tuple(map(tuple, arrivals)),
+        "rm_ops": [[list(op) for op in ops] for ops in rm_ops],
+        "arrivals": [[list(a) for a in pe] for pe in arrivals],
     }

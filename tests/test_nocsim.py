@@ -6,6 +6,17 @@ import numpy as np
 import pytest
 
 import nocldpc.nocsim.schedule as schedule_mod
+from nocldpc.nocsim.schedule import (
+    DST_CHECK,
+    DST_POS,
+    EMISSION_FIELDS,
+    NETWORK,
+    SRC_CHECK,
+    SRC_POS,
+    UID,
+    VAR,
+    WRAP,
+)
 from nocldpc.channel import awgn_llrs
 from nocldpc.codes import (
     CodeError,
@@ -86,9 +97,10 @@ class TestSchedule:
         h = make_h([[0, 1], [0, 2]], 3)
         m = mapped(h, [0, 1], 2)
         s = build_schedule(h, m)
-        flits = [(e.src_check, e.dst_check, e.wrap) for e in s.network_flits if e.var == 0]
+        var0 = s.network_flits[s.network_flits[:, VAR] == 0]
+        flits = var0[:, [SRC_CHECK, DST_CHECK, WRAP]].tolist()
         assert len(flits) == 2
-        assert {(0, 1, False), (1, 0, True)} == set(flits)
+        assert {(0, 1, 0), (1, 0, 1)} == set(map(tuple, flits))
 
     def test_same_pe_variable_no_network(self):
         h = make_h([[0, 1], [0, 2]], 3)
@@ -103,7 +115,7 @@ class TestSchedule:
         m = partition_kway(g, 25, seed=0)
         serving_order(h, m)
         s = build_schedule(h, m)
-        received = sorted((e.dst_check, e.dst_pos) for ems in s.emissions for e in ems)
+        received = sorted(map(tuple, s.emissions[:, [DST_CHECK, DST_POS]].tolist()))
         assert received == [(c, k) for c, row in enumerate(h.rows) for k in range(len(row))]
 
     def test_network_count_equals_weighted_cutset(self):
@@ -223,34 +235,52 @@ class TestScheduleReuse:
         serving_order(other, m)
         assert check(other, m) != check(h, m)
 
-    def test_schedule_is_frozen_tuples(self):
+    def test_schedule_is_frozen_read_only_tables(self):
         h, m = _c06_mapping()
         s = build_schedule(h, m)
         for name in [f.name for f in dataclasses.fields(s)]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(s, name, getattr(s, name))
-        e = s.network_flits[0]
-        for name in e._fields:
-            with pytest.raises(AttributeError):
-                setattr(e, name, getattr(e, name))
-        containers = [s.host, s.serve_pos, s.order, s.emissions, s.network_flits]
-        containers += [*s.order, *s.emissions]
+        # the emission tables are read-only int64 arrays, and stay so
+        for table in (s.emissions, s.network_flits):
+            assert table.dtype == np.int64
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+            with pytest.raises(ValueError):
+                table.flags.writeable = True
+        containers = [s.host, s.serve_pos, s.order, *s.order]
         assert all(type(c) is tuple for c in containers)
-        assert [e.uid for e in s.network_flits] == list(range(s.n_network))
-        assert all(e.uid == -1 for ems in s.emissions for e in ems if not e.network)
+        # a row per (check, position) in check order; uids number the network rows
+        edges = [[c, k] for c, row in enumerate(h.rows) for k in range(len(row))]
+        assert s.emissions[:, [SRC_CHECK, SRC_POS]].tolist() == edges
+        net = s.emissions[:, NETWORK] == 1
+        assert (s.network_flits[:, UID] == np.arange(s.n_network)).all()
+        assert sorted(s.emissions[net, UID].tolist()) == list(range(s.n_network))
+        assert (s.emissions[~net, UID] == -1).all()
 
         # the per-check and per-uid tables are tuples of ints that say what
-        # the emissions say
-        tables = [s.deg, s.n_inputs, s.src_pe, s.emit_net, s.emit_local, *s.emit_net, *s.emit_local]
+        # the emission rows say
+        tables = [s.deg, s.n_inputs, s.src_pe, s.dst_check, s.wrap, s.emit_net, s.emit_local,
+                  *s.emit_net, *s.emit_local]
         assert all(type(c) is tuple for c in tables)
-        assert all(type(v) is int for v in (*s.deg, *s.n_inputs, *s.src_pe))
-        assert s.deg == tuple(map(len, s.emissions))
-        assert s.emit_net == tuple(tuple(e.uid for e in ems if e.network) for ems in s.emissions)
-        assert s.emit_local == tuple(tuple(e.dst_check for e in ems if not e.network and not e.wrap)
-                                     for ems in s.emissions)
-        inputs = Counter(e.dst_check for ems in s.emissions for e in ems if not e.wrap)
+        values = (*s.deg, *s.n_inputs, *s.src_pe, *s.dst_check, *s.wrap,
+                  *(v for t in (*s.emit_net, *s.emit_local) for v in t))
+        assert all(type(v) is int for v in values)
+        rows = [dict(zip(EMISSION_FIELDS, r)) for r in s.emissions.tolist()]
+        by_check = [[] for _ in range(s.n_checks)]
+        for e in rows:
+            by_check[e["src_check"]].append(e)
+        assert s.deg == tuple(map(len, by_check))
+        assert s.emit_net == tuple(tuple(e["uid"] for e in ems if e["network"]) for ems in by_check)
+        assert s.emit_local == tuple(tuple(e["dst_check"] for e in ems if not e["network"] and not e["wrap"])
+                                     for ems in by_check)
+        inputs = Counter(e["dst_check"] for e in rows if not e["wrap"])
         assert s.n_inputs == tuple(inputs[c] for c in range(s.n_checks))
-        assert s.src_pe == tuple(s.host[e.src_check] for e in s.network_flits)
+        flits = sorted((e for e in rows if e["network"]), key=lambda e: e["uid"])
+        assert s.network_flits.tolist() == [list(e.values()) for e in flits]
+        assert s.src_pe == tuple(s.host[e["src_check"]] for e in flits)
+        assert s.dst_check == tuple(e["dst_check"] for e in flits)
+        assert s.wrap == tuple(e["wrap"] for e in flits)
 
 
 class TestSimulate:
@@ -396,7 +426,7 @@ class TestTraceSerialization:
 
         h = make_h([[0, 1], [1, 2], [0, 2]], 3)
         tr = simulate_iteration(Topology(2), build_schedule(h, mapped(h, [0, 1, 2], 4)), seed=9)
-        obj = tr.to_json_obj()
+        obj = json.loads(tr.to_json())
         obj[key] = value
         with pytest.raises(ValueError):
             NocTrace.from_json(json.dumps(obj))
@@ -446,28 +476,26 @@ def test_trace_and_image_are_frozen_and_serialised_once(name, side):
     with pytest.raises(TypeError):
         cfg.rm[0][0] = 1
     with pytest.raises(TypeError):
-        tr.rm_ops[0][0] = (0, 0, 0)
-    with pytest.raises(TypeError):
-        tr.arrivals[0][0] = (0, 0, 0, 0, 0)
-    with pytest.raises(TypeError):
-        cfg.slot_of[(0, 0)] = 1
-    for arr in (tr.fifo_max, tr.check_start, cfg.fifo_depth):
+        tr.rm_ops[0] = ()
+    busy = next(i for i, ops in enumerate(tr.rm_ops) if len(ops))
+    tables = (tr.fifo_max, tr.check_start, cfg.fifo_depth, tr.rm_ops[busy], tr.arrivals[busy],
+              tr.flits.table, cfg.slots)
+    for arr in tables:
         with pytest.raises(ValueError):
             arr[0] = 99
         with pytest.raises(ValueError):
             arr.flags.writeable = True
 
     # the canonical text is json.dumps's, computed once
-    text = json.dumps(tr.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(json.loads(tr.to_json()), sort_keys=True, separators=(",", ":"))
     assert tr.to_json() == text and tr.to_json() is tr.to_json()
     assert tr.content_digest() == hashlib.sha256(text.encode()).hexdigest()
     assert ConfigImage.from_json(cfg.to_json()).compute_digest() == cfg.digest
 
     # a copy with one record changed gets its own digest
-    node = next(i for i, ops in enumerate(tr.rm_ops) if ops)
-    cycle, out, inp = tr.rm_ops[node][0]
-    ops = ((cycle + 1, out, inp), *tr.rm_ops[node][1:])
-    moved = dataclasses.replace(tr, rm_ops=(*tr.rm_ops[:node], ops, *tr.rm_ops[node + 1:]))
+    cycle, out, inp = tr.rm_ops[busy][0]
+    ops = ((cycle + 1, out, inp), *tr.rm_ops[busy][1:])
+    moved = dataclasses.replace(tr, rm_ops=(*tr.rm_ops[:busy], ops, *tr.rm_ops[busy + 1:]))
     assert moved.content_digest() != tr.content_digest()
     assert dataclasses.replace(tr).content_digest() == tr.content_digest()
     wag = next(i for i, addrs in enumerate(cfg.wag) if addrs)

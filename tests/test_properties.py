@@ -842,5 +842,5 @@ def test_cycles_match_reference_model(case):
     assert trace.check_start.tolist() == want["check_start"]
     assert trace.check_complete.tolist() == want["check_complete"]
     assert trace.fifo_max.tolist() == want["fifo_max"]
-    assert trace.rm_ops == want["rm_ops"]
-    assert trace.arrivals == want["arrivals"]
+    assert [ops.tolist() for ops in trace.rm_ops] == want["rm_ops"]
+    assert [pe.tolist() for pe in trace.arrivals] == want["arrivals"]
