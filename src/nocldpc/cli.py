@@ -15,6 +15,7 @@ pass.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -335,8 +336,16 @@ def cmd_throughput(args) -> int:
     return 0
 
 
+def _gc_runs(before: list[dict]) -> dict:
+    """Runs of the garbage collector per generation since before, a
+    gc.get_stats() reading; read only, the collector is left as it is."""
+    return {f"gen{i}": now["collections"] - then["collections"]
+            for i, (then, now) in enumerate(zip(before, gc.get_stats()))}
+
+
 def cmd_pipeline(args) -> int:
     stages = []  # (stage, its start on the perf_counter clock), in order
+    gc_stats = gc.get_stats()
     try:
         h, g, mapping = _mapped(args, stages)
         p = mapping.p
@@ -370,6 +379,7 @@ def cmd_pipeline(args) -> int:
                 mismatches += 1
         replay_ok = mismatches == 0
         stage_s = _stage_s(stages)
+        gc_runs = _gc_runs(gc_stats)
     except Exception as exc:  # surface the failing stage, per contract
         print(f"pipeline failed at stage {stages[-1][0]}: {exc}", file=sys.stderr)
         return 2
@@ -394,6 +404,7 @@ def cmd_pipeline(args) -> int:
         "replay_matches_golden": replay_ok,
         "elapsed_s": round(time.perf_counter() - stages[0][1], 2),
         "stage_s": stage_s,
+        "gc": gc_runs,
     }
     _write(args, "report.json", report)
     print(f"code        {h.label}")

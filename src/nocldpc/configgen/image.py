@@ -23,6 +23,7 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix
 from ..jsonfields import all_ints, frozen_int64, int_list, int_table, object_json, rows_text, table_json, typed
 from ..mapper import Mapping
+from ..nocsim.engine import HOP_CYCLES
 from ..nocsim.schedule import DST_CHECK, DST_POS, SRC_CHECK, SRC_POS, InjectionSchedule, _schedule_for
 from ..nocsim.trace import NocTrace
 
@@ -193,6 +194,16 @@ class ConfigImage:
             raise ConfigIntegrityError(f"FIFO depths must be {p} x 5")
         if img.pipeline_depth < 0:
             raise ConfigIntegrityError(f"PE pipeline depth must be >= 0, got {img.pipeline_depth}")
+        if img.k_i:
+            # the last flit lands in cycle k_i - 1, HOP_CYCLES after its
+            # ejection pop, so that pop is the program's last word
+            busy = np.flatnonzero(np.any(img.rm, axis=0))
+            last = int(busy[-1]) if len(busy) else -1
+            if last != img.k_i - 1 - HOP_CYCLES:
+                raise ConfigIntegrityError(
+                    f"the last routing word is at cycle {last}, a program of k_i {img.k_i} "
+                    f"ends at cycle {img.k_i - 1 - HOP_CYCLES}"
+                )
         return img
 
     def rm_to_binary(self) -> bytes:

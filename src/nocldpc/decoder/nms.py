@@ -23,11 +23,11 @@ every difference and sum of two codes of the widest (24-bit) format.
 The one production kernel is _layered_sweep, a frames-last sweep over
 per-layer gather/scatter maps: decode_layered_nms_batch runs it through the
 variable index and the NoC replay (nocsim.replay) through configured memory
-slots.  Its two smallest magnitudes per row come from one np.partition over
-the slot axis when the store holds one frame, as replay's does, and from a
+slots.  Its two smallest magnitudes per row come from one np.sort over the
+slot axis when the store holds one frame, as replay's does, and from a
 pass over the slots when it holds more: there one ufunc call per slot moves
-all frames at once, and a partition along the slot axis costs several
-times more.  Its gathers call the ndarray.take method, not np.take: the
+all frames at once, and a sort or partition along the slot axis costs
+several times more.  Its gathers call the ndarray.take method, not np.take: the
 result is the same, and the method skips the Python wrapper of the
 function, about a microsecond on each of a layer's few calls, which is a
 visible share of a one-frame layer.
@@ -183,13 +183,15 @@ def decode_layered_nms(
 def _two_smallest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and second smallest over the slot axis, counting repeats.
 
-    A tie for the minimum gives m2 == m1.  For one frame a single
-    np.partition over the W >= 2 slots takes both; for more frames one pass
-    over the slots is faster, where np.partition along this axis costs
-    several times more.
+    A tie for the minimum gives m2 == m1.  For one frame a single np.sort
+    over the W >= 2 slots takes both: along the strided slot axis of a
+    (W, R, 1) block it is faster than np.partition, which gives the same
+    two values.  For more
+    frames one pass over the slots is faster, where sorting or partitioning
+    along this axis costs several times more.
     """
     if mag.shape[-1] == 1:
-        two = np.partition(mag, 1, axis=0)
+        two = np.sort(mag, axis=0)
         return two[0], two[1]
     m1 = np.minimum(mag[0], mag[1])
     m2 = np.maximum(mag[0], mag[1])

@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import json
 
 import pytest
 
 from nocldpc.cli import main
+from nocldpc.configgen import ConfigImage
 
 
 def run(argv):
@@ -193,6 +195,20 @@ class TestSwitch:
         assert rc == 2
         assert "digest mismatch" in capsys.readouterr().err
 
+    def test_rejects_image_with_padded_k_i(self, images, tmp_path, capsys):
+        # idle words appended to the program and resealed used to plan the
+        # switch buffer from the padded k_i
+        img = ConfigImage.from_json(images[5].read_text())
+        padded = dataclasses.replace(img, k_i=img.k_i + 500, rm=[w + (0,) * 500 for w in img.rm],
+                                     digest=None)
+        (tmp_path / "padded.json").write_text(padded.to_json())
+        rc = run(["switch", "--config1", str(tmp_path / "padded.json"),
+                  "--config2", str(images[5])])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "last routing word" in captured.err
+        assert "B=" not in captured.out
+
     @pytest.mark.parametrize("side1,side2,torus_n", [(5, 4, []), (4, 5, []), (5, 5, ["--torus-n", "4"])])
     def test_rejects_torus_side_mismatch(self, images, side1, side2, torus_n, capsys):
         # a 5x5 and a 4x4 image used to plan over the first image's 5 buses
@@ -304,6 +320,23 @@ class TestPipeline:
         assert set(stage_s) == {"load", "partition", "schedule", "simulate", "genconfig",
                                 "replay-verify"}
         assert all(isinstance(s, float) and s >= 0 for s in stage_s.values())
+
+    def test_report_counts_collector_runs(self, tmp_path, capsys):
+        import gc
+
+        threshold, enabled = gc.get_threshold(), gc.isenabled()
+        rc = run([
+            "pipeline", "--code", "wimax_576_288", "--torus-n", "2",
+            "--seed", "1", "--check-frames", "1", "--rp-baseline", "2",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        runs = json.loads((tmp_path / "report.json").read_text())["gc"]
+        assert set(runs) == {"gen0", "gen1", "gen2"}
+        assert all(type(n) is int and n >= 0 for n in runs.values())
+        assert runs["gen0"] > 0  # the partitioner alone allocates enough to run it
+        # reading the counts leaves the collector as it was
+        assert (gc.get_threshold(), gc.isenabled()) == (threshold, enabled)
 
     def test_replay_spot_check_compares_final_llrs(self, tmp_path, capsys, monkeypatch):
         import nocldpc.cli as cli

@@ -526,6 +526,11 @@ def pipeline_p4():
     return h, m, tr, gen_config(tr, m, h)
 
 
+# the program stops before its last flits land, or idles past the trace's
+# k_i, which would size the switch buffers wrong
+_PROGRAM_LENGTH = {"short_program": -3, "long_program": 50}
+
+
 class TestReplay:
 
     def test_noisy_frames_match_golden(self, pipeline):
@@ -704,17 +709,31 @@ class TestReplay:
                 obj["rm"][rm_node][rm_cyc] &= ~(0x1F << 20)
             elif tamper == "bit_30_set":
                 obj["rm"][rm_node][rm_cyc] |= 1 << 30
-            elif tamper == "negative_word":  # the same low 32 bits
+            else:  # the same low 32 bits
                 obj["rm"][rm_node][rm_cyc] -= 2**32
-            elif tamper == "short_program":  # the program stops before its last flits land
-                obj["k_i"] -= 3
-                obj["rm"] = [words[: obj["k_i"]] for words in obj["rm"]]
-            else:  # idle cycles past the trace's k_i would size the switch buffers wrong
-                obj["k_i"] += 50
-                obj["rm"] = [words + [0] * 50 for words in obj["rm"]]
 
+        if tamper in _PROGRAM_LENGTH:
+            # the image loader refuses these (test_loader_rejects_program_not_ending_at_k_i),
+            # so they are built from the image itself
+            k_i = cfg.k_i + _PROGRAM_LENGTH[tamper]
+            broken = dataclasses.replace(cfg, k_i=k_i, rm=[(w + (0,) * 50)[:k_i] for w in cfg.rm])
+        else:
+            broken = _edited(cfg, edit)
         with pytest.raises(ReplayIntegrityError):
-            validate_config(h, m, tr, _resealed(_edited(cfg, edit)))
+            validate_config(h, m, tr, _resealed(broken))
+
+    @pytest.mark.parametrize("tamper", sorted(_PROGRAM_LENGTH))
+    def test_loader_rejects_program_not_ending_at_k_i(self, pipeline, tamper):
+        from nocldpc.configgen import ConfigIntegrityError
+
+        cfg = pipeline[3]
+
+        def edit(obj):
+            obj["k_i"] += _PROGRAM_LENGTH[tamper]
+            obj["rm"] = [(words + [0] * 50)[:obj["k_i"]] for words in obj["rm"]]
+
+        with pytest.raises(ConfigIntegrityError, match="last routing word is at cycle"):
+            _edited(cfg, edit)
 
     @pytest.mark.parametrize("tamper", ["n_d_narrow", "n_d_zero", "n_pc"])
     def test_resealed_read_side_rejected(self, pipeline_p4, tamper):
@@ -786,3 +805,35 @@ def _edited(cfg, edit):
 
 def _resealed(img):
     return dataclasses.replace(img, digest=img.compute_digest())
+
+
+def test_codegen_records_add_few_tracked_objects():
+    # the schedule, the traces and the images keep their records in int
+    # tables, which the cyclic garbage collector does not track; per-record
+    # objects (named tuples, lists) were about 4,800 tracked objects here
+    import gc
+
+    from nocldpc.configgen import ConfigImage
+    from nocldpc.nocsim import NocTrace
+
+    h = load_code("wimax_576_288")
+
+    def mapping():
+        m = partition_kway(build_check_graph(h), 25, seed=20250808)
+        serving_order(h, m)
+        return m
+
+    def codegen(m):
+        s = build_schedule(h, m)
+        tr = simulate_iteration(Topology(5), s, seed=20250808, label=h.label)
+        cfg = gen_config(tr, m, h)
+        return s, tr, NocTrace.from_json(tr.to_json()), cfg, ConfigImage.from_json(cfg.to_json())
+
+    codegen(mapping())  # first calls may import or cache what later calls reuse
+    m = mapping()
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = codegen(m)
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 100
+    assert kept[2].content_digest() == kept[1].content_digest()
