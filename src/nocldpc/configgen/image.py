@@ -18,13 +18,30 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
-from ..jsonfields import all_ints, frozen_int64, int_list, int_table, object_json, rows_text, table_json, typed
+from ..jsonfields import (
+    all_ints,
+    frozen_int64,
+    int_list,
+    int_table,
+    object_json,
+    rows_text,
+    table_json,
+    typed,
+)
 from ..mapper import Mapping
 from ..nocsim.engine import HOP_CYCLES
-from ..nocsim.schedule import DST_CHECK, DST_POS, SRC_CHECK, SRC_POS, InjectionSchedule, _schedule_for
+from ..nocsim.schedule import (
+    DST_CHECK,
+    DST_POS,
+    SRC_CHECK,
+    SRC_POS,
+    InjectionSchedule,
+    _schedule_for,
+)
 from ..nocsim.trace import NocTrace
 
 FORMAT = "nocldpc-config-v1"
@@ -228,14 +245,23 @@ def slot_map_json(slots: np.ndarray) -> str:
     """The compact JSON object {"check:position": slot} of (check, position,
     slot) rows, its keys in the string order json.dumps(sort_keys=True)
     gives them."""
-    c, p = slots[:, 0], slots[:, 1]
-    # the keys' characters, one column per place: 0 past the end of the key,
-    # 1..10 for the digits and 11 for the colon, which sorts after them
-    width = np.array([len(str(int(x.max()))) if len(x) else 1 for x in (c, p)])
-    c_digits, p_digits = _digit_counts(c), _digit_counts(p)
+    order = _key_order(slots[:, 0], slots[:, 1])
+    return "{" + rows_text(slots[order], '"', (":", '":'), "", ",")[0] + "}"
+
+
+_TENS = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _key_order(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The order of the strings f"{c}:{p}" of non-negative ints, by
+    lexsort over their characters, one key per place: 0 past the end of
+    the string, 1..10 for the digits and 11 for the colon, which sorts
+    after them."""
+    c_digits, p_digits = (np.searchsorted(_TENS, x, side="right").clip(1) for x in (c, p))
+    length = int(c_digits.max() + 1 + p_digits.max()) if len(c) else 0
     places = []
-    for i in range(int(width.sum()) + 1):
-        code = np.zeros(len(slots), dtype=np.int64)
+    for i in range(length):
+        code = np.zeros(len(c), dtype=np.int64)
         in_c = i < c_digits
         code[in_c] = c[in_c] // _TENS[(c_digits - 1 - i)[in_c]] % 10 + 1
         code[i == c_digits] = 11
@@ -243,16 +269,7 @@ def slot_map_json(slots: np.ndarray) -> str:
         in_p = (j >= 0) & (j < p_digits)
         code[in_p] = p[in_p] // _TENS[(p_digits - 1 - j)[in_p]] % 10 + 1
         places.append(code)
-    order = np.lexsort(places[::-1])
-    return "{" + rows_text(slots[order], '"', (":", '":'), "", ",")[0] + "}"
-
-
-_TENS = 10 ** np.arange(19, dtype=np.int64)
-
-
-def _digit_counts(x: np.ndarray) -> np.ndarray:
-    """The number of decimal digits of each non-negative value."""
-    return np.searchsorted(_TENS, x, side="right").clip(1)
+    return np.lexsort(places[::-1]) if places else np.arange(len(c))
 
 
 def _read_slot_map(slot_of: dict) -> np.ndarray:

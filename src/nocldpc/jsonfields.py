@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 _TEN_POWERS = 10 ** np.arange(20, dtype=np.uint64)
-_BLOCK = 4096  # values per encoding pass; its int64 scratch arrays stay at 32 KiB
+_BLOCK = 8192  # values per encoding pass; its int64 scratch arrays stay at 64 KiB
 
 
 def all_ints(values) -> bool:
@@ -126,15 +126,25 @@ def _block_text(table: np.ndarray, opener: str, seps: tuple[str, ...], closer: s
     r, w = table.shape
     v = table.ravel()
     neg = v < 0
-    mag = np.where(neg, -(v + 1), v).astype(np.uint64) + neg  # |v|, -2**63 included
+    signed = bool(neg.any())
+    if signed:
+        mag = np.where(neg, -(v + 1), v).astype(np.uint64) + neg  # |v|, -2**63 included
+    else:
+        mag = v.astype(np.uint64)
     places = len(str(int(mag.max())))
-    ndig = np.ones(v.size, dtype=np.int64)
+    width = np.ones(v.size, dtype=np.int64)  # digits, then the whole width
     for power in _TEN_POWERS[1:places]:
-        ndig += mag >= power
+        width += mag >= power
+    ndig = width.copy()
     head = closer + join + opener
-    pre = np.tile([len(head), *map(len, seps)], r)
+    pre = np.empty((r, w), dtype=np.int64)
+    pre[:] = [len(head), *map(len, seps)]
+    pre = pre.ravel()
     pre[0] = len(opener)
-    end = np.cumsum(pre + neg + ndig)
+    width += pre
+    if signed:
+        width += neg
+    end = np.cumsum(width)
     size = int(end[-1]) + len(closer)
     buf = np.empty(places + size, dtype=np.uint8)
     text = buf[places:]
@@ -147,13 +157,15 @@ def _block_text(table: np.ndarray, opener: str, seps: tuple[str, ...], closer: s
     last = end + (places - 1)  # each value's last digit, in buf
     for d in range(places - 1, -1, -1):
         buf[last - d] = digits[d]
-    start = end - ndig - neg - pre
-    for col, sep in enumerate(seps, 1):
-        _put(text, start[col::w], sep)
+    start = end - width
+    for sep in set(seps):  # one pass per distinct separator, over its columns
+        cols = [col for col, s in enumerate(seps, 1) if s == sep]
+        _put(text, start.reshape(r, w)[:, cols].ravel(), sep)
     heads = start[w::w]  # before the first value of rows 1..r-1
     _put(text, heads, head)
     _put(text, np.zeros(1, dtype=np.int64), opener)
-    text[end[neg] - ndig[neg] - 1] = ord("-")
+    if signed:
+        text[end[neg] - ndig[neg] - 1] = ord("-")
     _put(text, np.full(1, size - len(closer)), closer)
     row_at = np.empty(r + 1, dtype=np.int64)
     row_at[0] = 0

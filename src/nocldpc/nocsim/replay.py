@@ -34,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codes.matrix import ParityCheckMatrix
-from ..configgen.image import ConfigImage, fill_free_slots, pack_rm_word, read_side, slot_map, unpack_rm_word
+from ..configgen.image import (
+    ConfigImage,
+    fill_free_slots,
+    pack_rm_word,
+    read_side,
+    slot_map,
+    unpack_rm_word,
+)
 from ..decoder.layout import CodeLayout
 from ..decoder.nms import DecodeParams, DecodeResult, _channel_llrs, _layered_sweep, _store_dtype
 from ..fixedpoint import quantize
@@ -107,7 +114,7 @@ def validate_config(
     serve, deg = schedule.order, schedule.deg
     selections: dict[int, list[tuple[int, int]]] = {}  # RM word -> crossbar settings
     wag_next = [0] * p
-    slot = [-1] * schedule.n_network  # per uid: the slot the WAG gives it
+    slot_of_uid = [-1] * schedule.n_network  # the slot the WAG gives each flit
     written: set[int] = set()  # check * n_d + slot, as slot < n_d
 
     rm, wag = config.rm, config.wag
@@ -147,21 +154,21 @@ def validate_config(
                     raise ReplayIntegrityError(f"PE {node}: WAG table exhausted")
                 addr = wag[node][k]
                 wag_next[node] = k + 1
-                pos_in_order, k = divmod(addr, n_d)
+                pos_in_order, slot = divmod(addr, n_d)
                 order = serve[node]
                 if not 0 <= pos_in_order < len(order):
                     raise ReplayIntegrityError(f"PE {node}: WAG address {addr} out of range")
                 check = order[pos_in_order]
-                if check != dst_check[uid] or k >= deg[check]:
+                if check != dst_check[uid] or slot >= deg[check]:
                     raise ReplayIntegrityError(
                         f"cycle {t}: WAG address {addr} routes to check {check}, "
                         f"flit belongs to {dst_check[uid]}"
                     )
-                row = check * n_d + k
+                row = check * n_d + slot
                 if row in written:
-                    raise ReplayIntegrityError(f"check {check}: slot {k} assigned twice")
+                    raise ReplayIntegrityError(f"check {check}: slot {slot} assigned twice")
                 written.add(row)
-                slot[uid] = k
+                slot_of_uid[uid] = slot
                 hop_done.append((node, LOCAL, uid))
         if hop_done:
             deliveries[t + HOP_CYCLES] = hop_done
@@ -194,7 +201,7 @@ def validate_config(
     first = np.cumsum(deg) - deg
     slots = np.full(len(schedule.emissions), -1, dtype=np.int64)
     flits = schedule.network_flits
-    slots[first[flits[:, DST_CHECK]] + flits[:, DST_POS]] = slot
+    slots[first[flits[:, DST_CHECK]] + flits[:, DST_POS]] = slot_of_uid
     fill_free_slots(slots, schedule.deg)
     if not np.array_equal(slot_map(schedule, slots), config.slots):
         raise ReplayIntegrityError("declared slot map differs from the RM walk")

@@ -2,10 +2,11 @@
 
 A trace keeps its records as read-only int64 tables, one row per record:
 the flits in uid order, and the routing operations and arrivals of each
-node as views of one table each.  The loader builds each table in one pass
-over the JSON rows, and the canonical text is written from the tables in
-whole-array passes (jsonfields), byte for byte what json.dumps writes for
-the same records as lists.
+node.  The loader builds each table in one pass over the JSON rows, and the
+canonical text is written from the tables in whole-array passes
+(jsonfields), byte for byte what json.dumps writes for the same records as
+lists.  None of this holds an object per record, so the cyclic garbage
+collector has nothing in a trace to track.
 """
 
 from __future__ import annotations
@@ -19,8 +20,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..jsonfields import frozen_int64, grouped_json, grouped_table, int_list, int_table, \
-    object_json, table_json, typed
+from ..jsonfields import (
+    frozen_int64,
+    grouped_json,
+    grouped_table,
+    int_list,
+    int_table,
+    object_json,
+    table_json,
+    typed,
+)
 
 
 FORMAT = "nocldpc-trace-v1"

@@ -4,8 +4,9 @@ replaced, the check graph against its per-column loop reference, quantize
 against its floor/ceil reference, the golden layered decoder against the
 first golden in reference.py, batched decoders against their single-frame
 goldens, the codegen path from check graph to replayed configuration
-image, and the cycle simulator against the first simulator's plain loops
-in reference.py."""
+image, the cycle simulator against the first simulator's plain loops
+in reference.py, and the whole-array JSON writers of the trace and image
+tables against json.dumps."""
 
 import hashlib
 
@@ -844,3 +845,62 @@ def test_cycles_match_reference_model(case):
     assert trace.fifo_max.tolist() == want["fifo_max"]
     assert [ops.tolist() for ops in trace.rm_ops] == want["rm_ops"]
     assert [pe.tolist() for pe in trace.arrivals] == want["arrivals"]
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+SMALL = st.integers(-12, 1200)
+
+
+@st.composite
+def int_tables(draw):
+    width = draw(st.integers(0, 6))
+    values = st.one_of(SMALL, INT64)
+    rows = draw(st.lists(st.lists(values, min_size=width, max_size=width), max_size=12))
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    counts = np.diff([0, *cuts, len(rows)]).tolist()
+    return table, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_tables(), st.sampled_from([(",", ":"), (", ", ": ")]), st.integers(1, 40))
+def test_table_texts_match_json_dumps(case, separators, block):
+    # the whole-array writers, in blocks of any size, against the default
+    # encoder on the same rows as lists
+    import json
+
+    import nocldpc.jsonfields as jf
+
+    table, counts = case
+    sep = separators[0]
+    rows = table.tolist()
+    groups, at = [], 0
+    for c in counts:
+        groups.append(rows[at:at + c])
+        at += c
+    saved = jf._BLOCK
+    jf._BLOCK = block
+    try:
+        assert jf.table_json(table, sep) == json.dumps(rows, separators=separators)
+        if len(rows):
+            assert jf.table_json(table[0], sep) == json.dumps(rows[0], separators=separators)
+        assert jf.grouped_json(table, counts, sep) == json.dumps(groups, separators=separators)
+    finally:
+        jf._BLOCK = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**4), INT64), max_size=40,
+                unique_by=lambda row: row[:2]))
+def test_slot_map_text_matches_json_dumps(rows):
+    # keys in the order sort_keys gives "check:position" strings, so 10:0
+    # before 1:0 and 1:10 after 1:1
+    import json
+
+    from nocldpc.configgen.image import _read_slot_map, slot_map_json
+
+    slots = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    obj = {f"{c}:{p}": s for c, p, s in rows}
+    text = slot_map_json(slots)
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert _read_slot_map(json.loads(text)).tolist() == sorted(map(list, rows))
