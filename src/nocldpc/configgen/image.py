@@ -48,7 +48,6 @@ FORMAT = "nocldpc-config-v1"
 _BIN_MAGIC = b"NOCLDPCC"
 # check:position in canonical decimal, below 10**18 so that both fit in int64
 _SLOT_KEY = re.compile(r"(0|[1-9][0-9]{0,17}):(0|[1-9][0-9]{0,17})")
-_SLOT_KEYS = re.compile(rf"(?:{_SLOT_KEY.pattern}\n)*")  # the keys, each ended by a newline
 _KEYS = ("label", "n", "k_i", "n_d", "n_pc", "pipeline_depth", "rm", "wag", "cnt_cmp",
          "fifo_depth", "slot_of", "trace_digest", "mapping_digest", "h_digest")
 
@@ -280,11 +279,12 @@ def _read_slot_map(slot_of: dict) -> np.ndarray:
     slots = list(slot_of.values())
     if not all_ints(slots):
         raise ValueError("slots must be integers")
-    keys = "\n".join(slot_of) + "\n" if slot_of else ""
-    if not _SLOT_KEYS.fullmatch(keys) or keys.count("\n") != len(slots):
+    if not all(map(_SLOT_KEY.fullmatch, slot_of)):
         bad = next(k for k in slot_of if not _SLOT_KEY.fullmatch(k))
         raise ValueError(f"slot map key {bad!r} does not read check:position in plain decimal")
-    numbers = np.fromstring(keys.replace(":", " ").replace("\n", " "), dtype=np.int64, sep=" ")
+    # each key is two decimals and a colon, so the joined keys parse as
+    # the numbers c0 p0 c1 p1 ...
+    numbers = np.fromstring(" ".join(slot_of).replace(":", " "), dtype=np.int64, sep=" ")
     rows = np.column_stack((numbers.reshape(-1, 2), np.fromiter(slots, np.int64, len(slots))))
     return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
 

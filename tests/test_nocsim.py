@@ -235,7 +235,7 @@ class TestScheduleReuse:
         serving_order(other, m)
         assert check(other, m) != check(h, m)
 
-    def test_schedule_is_frozen_read_only_tables(self):
+    def test_schedule_is_frozen_tuples(self):
         h, m = _c06_mapping()
         s = build_schedule(h, m)
         for name in [f.name for f in dataclasses.fields(s)]:
@@ -431,12 +431,13 @@ class TestTraceSerialization:
         with pytest.raises(ValueError):
             NocTrace.from_json(json.dumps(obj))
 
-    @pytest.mark.parametrize("bad", [True, 1.5])
+    @pytest.mark.parametrize("bad", [True, 1.5, 2**63])
     @pytest.mark.parametrize("key", ["flits", "rm_ops", "arrivals", "fifo_max", "check_start",
                                      "check_complete"])
     def test_single_non_int_value_rejected(self, key, bad):
         # one record stays all ints but one value; a table built by an
-        # int64 array conversion would read true as 1
+        # int64 array conversion would read true as 1, and 2**63 does not
+        # fit the int64 tables
         from nocldpc.nocsim import NocTrace
 
         h = make_h([[0, 1], [1, 2], [0, 2]], 3)
