@@ -188,11 +188,11 @@ def table_json(table: np.ndarray, sep: str = ",") -> str:
     return "[" + rows_json(table, sep)[0] + "]"
 
 
-def grouped_json(table: np.ndarray, counts, sep: str = ",") -> str:
-    """The JSON list of groups of a 2-d int table's rows, group g being the
-    next counts[g] rows, each group a list of rows."""
-    body, row_at = rows_json(table, sep)
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+def grouped_json(groups, sep: str = ",") -> str:
+    """json.dumps of a list of 2-d int tables of one width, each as its list
+    of rows, with item separator sep."""
+    body, row_at = rows_json(np.concatenate(groups), sep)
+    bounds = np.cumsum([0, *map(len, groups)]).tolist()
     at = row_at.tolist()
     k = len(sep)
     parts = [f"[{body[at[a]:at[b] - k]}]" if b > a else "[]" for a, b in zip(bounds, bounds[1:])]

@@ -199,8 +199,8 @@ class NocTrace:
             "pipeline_depth": json.dumps(self.pipeline_depth),
             "k_i": json.dumps(self.k_i),
             "label": json.dumps(self.label),
-            "rm_ops": _grouped_json(self.rm_ops),
-            "arrivals": _grouped_json(self.arrivals),
+            "rm_ops": grouped_json(self.rm_ops),
+            "arrivals": grouped_json(self.arrivals),
             "fifo_max": table_json(self.fifo_max),
             "flits": table_json(self.flits.table),
             "check_start": table_json(self.check_start),
@@ -232,10 +232,6 @@ def _rows(values, width: int) -> np.ndarray:
 def _grouped(groups, width: int) -> tuple[np.ndarray, ...]:
     """Per-node records as read-only (R, width) int64 tables."""
     return tuple(_rows(g, width) for g in groups)
-
-
-def _grouped_json(groups: tuple[np.ndarray, ...]) -> str:
-    return grouped_json(np.concatenate(groups), [len(g) for g in groups])
 
 
 def _per_node(obj: dict, key: str, n: int) -> list:

@@ -874,17 +874,16 @@ def test_table_texts_match_json_dumps(case, separators, block):
     table, counts = case
     sep = separators[0]
     rows = table.tolist()
-    groups, at = [], 0
-    for c in counts:
-        groups.append(rows[at:at + c])
-        at += c
+    bounds = np.cumsum([0, *counts])
+    groups = [table[a:b] for a, b in zip(bounds, bounds[1:])]
     saved = jf._BLOCK
     jf._BLOCK = block
     try:
         assert jf.table_json(table, sep) == json.dumps(rows, separators=separators)
         if len(rows):
             assert jf.table_json(table[0], sep) == json.dumps(rows[0], separators=separators)
-        assert jf.grouped_json(table, counts, sep) == json.dumps(groups, separators=separators)
+        want = json.dumps([g.tolist() for g in groups], separators=separators)
+        assert jf.grouped_json(groups, sep) == want
     finally:
         jf._BLOCK = saved
 
