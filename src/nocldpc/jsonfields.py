@@ -59,7 +59,8 @@ def int_table(rows, width: int, what: str) -> np.ndarray:
     if not all_ints(chain.from_iterable(rows)):
         raise ValueError(f"{what} records must hold integers")
     table = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
-    return frozen_int64(table.reshape(len(rows), width), copy=False)
+    table.flags.writeable = False  # so the reshaped view cannot be made writeable
+    return table.reshape(len(rows), width)
 
 
 def grouped_table(groups, width: int, what: str) -> list[np.ndarray]:
@@ -76,12 +77,12 @@ def object_json(members: dict[str, str], sep: str = ",", colon: str = ":") -> st
     return "{" + sep.join(f'"{key}"{colon}{text}' for key, text in sorted(members.items())) + "}"
 
 
-def rows_json(table: np.ndarray, sep: str = ",") -> tuple[str, np.ndarray]:
-    """json.dumps(table.tolist()) without the outer brackets, for a 2-d int
-    table: its rows "[a<sep>b]" joined by sep, with sep the item separator
-    (the default encoder's ", " or the compact ","), and the offset of each
-    row's "[" in that text, plus one past the text and its trailing sep."""
-    return rows_text(table, "[", (sep,) * (table.shape[1] - 1), "]", sep)
+def rows_json(table: np.ndarray) -> tuple[str, np.ndarray]:
+    """json.dumps(table.tolist(), separators=(",", ":")) without the outer
+    brackets, for a 2-d int table: its rows "[a,b]" joined by ",", and the
+    offset of each row's "[" in that text, plus one past the text and a
+    trailing ","."""
+    return rows_text(table, "[", (",",) * (table.shape[1] - 1), "]", ",")
 
 
 def rows_text(table: np.ndarray, opener: str, seps: tuple[str, ...], closer: str,
@@ -180,20 +181,19 @@ def _put(text: np.ndarray, at: np.ndarray, chars: str) -> None:
         text[at + j] = c
 
 
-def table_json(table: np.ndarray, sep: str = ",") -> str:
-    """json.dumps(table.tolist()) with item separator sep, for a 1-d or 2-d
-    int table."""
+def table_json(table: np.ndarray) -> str:
+    """json.dumps(table.tolist()) with the compact separators, for a 1-d or
+    2-d int table."""
     if table.ndim == 1:
-        return rows_json(table.reshape(1, -1), sep)[0]
-    return "[" + rows_json(table, sep)[0] + "]"
+        return rows_json(table.reshape(1, -1))[0]
+    return "[" + rows_json(table)[0] + "]"
 
 
-def grouped_json(groups, sep: str = ",") -> str:
+def grouped_json(groups) -> str:
     """json.dumps of a list of 2-d int tables of one width, each as its list
-    of rows, with item separator sep."""
-    body, row_at = rows_json(np.concatenate(groups), sep)
+    of rows, with the compact separators."""
+    body, row_at = rows_json(np.concatenate(groups))
     bounds = np.cumsum([0, *map(len, groups)]).tolist()
     at = row_at.tolist()
-    k = len(sep)
-    parts = [f"[{body[at[a]:at[b] - k]}]" if b > a else "[]" for a, b in zip(bounds, bounds[1:])]
-    return "[" + sep.join(parts) + "]"
+    parts = [f"[{body[at[a]:at[b] - 1]}]" if b > a else "[]" for a, b in zip(bounds, bounds[1:])]
+    return "[" + ",".join(parts) + "]"
