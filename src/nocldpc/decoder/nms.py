@@ -27,10 +27,10 @@ slots.  Its two smallest magnitudes per row come from one np.sort over the
 slot axis when the store holds one frame, as replay's does, and from a
 pass over the slots when it holds more: there one ufunc call per slot moves
 all frames at once, and a sort or partition along the slot axis costs
-several times more.  Its gathers call the ndarray.take method, not np.take: the
-result is the same, and the method skips the Python wrapper of the
-function, about a microsecond on each of a layer's few calls, which is a
-visible share of a one-frame layer.
+several times more.  Its gathers call the ndarray.take method, not
+np.take: the result is the same, and the method skips the Python wrapper
+of the function, about a microsecond on each of a layer's few calls, which
+is a visible share of a one-frame layer.
 
 The per-frame bookkeeping of a block decode is _Ledger, which the sweep and
 the flooding SPA block decoder share: it takes each frame's result at its
@@ -186,9 +186,8 @@ def _two_smallest(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A tie for the minimum gives m2 == m1.  For one frame a single np.sort
     over the W >= 2 slots takes both: along the strided slot axis of a
     (W, R, 1) block it is faster than np.partition, which gives the same
-    two values.  For more
-    frames one pass over the slots is faster, where sorting or partitioning
-    along this axis costs several times more.
+    two values.  For more frames one pass over the slots is faster, where
+    sorting or partitioning along this axis costs several times more.
     """
     if mag.shape[-1] == 1:
         two = np.sort(mag, axis=0)

@@ -40,7 +40,8 @@ def frozen_int64(values, copy: bool = True) -> np.ndarray:
     """values as a read-only int64 array: a view of a read-only array, so its
     writeable flag cannot be set back.  An array frozen so already is
     returned as it is; anything else is copied, unless copy is False, which
-    freezes an int64 array that no one else holds in place."""
+    freezes in place an int64 array that owns its data and that no one else
+    holds."""
     if (isinstance(values, np.ndarray) and values.dtype == np.int64 and not values.flags.writeable
             and values.base is not None and not values.base.flags.writeable):
         return values
