@@ -244,14 +244,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_genconfig(args) -> int:
+    stages = [("load", time.perf_counter())]
     h = _load_code_from_args(args)
     mapping = Mapping.from_json(Path(args.mapping).read_text())
     trace = NocTrace.from_json(Path(args.trace).read_text())
+    stages.append(("genconfig", time.perf_counter()))
     config = gen_config(trace, mapping, h, fifo_pow2=args.fifo_pow2)
+    stages.append(("validate", time.perf_counter()))
     validate_config(h, mapping, trace, config)  # refuses, e.g., a trace with padded k_i
+    stage_s = _stage_s(stages)
     path = _write(args, "config.json", config.to_json())
+    fifo_max = config.fifo_depth.max(axis=0).tolist()
+    _write(args, "genconfig.json", {
+        "label": config.label,
+        "k_i": config.k_i,
+        "n_pc": config.n_pc,
+        "n_d": config.n_d,
+        "fifo_depth_max_per_port": fifo_max,
+        "digest": config.digest,
+        "stage_s": stage_s,
+    })
     print(f"config image: k_i={config.k_i}, N_pc={config.n_pc}, N_d={config.n_d}")
-    print(f"FIFO depths (max per port): {config.fifo_depth.max(axis=0).tolist()}")
+    print(f"FIFO depths (max per port): {fifo_max}")
     print("wrote", path)
     if args.binary:
         print("wrote", _write(args, "config_rm.bin", config.rm_to_binary()))

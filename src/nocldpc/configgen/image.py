@@ -24,10 +24,15 @@ import numpy as np
 from ..codes.matrix import ParityCheckMatrix
 from ..jsonfields import (
     all_ints,
+    canonical,
     frozen_int64,
     int_list,
     int_table,
+    member_spans,
     object_json,
+    read_groups,
+    read_table,
+    read_values,
     rows_text,
     table_json,
     typed,
@@ -45,6 +50,7 @@ from ..nocsim.schedule import (
 from ..nocsim.trace import NocTrace
 
 FORMAT = "nocldpc-config-v1"
+_FORMAT_TEXT = json.dumps(FORMAT)
 _BIN_MAGIC = b"NOCLDPCC"
 # check:position in canonical decimal, below 10**18 so that both fit in int64
 _SLOT_KEY = re.compile(r"(0|[1-9][0-9]{0,17}):(0|[1-9][0-9]{0,17})")
@@ -168,8 +174,12 @@ class ConfigImage:
         The image keeps the digest stored in the file, so verify_digest
         checks the payload against it.  Slot map keys must be written as
         to_json writes them: two plain decimals without sign, spaces,
-        underscores or leading zeros, joined by a colon.
+        underscores or leading zeros, joined by a colon.  A canonical text
+        (to_json's) is read without json.loads.
         """
+        img = canonical(_read_canonical, text)
+        if img is not None:
+            return img
         try:
             obj = json.loads(text)
         except ValueError as exc:
@@ -199,28 +209,34 @@ class ConfigImage:
             )
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigIntegrityError(f"malformed configuration image: {exc}") from None
-        p = img.p
-        if len(img.rm) != p or any(len(node) != img.k_i for node in img.rm):
+        img._check()
+        return img
+
+    def _check(self) -> None:
+        """The checks of a loaded image beyond its JSON types."""
+        if self.n < 1:
+            raise ConfigIntegrityError(f"torus side n must be >= 1, got {self.n}")
+        p = self.p
+        if len(self.rm) != p or any(len(node) != self.k_i for node in self.rm):
             raise ConfigIntegrityError(
-                f"routing memories must hold {img.k_i} words on each of {p} nodes"
+                f"routing memories must hold {self.k_i} words on each of {p} nodes"
             )
-        if len(img.wag) != p or len(img.cnt_cmp) != p:
+        if len(self.wag) != p or len(self.cnt_cmp) != p:
             raise ConfigIntegrityError(f"WAG and CNT/CMP tables must cover {p} PEs")
-        if img.fifo_depth.shape != (p, 5):
+        if self.fifo_depth.shape != (p, 5):
             raise ConfigIntegrityError(f"FIFO depths must be {p} x 5")
-        if img.pipeline_depth < 0:
-            raise ConfigIntegrityError(f"PE pipeline depth must be >= 0, got {img.pipeline_depth}")
-        if img.k_i:
+        if self.pipeline_depth < 0:
+            raise ConfigIntegrityError(f"PE pipeline depth must be >= 0, got {self.pipeline_depth}")
+        if self.k_i:
             # the last flit lands in cycle k_i - 1, HOP_CYCLES after its
             # ejection pop, so that pop is the program's last word
-            busy = np.flatnonzero(np.any(img.rm, axis=0))
+            busy = np.flatnonzero(np.any(self.rm, axis=0))
             last = int(busy[-1]) if len(busy) else -1
-            if last != img.k_i - 1 - HOP_CYCLES:
+            if last != self.k_i - 1 - HOP_CYCLES:
                 raise ConfigIntegrityError(
-                    f"the last routing word is at cycle {last}, a program of k_i {img.k_i} "
-                    f"ends at cycle {img.k_i - 1 - HOP_CYCLES}"
+                    f"the last routing word is at cycle {last}, a program of k_i {self.k_i} "
+                    f"ends at cycle {self.k_i - 1 - HOP_CYCLES}"
                 )
-        return img
 
     def rm_to_binary(self) -> bytes:
         """Compact fixed-width dump of the routing memories."""
@@ -286,7 +302,49 @@ def _read_slot_map(slot_of: dict) -> np.ndarray:
     # the numbers c0 p0 c1 p1 ...
     numbers = np.fromstring(" ".join(slot_of).replace(":", " "), dtype=np.int64, sep=" ")
     rows = np.column_stack((numbers.reshape(-1, 2), np.fromiter(slots, np.int64, len(slots))))
+    return _by_key(rows)
+
+
+def _by_key(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+
+
+def _read_canonical(text: str) -> ConfigImage:
+    """The image that text, if canonical, holds; see jsonfields.canonical."""
+    at = member_spans(text, (*_KEYS, "format", "digest"), ", ", ": ")
+
+    def value(key):
+        return text[slice(*at[key])]
+
+    strings = {key: json.loads(value(key))
+               for key in ("label", "trace_digest", "mapping_digest", "h_digest", "digest")}
+    if value("format") != _FORMAT_TEXT or set(map(type, strings.values())) != {str}:
+        raise ValueError("not a canonical configuration image")
+    # a slot map entry "check:position": slot holds two colons
+    lo, hi = at["slot_of"]
+    slots = np.empty(text.count(":", lo, hi) // 2 * 3, dtype=np.int64)
+    read_values(text, lo + 1, hi - 1, slots)
+    slots = _by_key(slots.reshape(-1, 3))
+    keys = slots[:, :2]
+    if keys.size and not (0 <= keys.min() and keys.max() < 10**18):
+        raise ValueError("slot map key outside the canonical decimals")
+    if (keys[1:] == keys[:-1]).all(axis=1).any():
+        raise ValueError("slot map key repeated")  # json.loads keeps the last
+    img = ConfigImage(
+        n=int(value("n")),
+        k_i=int(value("k_i")),
+        n_d=int(value("n_d")),
+        n_pc=int(value("n_pc")),
+        pipeline_depth=int(value("pipeline_depth")),
+        rm=[node.tolist() for node in read_groups(text, *at["rm"], None)],
+        wag=[pe.tolist() for pe in read_groups(text, *at["wag"], None)],
+        cnt_cmp=[pe.tolist() for pe in read_groups(text, *at["cnt_cmp"], 2)],
+        fifo_depth=read_table(text, *at["fifo_depth"], 5),
+        slots=slots,
+        **strings,
+    )
+    img._check()
+    return img
 
 
 def read_side(schedule: InjectionSchedule) -> tuple[int, int, tuple]:

@@ -2,19 +2,32 @@
 
 Mapping, trace and configuration-image loaders accept plain JSON integers
 only: a float, a bool or a numeric string is malformed input, never coerced.
-The trace and image tables are read into, and written from, int64 arrays in
-whole-array passes; the text is the one json.dumps writes for the same rows
-as lists of ints.
+The trace and image tables are written from int64 arrays in whole-array
+passes; the text is the one json.dumps writes for the same rows as lists of
+ints.
+
+A canonical text, one that these writers wrote, is read back without
+json.loads: member_spans splits it at its sorted member keys, and the table
+readers parse each int table from its slice in chunks with np.fromstring,
+finding row and group sizes with str.find and str.count, so that no
+temporary grows past about 64 KiB and no object is made per record.  These
+readers check little; canonical() keeps what they read only if writing it
+back gives the text byte for byte.  Any other text is for json.loads and
+the loaders' type checks, which alone report errors.
 """
 
 from __future__ import annotations
 
+import warnings
 from itertools import chain
 
 import numpy as np
 
 _TEN_POWERS = 10 ** np.arange(20, dtype=np.uint64)
 _BLOCK = 8192  # values per encoding pass; its int64 scratch arrays stay at 64 KiB
+_CHUNK = 16384  # characters per parse; a value takes two at least, so 64 KiB of int64
+# brackets and quotes read as blanks, the colon of a slot key as a comma
+_BLANKS = str.maketrans('[]":', "   ,")
 
 
 def all_ints(values) -> bool:
@@ -69,7 +82,13 @@ def grouped_table(groups, width: int, what: str) -> list[np.ndarray]:
     if not isinstance(groups, list) or set(map(type, groups)) - {list}:
         raise ValueError(f"{what} records must be a list")
     table = int_table(list(chain.from_iterable(groups)), width, what)
-    return np.split(table, np.cumsum(list(map(len, groups)))[:-1])
+    return _split(table, list(map(len, groups)))
+
+
+def _split(table: np.ndarray, counts: list[int]) -> list[np.ndarray]:
+    """Consecutive views of table, counts[i] rows in the i-th; none for no counts."""
+    bounds = np.cumsum([0, *counts]).tolist()
+    return [table[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def object_json(members: dict[str, str], sep: str = ",", colon: str = ":") -> str:
@@ -198,3 +217,107 @@ def grouped_json(groups) -> str:
     at = row_at.tolist()
     parts = [f"[{body[at[a]:at[b] - 1]}]" if b > a else "[]" for a, b in zip(bounds, bounds[1:])]
     return "[" + ",".join(parts) + "]"
+
+
+def canonical(load, text: str):
+    """load(text), if that is an artifact whose to_json() is text; else None.
+
+    load may read text in any way and raise anything: an artifact that
+    writes text back byte for byte holds what json.loads reads from it, so
+    only such an artifact is kept.  Nothing load raises or warns gets out.
+    """
+    try:
+        with warnings.catch_warnings():
+            # older NumPy releases warn where np.fromstring stops early; newer ones raise
+            warnings.simplefilter("ignore")
+            artifact = load(text)
+            return artifact if artifact.to_json() == text else None
+    except Exception:  # the json.loads path, which the caller runs next, reports the fault
+        return None
+
+
+def member_spans(text: str, keys, sep: str = ",", colon: str = ":") -> dict[str, tuple[int, int]]:
+    """The (start, end) offsets of each member value of text, for a text
+    laid out as object_json(members, sep, colon) writes members with
+    exactly these keys; a text of another layout raises ValueError.
+
+    Each value ends where sep, the next key and colon begin: a JSON string
+    that json.dumps writes has a backslash before each quote in it, and the
+    int tables hold no quotes.
+    """
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError("not one JSON object")
+    keys = sorted(keys)
+    spans, at = {}, 1
+    for key, after in zip(keys, [*keys[1:], None]):
+        head = f'"{key}"{colon}'
+        if not text.startswith(head, at):
+            raise ValueError(f"no member {key!r} at offset {at}")
+        start = at + len(head)
+        end = len(text) - 1 if after is None else text.index(f'{sep}"{after}"{colon}', start)
+        spans[key] = start, end
+        at = end + len(sep)
+    return spans
+
+
+def read_values(text: str, lo: int, hi: int, out: np.ndarray) -> None:
+    """Fill out with the ints of text[lo:hi]: values separated by commas,
+    with or without blanks, brackets (rows) or quotes and colons (slot-map
+    keys) around them.  A run of another length raises ValueError.
+
+    The run is parsed in chunks of about _CHUNK characters, cut at commas.
+    """
+    if len(out) > (hi - lo + 1) // 2:  # each value but the last takes two characters
+        raise ValueError(f"{hi - lo} characters cannot hold {len(out)} values")
+    at = 0
+    while lo < hi:
+        stop = text.find(",", lo + _CHUNK, hi) if hi - lo > _CHUNK else -1
+        stop = hi if stop < 0 else stop
+        values = np.fromstring(text[lo:stop].translate(_BLANKS), dtype=np.int64, sep=",")
+        out[at:at + len(values)] = values
+        at += len(values)
+        lo = stop + 1
+    if at != len(out):
+        raise ValueError(f"{at} values where {len(out)} were expected")
+
+
+def read_list(text: str, lo: int, hi: int) -> np.ndarray:
+    """text[lo:hi], a JSON list of ints, as a read-only int64 array."""
+    out = np.empty(text.count(",", lo, hi) + 1 if hi - lo > 2 else 0, dtype=np.int64)
+    read_values(text, lo + 1, hi - 1, out)
+    return frozen_int64(out, copy=False)
+
+
+def read_table(text: str, lo: int, hi: int, width: int) -> np.ndarray:
+    """text[lo:hi], a JSON list of rows of width ints, as a read-only
+    (R, width) int64 table; R counts the rows' opening brackets."""
+    rows = text.count("[", lo + 1, hi)
+    out = np.empty(rows * width, dtype=np.int64)
+    read_values(text, lo + 1, hi - 1, out)
+    return frozen_int64(out, copy=False).reshape(rows, width)
+
+
+def read_groups(text: str, lo: int, hi: int, width: int | None) -> list[np.ndarray]:
+    """text[lo:hi], a JSON list of groups (one per node or PE), each a list
+    of rows of width ints or, for width None, a list of ints, as read-only
+    int64 views of one table, one view per group."""
+    close = "]" if width is None else "]]"
+    spans = []
+    at = text.find("[", lo + 1, hi)
+    while at >= 0:
+        end = at + 2 if text.startswith("[]", at) else text.index(close, at, hi) + len(close)
+        spans.append((at, end))
+        at = text.find("[", end, hi)
+    if width is None:
+        counts = [text.count(",", a, e) + 1 if e - a > 2 else 0 for a, e in spans]
+    else:
+        counts = [text.count("[", a + 1, e) for a, e in spans]
+    out = np.empty(sum(counts) * (width or 1), dtype=np.int64)
+    at = 0
+    for (a, e), count in zip(spans, counts):
+        size = count * (width or 1)
+        read_values(text, a + 1, e - 1, out[at:at + size])
+        at += size
+    table = frozen_int64(out, copy=False)
+    return _split(table if width is None else table.reshape(-1, width), counts)
+

@@ -117,34 +117,36 @@ def serving_order(h: ParityCheckMatrix, mapping: Mapping) -> list[list[int]]:
 
 
 class _Graph:
-    """Adjacency-list weighted graph used inside the partitioner.
+    """Adjacency-map weighted graph used inside the partitioner.
 
-    adj[v] lists (neighbour, edge weight); vw[v] is the vertex weight and
-    wdeg[v] the total weight of v's edges.  Everything is plain Python ints:
-    the partitioner touches one element at a time, where numpy scalars cost
-    more than they save.
+    adj[v] maps each neighbour to its edge weight, in the order the edges
+    were added; vw[v] is the vertex weight and wdeg[v] the total weight of
+    v's edges.  Everything is plain Python ints: the partitioner touches one
+    element at a time, where numpy scalars cost more than they save.  A dict
+    of ints is never tracked by the cyclic garbage collector, where a list
+    of (neighbour, weight) tuples is one tracked object per edge end.
     """
 
     __slots__ = ("n", "adj", "vw", "wdeg")
 
-    def __init__(self, n: int, adj: list[list[tuple[int, int]]], vw: list[int]):
+    def __init__(self, n: int, adj: list[dict[int, int]], vw: list[int]):
         self.n = n
         self.adj = adj
         self.vw = vw
-        self.wdeg = [sum(w for _, w in a) for a in adj]
+        self.wdeg = [sum(a.values()) for a in adj]
 
     @classmethod
     def from_check_graph(cls, graph: CheckGraph) -> "_Graph":
         n = graph.n_vertices
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
         for i, j, x in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist()):
-            adj[i].append((j, x))
-            adj[j].append((i, x))
+            adj[i][j] = x
+            adj[j][i] = x
         return cls(n, adj, [1] * n)
 
     def subgraph(self, vertices: list[int]) -> "_Graph":
         local = {v: i for i, v in enumerate(vertices)}
-        adj = [[(local[u], w) for u, w in self.adj[v] if u in local] for v in vertices]
+        adj = [{local[u]: w for u, w in self.adj[v].items() if u in local} for v in vertices]
         return _Graph(len(vertices), adj, [self.vw[v] for v in vertices])
 
 
@@ -160,7 +162,7 @@ def _coarsen(g: _Graph, rng) -> tuple[_Graph, list[int]] | None:
         if match[v] >= 0:
             continue
         best, best_w = -1, -1
-        for u, w in adj[v]:
+        for u, w in adj[v].items():
             if match[u] < 0 and u != v and (w > best_w or (w == best_w and u < best)):
                 best, best_w = u, w
         if best >= 0:
@@ -182,18 +184,18 @@ def _coarsen(g: _Graph, rng) -> tuple[_Graph, list[int]] | None:
     for v, cv in enumerate(coarse_id):
         cvw[cv] += g.vw[v]
         cmap = cadj_maps[cv]
-        for u, w in adj[v]:
+        for u, w in adj[v].items():
             cu = coarse_id[u]
             if cu != cv:
                 cmap[cu] = cmap.get(cu, 0) + w
-    return _Graph(nc, [list(m.items()) for m in cadj_maps], cvw), coarse_id
+    return _Graph(nc, cadj_maps, cvw), coarse_id
 
 
 def _cut_of(g: _Graph, side: list[int]) -> int:
     total = 0
     for v, a in enumerate(g.adj):
         sv = side[v]
-        for u, w in a:
+        for u, w in a.items():
             if u > v and side[u] != sv:
                 total += w
     return total
@@ -218,7 +220,7 @@ def _greedy_grow(g: _Graph, target: int, rng) -> list[int]:
             v = rest[int(rng.integers(len(rest)))]
         side[v] = 0
         w0 += g.vw[v]
-        for u, w in g.adj[v]:
+        for u, w in g.adj[v].items():
             if side[u]:
                 attach[u] += w
                 heapq.heappush(frontier, (-attach[u], u))
@@ -250,7 +252,7 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
         gain = []
         for v, sv in enumerate(side):
             ext = 0
-            for u, w in adj[v]:
+            for u, w in adj[v].items():
                 if side[u] != sv:
                     ext += w
             gain.append(2 * ext - wdeg[v])
@@ -283,7 +285,7 @@ def _fm_refine(g: _Graph, side: list[int], target0: int, tol: int, passes: int) 
             cur_w0 = moved_w0
             cum += gv
             trail.append(v)
-            for u, w in adj[v]:
+            for u, w in adj[v].items():
                 if not locked[u]:
                     gu = gain[u] + (2 * w if side[u] != sv else -2 * w)
                     gain[u] = gu
@@ -309,7 +311,7 @@ def _rebalance_exact(g: _Graph, side: list[int], target0: int) -> None:
         for v, a in enumerate(g.adj):
             if side[v] != src or g.vw[v] != 1:
                 continue
-            gv = 2 * sum(w for u, w in a if side[u] != src) - g.wdeg[v]
+            gv = 2 * sum(w for u, w in a.items() if side[u] != src) - g.wdeg[v]
             if best_gain is None or gv > best_gain:
                 best_v, best_gain = v, gv
         if best_v < 0:

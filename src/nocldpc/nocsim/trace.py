@@ -2,11 +2,15 @@
 
 A trace keeps its records as read-only int64 tables, one row per record:
 the flits in uid order, and the routing operations and arrivals of each
-node.  The loader builds each table in one pass over the JSON rows, and the
-canonical text is written from the tables in whole-array passes
-(jsonfields), byte for byte what json.dumps writes for the same records as
-lists.  None of this holds an object per record, so the cyclic garbage
-collector has nothing in a trace to track.
+node.  The canonical text is written from the tables in whole-array
+passes (jsonfields), byte for byte what json.dumps writes for the same
+records as lists.  The loader reads a canonical text back without
+json.loads, parsing each table from its slice of the text, and keeps the
+trace only if it passes the checks and writes the text back byte for byte;
+any other text goes through json.loads and the type checks, which build
+each table in one pass over the JSON rows.  None of this holds an object
+per record, so the cyclic garbage collector has nothing in a trace to
+track.
 """
 
 from __future__ import annotations
@@ -21,18 +25,24 @@ from typing import NamedTuple
 import numpy as np
 
 from ..jsonfields import (
+    canonical,
     frozen_int64,
     grouped_json,
     grouped_table,
     int_list,
     int_table,
+    member_spans,
     object_json,
+    read_groups,
+    read_list,
+    read_table,
     table_json,
     typed,
 )
 
 
 FORMAT = "nocldpc-trace-v1"
+_FORMAT_TEXT = json.dumps(FORMAT)
 _KEYS = ("n", "seed", "pipeline_depth", "k_i", "rm_ops", "arrivals", "fifo_max", "flits",
          "check_start", "check_complete", "n_network", "n_bypass")
 
@@ -161,39 +171,50 @@ class NocTrace:
         if missing:
             raise ValueError(f"trace file lacks {', '.join(missing)}")
         try:
-            n = typed(obj, "n")
-            flits = int_table(obj["flits"], _FLIT_FIELDS, "flit")
-            wrap = flits[:, FlitRecord._fields.index("wrap")]
-            if not ((wrap == 0) | (wrap == 1)).all():
-                raise ValueError("flit wrap flags must be 0 or 1")
-            depth = typed(obj, "pipeline_depth")
-            if depth < 0:
-                raise ValueError(f"pipeline_depth must be >= 0, got {depth}")
             trace = cls(
-                n=n,
+                n=typed(obj, "n"),
                 seed=typed(obj, "seed"),
-                pipeline_depth=depth,
+                pipeline_depth=typed(obj, "pipeline_depth"),
                 k_i=typed(obj, "k_i"),
-                rm_ops=grouped_table(_per_node(obj, "rm_ops", n), 3, "routing operation"),
-                arrivals=grouped_table(_per_node(obj, "arrivals", n), 5, "arrival"),
-                fifo_max=int_table(_per_node(obj, "fifo_max", n), 5, "FIFO peak"),
-                flits=FlitTable(flits),
+                rm_ops=grouped_table(obj["rm_ops"], 3, "routing operation"),
+                arrivals=grouped_table(obj["arrivals"], 5, "arrival"),
+                fifo_max=int_table(obj["fifo_max"], 5, "FIFO peak"),
+                flits=FlitTable(int_table(obj["flits"], _FLIT_FIELDS, "flit")),
                 check_start=int_list(obj["check_start"], "check_start"),
                 check_complete=int_list(obj["check_complete"], "check_complete"),
                 n_network=typed(obj, "n_network"),
                 n_bypass=typed(obj, "n_bypass"),
                 label=typed(obj, "label", str) if "label" in obj else "",
             )
+            trace._check()
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed trace file: {exc}") from None
         return trace
+
+    def _check(self) -> None:
+        """The checks of a loaded trace beyond its JSON types."""
+        n = self.n
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        for key in ("rm_ops", "arrivals", "fifo_max"):
+            if len(getattr(self, key)) != n * n:
+                raise ValueError(f"{key} must list one entry per node of the {n}x{n} torus")
+        wrap = self.flits.column("wrap")
+        if not ((wrap == 0) | (wrap == 1)).all():
+            raise ValueError("flit wrap flags must be 0 or 1")
+        for key in ("pipeline_depth", "k_i", "n_bypass"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.n_network != len(self.flits):
+            raise ValueError(f"n_network is {self.n_network}, but the trace lists "
+                             f"{len(self.flits)} flits")
 
     @cached_property
     def _canonical(self) -> str:
         """json.dumps of the trace's JSON object with sorted keys and the
         compact separators; the tables are written by jsonfields."""
         return object_json({
-            "format": json.dumps(FORMAT),
+            "format": _FORMAT_TEXT,
             "n": json.dumps(self.n),
             "seed": json.dumps(self.seed),
             "pipeline_depth": json.dumps(self.pipeline_depth),
@@ -218,7 +239,10 @@ class NocTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "NocTrace":
-        return cls.from_json_obj(json.loads(text))
+        """Rebuild a trace; a malformed text raises ValueError.  A canonical
+        text (to_json's) is read without json.loads."""
+        trace = canonical(_read_canonical, text)
+        return trace if trace is not None else cls.from_json_obj(json.loads(text))
 
     def content_digest(self) -> str:
         return self._digest
@@ -234,8 +258,30 @@ def _grouped(groups, width: int) -> tuple[np.ndarray, ...]:
     return tuple(_rows(g, width) for g in groups)
 
 
-def _per_node(obj: dict, key: str, n: int) -> list:
-    rows = obj[key]
-    if not isinstance(rows, list) or len(rows) != n * n:
-        raise ValueError(f"{key} must list one entry per node of the {n}x{n} torus")
-    return rows
+def _read_canonical(text: str) -> NocTrace:
+    """The trace that text, if canonical, holds; see jsonfields.canonical."""
+    at = member_spans(text, (*_KEYS, "format", "label"))
+
+    def value(key):
+        return text[slice(*at[key])]
+
+    label = json.loads(value("label"))
+    if value("format") != _FORMAT_TEXT or type(label) is not str:
+        raise ValueError("not a canonical trace text")
+    trace = NocTrace(
+        n=int(value("n")),
+        seed=int(value("seed")),
+        pipeline_depth=int(value("pipeline_depth")),
+        k_i=int(value("k_i")),
+        rm_ops=read_groups(text, *at["rm_ops"], 3),
+        arrivals=read_groups(text, *at["arrivals"], 5),
+        fifo_max=read_table(text, *at["fifo_max"], 5),
+        flits=FlitTable(read_table(text, *at["flits"], _FLIT_FIELDS)),
+        check_start=read_list(text, *at["check_start"]),
+        check_complete=read_list(text, *at["check_complete"]),
+        n_network=int(value("n_network")),
+        n_bypass=int(value("n_bypass")),
+        label=label,
+    )
+    trace._check()
+    return trace

@@ -141,9 +141,17 @@ class TestPartitionAndSimulate:
     @pytest.mark.parametrize("command,stages", [
         ("partition", {"load", "partition"}),
         ("simulate", {"load", "partition", "schedule", "simulate"}),
+        ("genconfig", {"load", "genconfig", "validate"}),
     ])
     def test_json_times_each_stage(self, command, stages, tmp_path):
-        rc = run([command, "--code", "wimax_576_288", "--torus-n", "2", "--out", str(tmp_path)])
+        args = ["--code", "wimax_576_288", "--out", str(tmp_path)]
+        if command == "genconfig":  # from simulate's mapping and trace
+            assert run(["simulate", *args, "--torus-n", "2"]) == 0
+            args += ["--mapping", str(tmp_path / "mapping.json"),
+                     "--trace", str(tmp_path / "trace.json")]
+        else:
+            args += ["--torus-n", "2"]
+        rc = run([command, *args])
         assert rc == 0
         stage_s = json.loads((tmp_path / f"{command}.json").read_text())["stage_s"]
         assert set(stage_s) == stages

@@ -53,6 +53,26 @@ def feeder_pipeline():
     return h, m, tr
 
 
+# edits of one trace record that gen_config must refuse
+TRACE_FAULTS = [
+    ("arrivals", 0, 10**6, "check 1000000, outside"),
+    ("arrivals", 0, -1, "check -1, outside"),
+    ("arrivals", 1, -1, r"network input \(\d+, -1\) is in the trace only"),
+    ("rm_ops", 0, -3, r"operation \(-3, \d, \d\) outside"),
+    ("rm_ops", 1, 9, r"operation \(\d+, 9, \d\) outside"),
+    ("rm_ops", 2, 5, r"operation \(\d+, \d, 5\) outside"),
+]
+TRACE_FAULT_IDS = ["arrival-check-huge", "arrival-check-negative", "arrival-position",
+                   "rm-cycle-negative", "rm-out-port", "rm-in-port"]
+
+
+def trace_layouts(obj) -> tuple[str, str]:
+    """A trace's JSON object as json.dumps writes it by default, and in the
+    canonical layout of the trace files, which the loader reads without
+    json.loads."""
+    return json.dumps(obj), json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 class TestRmWords:
     def test_pack_unpack_roundtrip(self):
         sel = [(0, 3), (4, 1), (2, 2)]
@@ -144,6 +164,8 @@ class TestGenConfig:
         ("n", 2.0),
         ("label", 5),
         ("pipeline_depth", -1),
+        ("n", -2),  # n * n nodes would read it as a 2 x 2 torus
+        ("n", 0),
     ])
     def test_malformed_records_rejected(self, key, value):
         h, m, tr = feeder_pipeline()
@@ -180,15 +202,32 @@ class TestGenConfig:
         with pytest.raises(ConfigIntegrityError, match="slot map key"):
             ConfigImage.from_json(json.dumps(obj))
 
-    @pytest.mark.parametrize("record,field,value,match", [
-        ("arrivals", 0, 10**6, "check 1000000, outside"),
-        ("arrivals", 0, -1, "check -1, outside"),
-        ("arrivals", 1, -1, r"network input \(\d+, -1\) is in the trace only"),
-        ("rm_ops", 0, -3, r"operation \(-3, \d, \d\) outside"),
-        ("rm_ops", 1, 9, r"operation \(\d+, 9, \d\) outside"),
-        ("rm_ops", 2, 5, r"operation \(\d+, \d, 5\) outside"),
-    ], ids=["arrival-check-huge", "arrival-check-negative", "arrival-position",
-            "rm-cycle-negative", "rm-out-port", "rm-in-port"])
+    @pytest.mark.parametrize("check", [-1, 10**18])
+    def test_slot_map_key_outside_plain_decimals_in_canonical_layout(self, check):
+        # to_json of an image with such a key is a text in the canonical
+        # layout, which the loader reads without json.loads; its key is
+        # refused as the json.loads path refuses it
+        h, m, tr = feeder_pipeline()
+        cfg = gen_config(tr, m, h)
+        slots = cfg.slots.copy()
+        slots[0, 0] = check
+        text = dataclasses.replace(cfg, slots=slots).to_json()
+        with pytest.raises(ConfigIntegrityError, match=f"slot map key '{check}:"):
+            ConfigImage.from_json(text)
+
+    def test_slot_map_key_repeated_in_canonical_layout(self):
+        # json.loads keeps one entry of a repeated key, so the image loads
+        # with the slot map it had before the repeat
+        h, m, tr = feeder_pipeline()
+        cfg = gen_config(tr, m, h)
+        slots = np.concatenate((cfg.slots[:1], cfg.slots))
+        text = dataclasses.replace(cfg, slots=slots).to_json()
+        assert text.count('"0:0": ') == 2
+        img = ConfigImage.from_json(text)
+        assert img.slots.tolist() == cfg.slots.tolist()
+        img.verify_digest()
+
+    @pytest.mark.parametrize("record,field,value,match", TRACE_FAULTS, ids=TRACE_FAULT_IDS)
     def test_trace_records_out_of_range_rejected(self, record, field, value, match):
         h, m, tr = feeder_pipeline()
         obj = json.loads(tr.to_json())
@@ -205,6 +244,31 @@ class TestGenConfig:
         lost = rf"input \({check}, {pos}\) is in the schedule only"
         with pytest.raises(ConfigIntegrityError, match=lost):
             gen_config(tr, m, h)
+
+    @pytest.mark.parametrize("record,field,value,match", TRACE_FAULTS, ids=TRACE_FAULT_IDS)
+    def test_trace_records_out_of_range_rejected_in_canonical_layout(self, record, field, value,
+                                                                      match):
+        h, m, tr = feeder_pipeline()
+        obj = json.loads(tr.to_json())
+        next(r for r in obj[record] if r)[0][field] = value
+        messages = []
+        for text in trace_layouts(obj):
+            with pytest.raises(ConfigIntegrityError, match=match) as exc:
+                gen_config(NocTrace.from_json(text), m, h)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_trace_missing_arrival_rejected_in_canonical_layout(self):
+        h, m, tr = feeder_pipeline()
+        obj = json.loads(tr.to_json())
+        check, pos, *_ = obj["arrivals"][0].pop()
+        lost = rf"input \({check}, {pos}\) is in the schedule only"
+        messages = []
+        for text in trace_layouts(obj):
+            with pytest.raises(ConfigIntegrityError, match=lost) as exc:
+                gen_config(NocTrace.from_json(text), m, h)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
     def test_rm_binary_roundtrip(self):
         h, m, tr = feeder_pipeline()

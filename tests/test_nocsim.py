@@ -377,6 +377,57 @@ class TestSimulate:
             assert k_less <= k_full
 
 
+# edits of a trace's JSON object that its loader must refuse
+MALFORMED_TRACE_RECORDS = [
+    ("flits", [[0, 1, 2]]),  # short flit record
+    ("rm_ops", [[[0, 1]]] * 4),  # short routing operation
+    ("arrivals", [[[0, 1, 2, 3]]] * 4),  # short arrival
+    ("rm_ops", [[]]),  # one node of a 2 x 2 torus
+    ("fifo_max", [[0, 0]]),
+    ("n", "two"),
+    ("flits", 7),
+    # values that are not plain ints are rejected, not coerced
+    ("rm_ops", [[[10.7, 0, 4]], [], [], []]),
+    ("arrivals", [[[0, 1, 2, "14", 5]], [], [], []]),
+    ("flits", [[True] * 12]),
+    ("flits", [[0] * 8 + [2] + [0] * 3]),  # wrap flag other than 0/1
+    ("fifo_max", [[0, 0, 0, 0, True]] * 4),
+    ("check_start", [0.5, 1, 2]),
+    ("k_i", 10.7),
+    ("n_network", "3"),
+    ("label", 7),
+    ("pipeline_depth", -1),
+    ("n", -2),  # n * n nodes would read it as a 2 x 2 torus
+    ("n", 0),
+    ("k_i", -1),
+    ("n_bypass", -1),
+    ("n_network", 999),  # not the number of flit records
+]
+NON_INT_VALUES = [True, 1.5, 2**63]
+TRACE_TABLES = ["flits", "rm_ops", "arrivals", "fifo_max", "check_start", "check_complete"]
+
+
+def layouts(obj) -> tuple[str, str]:
+    """obj as json.dumps writes it by default, and in the canonical layout
+    of the trace files: sorted keys and the compact separators."""
+    return json.dumps(obj), json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def refusals(load, texts) -> list:
+    """The type and message of what load raises on each text."""
+    out = []
+    for text in texts:
+        with pytest.raises(ValueError) as exc:
+            load(text)
+        out.append((type(exc.value), str(exc.value)))
+    return out
+
+
+def small_trace():
+    h = make_h([[0, 1], [1, 2], [0, 2]], 3)
+    return simulate_iteration(Topology(2), build_schedule(h, mapped(h, [0, 1, 2], 4)), seed=9)
+
+
 class TestTraceSerialization:
     def test_roundtrip(self):
         h = make_h([[0, 1], [1, 2], [0, 2]], 3)
@@ -400,26 +451,7 @@ class TestTraceSerialization:
         with pytest.raises(ValueError):
             NocTrace.from_json(text)
 
-    @pytest.mark.parametrize("key,value", [
-        ("flits", [[0, 1, 2]]),  # short flit record
-        ("rm_ops", [[[0, 1]]] * 4),  # short routing operation
-        ("arrivals", [[[0, 1, 2, 3]]] * 4),  # short arrival
-        ("rm_ops", [[]]),  # one node of a 2 x 2 torus
-        ("fifo_max", [[0, 0]]),
-        ("n", "two"),
-        ("flits", 7),
-        # values that are not plain ints are rejected, not coerced
-        ("rm_ops", [[[10.7, 0, 4]], [], [], []]),
-        ("arrivals", [[[0, 1, 2, "14", 5]], [], [], []]),
-        ("flits", [[True] * 12]),
-        ("flits", [[0] * 8 + [2] + [0] * 3]),  # wrap flag other than 0/1
-        ("fifo_max", [[0, 0, 0, 0, True]] * 4),
-        ("check_start", [0.5, 1, 2]),
-        ("k_i", 10.7),
-        ("n_network", "3"),
-        ("label", 7),
-        ("pipeline_depth", -1),
-    ])
+    @pytest.mark.parametrize("key,value", MALFORMED_TRACE_RECORDS)
     def test_malformed_records_rejected(self, key, value):
         import json
 
@@ -432,9 +464,8 @@ class TestTraceSerialization:
         with pytest.raises(ValueError):
             NocTrace.from_json(json.dumps(obj))
 
-    @pytest.mark.parametrize("bad", [True, 1.5, 2**63])
-    @pytest.mark.parametrize("key", ["flits", "rm_ops", "arrivals", "fifo_max", "check_start",
-                                     "check_complete"])
+    @pytest.mark.parametrize("bad", NON_INT_VALUES)
+    @pytest.mark.parametrize("key", TRACE_TABLES)
     def test_single_non_int_value_rejected(self, key, bad):
         # one record stays all ints but one value; a table built by an
         # int64 array conversion would read true as 1, and 2**63 does not
@@ -453,6 +484,56 @@ class TestTraceSerialization:
             rows[-1][1] = bad
         with pytest.raises(ValueError, match="malformed trace file"):
             NocTrace.from_json(json.dumps(obj))
+
+    # the same edits in the canonical layout, which the loader reads without
+    # json.loads; it must refuse them as the json.loads path does
+
+    def test_canonical_layout_is_the_trace_text(self):
+        tr = small_trace()
+        assert layouts(json.loads(tr.to_json()))[1] == tr.to_json()
+
+    @pytest.mark.parametrize("key,value", MALFORMED_TRACE_RECORDS)
+    def test_malformed_records_rejected_in_canonical_layout(self, key, value):
+        from nocldpc.nocsim import NocTrace
+
+        obj = json.loads(small_trace().to_json())
+        obj[key] = value
+        loose, tight = refusals(NocTrace.from_json, layouts(obj))
+        assert loose == tight
+
+    @pytest.mark.parametrize("bad", NON_INT_VALUES)
+    @pytest.mark.parametrize("key", TRACE_TABLES)
+    def test_single_non_int_value_rejected_in_canonical_layout(self, key, bad):
+        from nocldpc.nocsim import NocTrace
+
+        obj = json.loads(small_trace().to_json())
+        rows = obj[key]
+        if key in ("rm_ops", "arrivals"):
+            rows = next(node for node in rows if node)
+        if key in ("check_start", "check_complete"):
+            rows[-1] = bad
+        else:
+            rows[-1][1] = bad
+        loose, tight = refusals(NocTrace.from_json, layouts(obj))
+        assert loose == tight and tight[1].startswith("malformed trace file")
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("n", -2, "n must be >= 1, got -2"),
+        ("n", 0, "n must be >= 1, got 0"),
+        ("k_i", -1, "k_i must be >= 0, got -1"),
+        ("n_bypass", -1, "n_bypass must be >= 0, got -1"),
+        ("n_network", 999, "n_network is 999, but the trace lists 6 flits"),
+    ])
+    def test_counts_outside_their_range_rejected(self, key, value, match):
+        from nocldpc.nocsim import NocTrace
+
+        tr = small_trace()
+        assert tr.n_network == 6
+        obj = json.loads(tr.to_json())
+        obj[key] = value
+        for text in layouts(obj):
+            with pytest.raises(ValueError, match=f"^malformed trace file: {match}$"):
+                NocTrace.from_json(text)
 
 
 C06 = (("wimax_2304_1152", 5), ("wimax_576_288", 5), ("wifi_1944_486", 4), ("random_1057_244", 5))
@@ -839,3 +920,35 @@ def test_codegen_records_add_few_tracked_objects():
     gc.collect()
     assert len(gc.get_objects()) - before <= 100
     assert kept[2].content_digest() == kept[1].content_digest()
+
+
+def test_loaders_and_partitioner_run_few_collections():
+    # canonical texts load without json.loads, whose per-record lists set
+    # off 39 young collections here, and the partitioner's adjacency maps
+    # are untracked dicts of ints where (neighbour, weight) tuples set off
+    # 130
+    import gc
+
+    from nocldpc.configgen import ConfigImage
+    from nocldpc.nocsim import NocTrace
+
+    def young_collections(work):
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        work()
+        return gc.get_stats()[0]["collections"] - before
+
+    h = load_code("wimax_2304_1152")
+    g = build_check_graph(h)
+    m = partition_kway(g, 25, seed=20250808)
+    serving_order(h, m)
+    tr = simulate_iteration(Topology(5), build_schedule(h, m), seed=20250808, label=h.label)
+    trace_text, image_text = tr.to_json(), gen_config(tr, m, h).to_json()
+
+    def load():
+        NocTrace.from_json(trace_text)
+        ConfigImage.from_json(image_text)
+
+    load()
+    assert young_collections(load) <= 5
+    assert young_collections(lambda: partition_kway(g, 25, seed=20250808)) <= 10

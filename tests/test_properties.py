@@ -5,10 +5,16 @@ against its floor/ceil reference, the golden layered decoder against the
 first golden in reference.py, batched decoders against their single-frame
 goldens, the codegen path from check graph to replayed configuration
 image, the cycle simulator against the first simulator's plain loops
-in reference.py, and the whole-array JSON writers of the trace and image
-tables against json.dumps."""
+in reference.py, the whole-array JSON writers of the trace and image
+tables against json.dumps, and the readers of canonical trace and image
+texts against json.loads."""
 
+import dataclasses
 import hashlib
+import json
+import re
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -808,6 +814,81 @@ def test_codegen_path_properties(case):
             assert other.iterations_run == gold.iterations_run
             assert other.converged == gold.converged
             assert np.array_equal(other.final_llrs, gold.final_llrs)
+
+
+def loaded(load, text):
+    """What load makes of text: the artifact's fields, text and digest, or
+    the type and message of the error it raises."""
+    try:
+        art = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    digest = art.content_digest() if isinstance(art, NocTrace) else art.compute_digest()
+    return [_plain(getattr(art, f.name)) for f in dataclasses.fields(art)], art.to_json(), digest
+
+
+def _plain(value):
+    if hasattr(value, "table"):  # a FlitTable
+        value = value.table
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.flags.writeable, value.tolist()
+    if isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
+        return [_plain(v) for v in value]
+    return value
+
+
+def json_loads_path(cls, text):
+    """cls.from_json(text) with the canonical reader switched off."""
+    with mock.patch.object(sys.modules[cls.__module__], "canonical", return_value=None):
+        return cls.from_json(text)
+
+
+def edit(text, kind, at, char, value):
+    """text with one edit at the at-th character (or int, for kind "value")."""
+    if kind == "value":
+        ints = list(re.finditer(r"-?[0-9]+", text))
+        a, b = ints[at % len(ints)].span()
+        return text[:a] + value + text[b:]
+    i = at % len(text)
+    return text[:i] + {"change": char, "drop": "", "double": text[i] + text[i],
+                       "space": " " + text[i]}[kind] + text[i + 1:]
+
+
+EDITS = st.tuples(st.sampled_from(["change", "drop", "double", "value", "space"]),
+                  st.integers(0, 10**6), st.sampled_from('0189-,[]{}": ex'),
+                  st.sampled_from(["true", "1.0", "-0", "007", str(2**63)]))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=SLOW_DRAWS)
+@given(codegen_cases(), st.lists(EDITS, min_size=1, max_size=6))
+def test_canonical_texts_load_without_json_loads(case, edits):
+    h, side, depth, seed = case
+    mapping = partition_kway(build_check_graph(h), side * side, seed)
+    serving_order(h, mapping)
+    trace = simulate_iteration(Topology(side), build_schedule(h, mapping), seed=seed,
+                               pipeline_depth=depth, label=h.label)
+    image = gen_config(trace, mapping, h)
+    loads = json.loads
+
+    for cls, text in ((NocTrace, trace.to_json()), (ConfigImage, image.to_json())):
+        def whole_text_refused(s, *args, **kwargs):
+            assert s != text, "a canonical text went to json.loads"
+            return loads(s, *args, **kwargs)
+
+        # a canonical text is read without json.loads, into what the
+        # json.loads path reads
+        with mock.patch("json.loads", whole_text_refused):
+            fast = loaded(cls.from_json, text)
+        assert fast[1] == text
+        assert fast == loaded(lambda t: json_loads_path(cls, t), text)
+        if cls is NocTrace:
+            assert fast == loaded(lambda t: NocTrace.from_json_obj(json.loads(t)), text)
+
+        # an edited text loads as the json.loads path loads it, or fails
+        # with the same error
+        for kind, at, char, value in edits:
+            bad = edit(text, kind, at, char, value)
+            assert loaded(cls.from_json, bad) == loaded(lambda t: json_loads_path(cls, t), bad)
 
 
 @st.composite
